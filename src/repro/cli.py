@@ -285,12 +285,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         "--max-batch", type=int, default=32, help="coalescing batch cap"
     )
     p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="coalescing window: max ms a queued request waits for peers",
-    )
-    p.add_argument(
         "--high-water",
         type=int,
         default=512,
@@ -879,7 +873,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_high_water=args.high_water,
         latency_budget_ms=(
             args.latency_budget_ms if args.latency_budget_ms > 0 else None
@@ -893,7 +886,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         gateway.start()
         print(
             f"gateway listening on http://{args.host}:{gateway.port}"
-            f" (coalescing <= {args.max_batch} reqs / {args.max_wait_ms:g}ms,"
+            f" (coalescing <= {args.max_batch} reqs per free slot,"
             f" shed past {args.high_water} queued)",
             flush=True,
         )

@@ -8,18 +8,21 @@ dependency-free asyncio HTTP/1.1 server in front of a
 three things an online matcher needs at the edge:
 
 - **request coalescing** — concurrent single ``/recommend`` calls are
-  queued and drained into ``recommend_batch`` micro-batches (up to
-  ``max_batch`` requests or ``max_wait_ms``, whichever comes first), so
-  network concurrency turns into the one-GEMM-per-batch path the service
-  already has.  Answers are identical to per-request ``recommend`` calls
-  (same ids, same scores) — the batch is an execution strategy, not a
-  semantic change;
+  queued and, whenever an executor slot is free, drained into one
+  ``recommend_batch`` micro-batch (up to ``max_batch`` requests).  There
+  is no timer: an idle gateway serves a lone request at once as a batch
+  of one, a busy one batches whatever queued while its slots were
+  occupied, so network concurrency turns into the one-GEMM-per-batch
+  path the service already has.  Answers are identical to per-request
+  ``recommend`` calls (same ids, same scores) — the batch is an
+  execution strategy, not a semantic change;
 - **backpressure and load shedding** — once the coalescing queue passes
   ``queue_high_water`` the gateway answers ``429`` immediately instead
   of queueing (a shed counter tracks it), and a queued request that
   exceeds ``latency_budget_ms`` before dispatch is shed rather than
-  served late.  Under overload the tail is bounded and the queue cannot
-  collapse;
+  served late.  Requests leave the queue only for a free slot, so both
+  checks see everything that is waiting.  Under overload the tail is
+  bounded and the queue cannot collapse;
 - **graceful swap coordination** — :meth:`RecommendGateway.swap_gate`
   runs a promotion (e.g. the :class:`~repro.serving.refresh.RefreshDaemon`
   pointer flip, via its ``promote_gate`` hook) only when no coalesced
@@ -143,21 +146,18 @@ class GatewayConfig:
         Listen address; ``port=0`` binds an ephemeral port (tests and
         benchmarks read the bound port back from the gateway).
     max_batch:
-        Coalescing cap: a micro-batch dispatches as soon as this many
-        requests are queued.
-    max_wait_ms:
-        Coalescing window: a non-full micro-batch dispatches once its
-        oldest request has waited this long.  The knob trades p50 (small
-        values) against batch efficiency (large values).
+        Coalescing cap: a free executor slot takes at most this many
+        queued requests as one micro-batch.
     queue_high_water:
         Admission control: new ``/recommend`` arrivals are shed with 429
-        while this many requests are already queued.
+        while this many requests are waiting for a slot.
     latency_budget_ms:
         A queued request older than this at dispatch time is shed (429)
         instead of served hopelessly late; ``None`` disables the check.
     executor_threads:
         Worker threads executing micro-batches against the (numpy,
-        GIL-releasing) service; also bounds in-flight batches.
+        GIL-releasing) service, and the number of coalesced batches in
+        flight at once (the coalescer's slots).
     default_k:
         ``k`` when a request does not name one.
     """
@@ -165,7 +165,6 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     port: int = 8460
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     queue_high_water: int = 512
     latency_budget_ms: float | None = 250.0
     executor_threads: int = 2
@@ -173,7 +172,6 @@ class GatewayConfig:
 
     def validate(self) -> None:
         require_positive(self.max_batch, "max_batch")
-        require(self.max_wait_ms >= 0.0, "max_wait_ms must be >= 0")
         require_positive(self.queue_high_water, "queue_high_water")
         if self.latency_budget_ms is not None:
             require_positive(self.latency_budget_ms, "latency_budget_ms")
@@ -305,12 +303,11 @@ class RecommendGateway:
         )
         self._started_at = time.time()
         logger.info(
-            "gateway listening on %s:%d (max_batch=%d, max_wait=%.1fms,"
-            " high_water=%d)",
+            "gateway listening on %s:%d (max_batch=%d, slots=%d, high_water=%d)",
             self._config.host,
             self.port,
             self._config.max_batch,
-            self._config.max_wait_ms,
+            self._config.executor_threads,
             self._config.queue_high_water,
         )
 
@@ -367,31 +364,26 @@ class RecommendGateway:
     # ------------------------------------------------------------------
 
     async def _batch_loop(self) -> None:
-        """Drain the queue into micro-batches forever."""
+        """Hand whatever is queued to an executor slot as soon as one is free.
+
+        Work-conserving: no request waits while a slot idles, and batch
+        size is whatever arrived while every slot was busy.
+        """
         assert self._queue is not None
-        max_wait = self._config.max_wait_ms / 1000.0
-        loop = asyncio.get_running_loop()
+        slots = asyncio.Semaphore(self._config.executor_threads)
+
+        def finished(task: asyncio.Task) -> None:
+            self._batches.discard(task)
+            slots.release()
+
         while True:
+            await slots.acquire()
             batch = [await self._queue.get()]
-            deadline = loop.time() + max_wait
-            while len(batch) < self._config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window closed: drain whatever already queued, then go.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                        continue
-                    except asyncio.QueueEmpty:
-                        break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self._config.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             task = asyncio.create_task(self._run_batch(batch))
             self._batches.add(task)
-            task.add_done_callback(self._batches.discard)
+            task.add_done_callback(finished)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         """Execute one micro-batch on the executor; settle its futures."""
@@ -603,7 +595,6 @@ class RecommendGateway:
             "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "inflight_batches": len(self._batches),
             "max_batch": self._config.max_batch,
-            "max_wait_ms": self._config.max_wait_ms,
             "queue_high_water": self._config.queue_high_water,
             "latency_budget_ms": self._config.latency_budget_ms,
             "uptime_s": time.time() - self._started_at,
@@ -628,25 +619,28 @@ class _HttpError(Exception):
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> "tuple[str, str, dict[str, str], bytes] | None":
-    """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
+    """Parse one HTTP/1.1 request; ``None`` on EOF or an unreadable head."""
     try:
-        line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+        head = await reader.readuntil(b"\r\n\r\n")
+    except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
-    if not line:
-        return None
+    except asyncio.LimitOverrunError:
+        raise _HttpError(400, "request head too large") from None
+    line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
     try:
-        method, target, _version = line.decode("latin-1").split(None, 2)
+        method, target, _version = line.split(None, 2)
     except ValueError:
         return None
     headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
+    for raw in header_lines:
+        name, _, value = raw.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HttpError(400, "malformed Content-Length")
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -654,7 +648,8 @@ async def _read_request(
 
 
 def _encode_response(status: int, payload: dict, keep_alive: bool) -> bytes:
-    body = json.dumps(to_jsonable(payload)).encode()
+    """``payload`` must already be plain builtins (every route's is)."""
+    body = json.dumps(payload).encode()
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"

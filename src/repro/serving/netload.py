@@ -186,25 +186,27 @@ async def _drive(
     timeout_s: float,
 ) -> dict:
     """Fire ``payloads`` at their scheduled open-loop ``arrivals``."""
-    loop = asyncio.get_running_loop()
     pool: asyncio.Queue = asyncio.Queue()
     n_connections = min(connections, len(payloads))
     for _ in range(n_connections):
         pool.put_nowait(await _open_connection(host, port))
 
     ok_latencies: list[float] = []
+    lateness: list[float] = []
     shed = 0
     errors = 0
-    start = loop.time()
+    start = time.perf_counter()
 
     async def fire(payload: dict, due: float) -> None:
         nonlocal shed, errors
-        delay = due - (loop.time() - start)
+        # The clock starts at the *scheduled* arrival: a late wake-up and
+        # the wait for a free connection are both part of the latency the
+        # client experiences.
+        arrived = start + due
+        delay = arrived - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
-        # The clock starts at the *scheduled* arrival: waiting for a free
-        # connection is part of the latency the client experiences.
-        arrived = time.perf_counter()
+        lateness.append(max(0.0, time.perf_counter() - arrived))
         conn = await pool.get()
         try:
             status, _body = await asyncio.wait_for(
@@ -232,12 +234,13 @@ async def _drive(
         for payload, due in zip(payloads, arrivals)
     ]
     await asyncio.gather(*tasks)
-    duration = loop.time() - start
+    duration = time.perf_counter() - start
     while not pool.empty():
         _reader, writer = pool.get_nowait()
         writer.close()
     return {
         "ok_latencies": ok_latencies,
+        "lateness": lateness,
         "shed": shed,
         "errors": errors,
         "n": len(payloads),
@@ -314,6 +317,7 @@ def run_netload(
     ok_latencies = np.concatenate(
         [np.asarray(o["ok_latencies"], dtype=np.float64) for o in outcomes]
     ) if outcomes else np.zeros(0)
+    lateness = np.concatenate([o["lateness"] for o in outcomes])
     ok = int(sum(len(o["ok_latencies"]) for o in outcomes))
     shed = int(sum(o["shed"] for o in outcomes))
     errors = int(sum(o["errors"] for o in outcomes))
@@ -332,6 +336,8 @@ def run_netload(
         "shed_rate": shed / total if total else 0.0,
         "error_rate": errors / total if total else 0.0,
         "latency_s": latency_percentiles(ok_latencies),
+        # How late the generator itself fired (already inside latency_s).
+        "late_p99_ms": float(np.quantile(lateness, 0.99)) * 1e3,
         "processes": n_workers,
         "connections": config.connections,
         "k": config.k,

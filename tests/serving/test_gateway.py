@@ -10,8 +10,10 @@ compute path.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -61,9 +63,48 @@ def direct(serving_bundle):
 @pytest.fixture()
 def gateway(serving_bundle):
     service = _no_cache_service(serving_bundle)
-    config = GatewayConfig(port=0, max_batch=8, max_wait_ms=5.0, default_k=K)
+    config = GatewayConfig(port=0, max_batch=8, default_k=K)
     with GatewayThread(service, config) as gw:
         yield gw
+
+
+def _wait_for_counter(metrics, name: str, value: int) -> None:
+    """Block until ``metrics.counter(name)`` reaches ``value`` (or fail)."""
+    deadline = time.monotonic() + 20.0
+    while metrics.counter(name) < value and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert metrics.counter(name) >= value, f"{name} never reached {value}"
+
+
+@contextlib.contextmanager
+def _plugged(gw):
+    """Hold the swap gate exclusive with one request parked behind it.
+
+    Inside the block every executor slot of a one-thread gateway is
+    taken by that "plug" request (dispatched, blocked on the gate), so
+    later arrivals can only queue.  Leaving the block releases the gate;
+    the plug was dispatched fresh and is merely slow, so it is served.
+    """
+    metrics = gw.gateway.service.metrics
+    gate_held = threading.Event()
+    release = threading.Event()
+
+    def blocker():
+        gate_held.set()
+        assert release.wait(30.0)
+
+    holder = threading.Thread(target=gw.swap_gate, args=(blocker,))
+    holder.start()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            assert gate_held.wait(10.0)
+            plug = pool.submit(_call, gw.port, "POST", "/recommend", {"item_id": 0})
+            _wait_for_counter(metrics, "gateway_coalesced_batches", 1)
+            yield
+        finally:
+            release.set()
+            holder.join(timeout=30.0)
+        assert plug.result(timeout=30.0)[0] == 200
 
 
 def _assert_identical(payload: dict, expected) -> None:
@@ -175,6 +216,24 @@ class TestErrorPaths:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, gateway, length):
+        """Regression: a non-numeric or negative ``Content-Length`` raised a
+        bare ``ValueError`` — no response, connection dropped, and an
+        unhandled-task traceback."""
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /recommend HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := sock.recv(4096):  # the gateway answers, then closes
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert _call(gateway.port, "GET", "/healthz")[0] == 200
+
     def test_unknown_field_400(self, gateway):
         status, body = _call(
             gateway.port, "POST", "/recommend", {"item_id": 0, "bogus": 1}
@@ -205,6 +264,14 @@ class TestErrorPaths:
 
 
 class TestCoalescing:
+    def test_lone_request_is_a_batch_of_one(self, gateway):
+        """Nothing to wait for: an idle gateway dispatches at once."""
+        status, _ = _call(gateway.port, "POST", "/recommend", {"item_id": 3})
+        metrics = gateway.gateway.service.metrics
+        assert status == 200
+        assert metrics.counter("gateway_coalesced_batches") == 1
+        assert metrics.counter("gateway_coalesced_requests") == 1
+
     def test_concurrent_singles_identical_to_direct(
         self, serving_bundle, direct, tiny_split
     ):
@@ -213,9 +280,7 @@ class TestCoalescing:
         requests = synth_requests(train, 48, seed=11)
         expected = [direct.recommend(request, K) for request in requests]
 
-        config = GatewayConfig(
-            port=0, max_batch=16, max_wait_ms=20.0, default_k=K
-        )
+        config = GatewayConfig(port=0, max_batch=16, default_k=K)
         with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
             with ThreadPoolExecutor(max_workers=16) as pool:
                 responses = list(
@@ -234,18 +299,49 @@ class TestCoalescing:
         for (status, body), answer in zip(responses, expected):
             assert status == 200
             _assert_identical(body, answer)
-
-        batches = metrics.counter("gateway_coalesced_batches")
         assert metrics.counter("gateway_coalesced_requests") == len(requests)
-        assert 1 <= batches < len(requests), "coalescing never engaged"
+
+    def test_backlog_leaves_in_full_batches(self, serving_bundle, direct, tiny_split):
+        """Batch size follows load: N requests that queued while the only
+        slot was busy come out as exactly ceil(N / max_batch) batches."""
+        train, _ = tiny_split
+        requests = synth_requests(train, 20, seed=13)
+        expected = [direct.recommend(request, K) for request in requests]
+
+        config = GatewayConfig(
+            port=0, max_batch=8, executor_threads=1, latency_budget_ms=None,
+            default_k=K,
+        )
+        with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
+            metrics = gw.gateway.service.metrics
+            with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+                with _plugged(gw):
+                    futures = [
+                        pool.submit(
+                            _call,
+                            gw.port,
+                            "POST",
+                            "/recommend",
+                            {**request_to_payload(request), "k": K},
+                        )
+                        for request in requests
+                    ]
+                    _wait_for_counter(metrics, "gateway_requests", 1 + len(requests))
+                    # The plug was dispatched alone; everything else waits.
+                    assert metrics.counter("gateway_coalesced_batches") == 1
+                responses = [future.result(timeout=30.0) for future in futures]
+
+        for (status, body), answer in zip(responses, expected):
+            assert status == 200
+            _assert_identical(body, answer)
+        assert metrics.counter("gateway_coalesced_requests") == 1 + len(requests)
+        assert metrics.counter("gateway_coalesced_batches") == 1 + 3  # ceil(20 / 8)
 
     def test_mixed_k_traffic_coalesces_correctly(self, serving_bundle, direct):
         from repro.serving import MatchRequest
 
         jobs = [(item, 3 if item % 2 else 7) for item in range(20)]
-        config = GatewayConfig(
-            port=0, max_batch=16, max_wait_ms=20.0, default_k=K
-        )
+        config = GatewayConfig(port=0, max_batch=16, default_k=K)
         with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
             with ThreadPoolExecutor(max_workers=10) as pool:
                 responses = list(
@@ -279,9 +375,7 @@ class TestHotSwap:
         service = MatchingService(
             store, MatchingServiceConfig(default_k=K, cache_size=0)
         )
-        config = GatewayConfig(
-            port=0, max_batch=8, max_wait_ms=10.0, default_k=K
-        )
+        config = GatewayConfig(port=0, max_batch=8, default_k=K)
         with GatewayThread(service, config) as gw:
 
             def shoot(request):
@@ -319,74 +413,56 @@ class TestHotSwap:
 
 class TestLoadShedding:
     def test_queue_past_high_water_sheds_429(self, serving_bundle):
-        service = _no_cache_service(serving_bundle)
+        """Admission counts what is actually waiting: with the one slot
+        busy nothing leaves the queue, so a burst of N against a high
+        water of H admits exactly H and sheds exactly N - H."""
+        n_burst, high_water = 24, 4
         config = GatewayConfig(
             port=0,
             max_batch=4,
-            max_wait_ms=1.0,
-            queue_high_water=2,
+            queue_high_water=high_water,
             latency_budget_ms=None,
             executor_threads=1,
             default_k=K,
         )
-        with GatewayThread(service, config) as gw:
-            gate_held = threading.Event()
-            release = threading.Event()
-
-            def blocker():
-                gate_held.set()
-                assert release.wait(30.0)
-
-            holder = threading.Thread(target=gw.swap_gate, args=(blocker,))
-            holder.start()
-            assert gate_held.wait(10.0)
+        with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
             metrics = gw.gateway.service.metrics
-            try:
-                # With the gate held exclusive no batch can complete, so a
-                # burst piles into the coalescing queue and spills over the
-                # high-water mark.
-                with ThreadPoolExecutor(max_workers=32) as pool:
+            with ThreadPoolExecutor(max_workers=n_burst) as pool:
+                with _plugged(gw):
                     futures = [
                         pool.submit(
                             _call, gw.port, "POST", "/recommend", {"item_id": 0}
                         )
-                        for _ in range(48)
+                        for _ in range(n_burst)
                     ]
-                    # Admitted requests cannot answer until the gate drops;
-                    # release it once the whole burst has been admitted or
-                    # shed (the admission counter bumps before any queueing).
-                    deadline = time.monotonic() + 20.0
-                    while (
-                        metrics.counter("gateway_requests") < 48
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.01)
-                    release.set()
-                    statuses = [f.result()[0] for f in futures]
-            finally:
-                release.set()
-                holder.join(timeout=30.0)
-            shed = metrics.counter("gateway_shed_queue_full")
+                    # Admitted requests cannot answer until the gate drops
+                    # (the admission counter bumps before any queueing).
+                    _wait_for_counter(metrics, "gateway_requests", 1 + n_burst)
+                statuses = [future.result(timeout=30.0)[0] for future in futures]
 
-        assert set(statuses) <= {200, 429}, "shedding must be clean 429s"
-        assert statuses.count(429) == shed
-        assert shed > 0, "high-water admission control never engaged"
-        assert statuses.count(200) + statuses.count(429) == 48
+        assert statuses.count(200) == high_water
+        assert statuses.count(429) == n_burst - high_water
+        assert metrics.counter("gateway_shed_queue_full") == n_burst - high_water
+        assert metrics.counter("gateway_shed") == n_burst - high_water
 
     def test_latency_budget_expiry_sheds_429(self, serving_bundle):
-        service = _no_cache_service(serving_bundle)
+        """Expiry is judged when a slot frees up: a request that aged past
+        its budget behind a held gate is shed, not served late."""
         config = GatewayConfig(
-            port=0,
-            max_batch=8,
-            # The window (100ms) exceeds the budget (1ms), so a lone
-            # request is already expired when its batch dispatches.
-            max_wait_ms=100.0,
-            latency_budget_ms=1.0,
+            port=0, max_batch=8, latency_budget_ms=50.0, executor_threads=1,
             default_k=K,
         )
-        with GatewayThread(service, config) as gw:
-            status, body = _call(gw.port, "POST", "/recommend", {"item_id": 0})
+        with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
             metrics = gw.gateway.service.metrics
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with _plugged(gw):
+                    future = pool.submit(
+                        _call, gw.port, "POST", "/recommend", {"item_id": 1}
+                    )
+                    _wait_for_counter(metrics, "gateway_requests", 2)
+                    time.sleep(0.25)  # let it age well past the 50 ms budget
+                status, body = future.result(timeout=30.0)
+
         assert status == 429
         assert "latency budget" in body["error"]
         assert metrics.counter("gateway_shed_expired") == 1

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import time
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.serving import (
     ModelStore,
     NetLoadConfig,
     fetch_json,
+    netload,
     run_netload,
     wait_for_gateway,
 )
@@ -28,7 +31,7 @@ def gateway(serving_bundle):
         ModelStore(serving_bundle),
         MatchingServiceConfig(default_k=K, cache_size=0),
     )
-    config = GatewayConfig(port=0, max_batch=8, max_wait_ms=2.0, default_k=K)
+    config = GatewayConfig(port=0, max_batch=8, default_k=K)
     with GatewayThread(service, config) as gw:
         yield gw
 
@@ -80,6 +83,7 @@ class TestRunNetload:
         assert report["processes"] == 1
         assert set(report["latency_s"]) == {"p50", "p95", "p99"}
         assert report["latency_s"]["p50"] <= report["latency_s"]["p99"]
+        assert report["late_p99_ms"] >= 0.0
         # The server-side view rides along: every request was admitted
         # through the coalescer.
         counters = report["gateway"]["counters"]
@@ -122,6 +126,29 @@ class TestRunNetload:
         assert report["n_requests"] == 20
         assert report["ok"] == 20
         assert report["errors"] == 0
+
+    def test_late_wakeup_is_charged_to_the_request(self, gateway, monkeypatch):
+        """Regression: the clock started after the sleep that waits for the
+        due time, so a stalled generator under-reported latency."""
+        stall_s, due_s = 0.4, 0.15
+        open_connection = netload._open_connection
+
+        async def open_then_stall(host, port):
+            conn = await open_connection(host, port)
+            # Block the client's event loop across the scheduled arrival.
+            asyncio.get_running_loop().call_later(0.01, time.sleep, stall_s)
+            return conn
+
+        monkeypatch.setattr(netload, "_open_connection", open_then_stall)
+        outcome = asyncio.run(
+            netload._drive(
+                "127.0.0.1", gateway.port, [{"item_id": 0}], [due_s], 1, 10.0
+            )
+        )
+        # Woken at ~0.41 s for an arrival due at 0.15 s.
+        assert outcome["errors"] == 0
+        assert outcome["lateness"][0] > 0.2
+        assert outcome["ok_latencies"][0] > outcome["lateness"][0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

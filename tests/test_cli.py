@@ -310,7 +310,6 @@ class TestWorkflow:
                         str(serving_model_path),
                         "--port", str(port),
                         "--duration", "5",
-                        "--max-wait-ms", "5",
                     ]
                 )
             ),
