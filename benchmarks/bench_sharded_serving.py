@@ -1,29 +1,36 @@
-"""Extension bench — HBGP-sharded serving vs the monolithic service.
+"""Extension bench — the matching service over 1 / 2 / 4 HBGP shards.
 
-Not a paper figure: quantifies the sharded serving layer.  Trains one
-model, partitions the item space with HBGP into 1 / 2 / 4 shards, and
-reports as JSON, per shard count:
+Not a paper figure: quantifies what cutting the catalogue into shards
+costs and buys.  There is one service class; the baseline row is its
+one-shard constructor, ``MatchingService(ModelStore(build_bundle(...)))``,
+and the other rows hand the same class an HBGP-partitioned
+``ShardedModelStore``.  Trains one model and reports as JSON, per shard
+count:
 
-- **throughput** of a warm+cold request replay through the
-  scatter-gather dispatcher (cache off, so the numbers measure compute);
+- **throughput** of a warm+cold request replay (cache off, so the
+  numbers measure compute);
 - **per-shard swap cost** — the time to rebuild and swap *one*
-  partition's artifacts, vs rebuilding the monolithic bundle (the
-  operational win: a nightly refresh of one shard does not rebuild the
-  world);
-- **serving-side HR@10/20** routed through the dispatcher, next to the
+  partition's artifacts (for one shard: the whole bundle — the
+  operational win is that a nightly refresh of one shard of four does
+  not rebuild the world);
+- **serving-side HR@10/20** through the service, next to the
   exact-index HR as the ceiling (what the serving stack costs in hit
   rate).
 
-Asserts the routing contract: with full table coverage the sharded
-dispatcher returns identical (ids, scores) to the unsharded service on
-a fixed request set.
+Asserts the routing contract: with full table coverage and exhaustive
+ANN, N shards return identical (ids, scores, tier) to the one-shard
+baseline on a fixed request set.
 
 Runs under pytest (``pytest benchmarks/bench_sharded_serving.py``) or
-standalone (``python benchmarks/bench_sharded_serving.py``).
+standalone (``python benchmarks/bench_sharded_serving.py``, which also
+writes ``benchmarks/BENCH_sharded_serving.json``).
 """
 
 import json
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +44,6 @@ from repro.serving import (
     MatchingService,
     MatchingServiceConfig,
     ModelStore,
-    ShardedMatchingService,
     ShardedModelStore,
     build_bundle,
     build_shard_bundle,
@@ -53,8 +59,26 @@ WORLD = SyntheticWorldConfig(
 )
 SHARD_COUNTS = (1, 2, 4)
 N_REQUESTS = 1500
+N_CONTRACT_REQUESTS = 200
 K = 10
 HR_KS = (10, 20)
+NO_CACHE = MatchingServiceConfig(default_k=K, cache_size=0)
+REPORT_PATH = Path(__file__).resolve().parent / "BENCH_sharded_serving.json"
+
+
+def host_context() -> dict:
+    """The facts needed to compare this report with another run's."""
+    try:
+        load = [round(x, 2) for x in os.getloadavg()]
+    except (AttributeError, OSError):  # pragma: no cover - non-POSIX
+        load = None
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "loadavg": load,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def build_setup(seed: int = 0):
@@ -68,21 +92,41 @@ def build_setup(seed: int = 0):
     return train, test, model
 
 
-def sharded_service(model, dataset, n_shards: int, seed: int = 0):
-    """Stand up an N-shard dispatcher (cache off; throughput = compute)."""
-    partition = hbgp_partition(dataset, HBGPConfig(n_partitions=n_shards))
-    store = ShardedModelStore.build(
-        model, dataset, partition, n_cells=None, table_coverage=0.9, seed=seed
-    )
-    service = ShardedMatchingService(
-        store, MatchingServiceConfig(default_k=K, cache_size=0)
-    )
-    return store, service
+def build_service(model, dataset, n_shards: int, seed: int = 0, **build_kwargs):
+    """``(store, service, rebuild_shard_0)`` for one shard count.
+
+    One shard is the baseline constructor over a plain ``ModelStore``;
+    N >= 2 partitions with HBGP.  Cache off, so throughput = compute.
+    """
+    if n_shards == 1:
+        store = ModelStore(build_bundle(model, dataset, seed=seed, **build_kwargs))
+
+        def rebuild(new_seed: int):
+            return build_bundle(model, dataset, seed=new_seed, **build_kwargs)
+
+    else:
+        partition = hbgp_partition(dataset, HBGPConfig(n_partitions=n_shards))
+        store = ShardedModelStore.build(
+            model, dataset, partition, seed=seed, **build_kwargs
+        )
+
+        def rebuild(new_seed: int):
+            return build_shard_bundle(
+                model,
+                dataset,
+                np.flatnonzero(store.item_partition == 0),
+                seed=new_seed,
+                **build_kwargs,
+            )
+
+    return store, MatchingService(store, NO_CACHE), rebuild
 
 
 def measure_shard(model, dataset, test, n_shards: int, seed: int = 0) -> dict:
     """Throughput + per-shard swap + serving HR for one shard count."""
-    store, service = sharded_service(model, dataset, n_shards, seed)
+    store, service, rebuild = build_service(
+        model, dataset, n_shards, seed, n_cells=None, table_coverage=0.9
+    )
     requests = synth_requests(
         dataset, N_REQUESTS, mix=LoadMix(0.7, 0.1, 0.1, 0.1), seed=seed
     )
@@ -93,12 +137,8 @@ def measure_shard(model, dataset, test, n_shards: int, seed: int = 0) -> dict:
     duration = time.perf_counter() - start
 
     # Per-shard swap: rebuild ONE partition's artifacts and swap it in.
-    shard_items = np.flatnonzero(store.item_partition == 0)
     swap_start = time.perf_counter()
-    bundle = build_shard_bundle(
-        model, dataset, shard_items, n_cells=None, table_coverage=0.9, seed=seed + 1
-    )
-    service.swap_shard(0, bundle)
+    service.swap_shard(0, rebuild(seed + 1))
     swap_seconds = time.perf_counter() - swap_start
 
     hr = evaluate_service_hitrate(service, test, ks=HR_KS, name=f"{n_shards}-shard")
@@ -107,35 +147,53 @@ def measure_shard(model, dataset, test, n_shards: int, seed: int = 0) -> dict:
         "qps": N_REQUESTS / duration,
         "duration_s": duration,
         "shard_swap_s": swap_seconds,
-        "shard_items": int(len(shard_items)),
-        "shard_versions": store.versions,
+        "shard_items": int(store.snapshot()[0].index.n_items),
+        "store_version": store.version,
         "serving_hr": {str(k): hr.hit_rates[k] for k in HR_KS},
     }
+
+
+def contract(seed: int = 1) -> dict:
+    """N shards == the one-shard baseline: ids, scores and tier.
+
+    Full coverage + one exhaustive ANN cell, so no approximation can
+    excuse a difference.
+    """
+    dataset, _test, model = build_setup(seed)
+    requests = synth_requests(dataset, N_CONTRACT_REQUESTS, seed=seed)
+    answers = {}
+    for n_shards in SHARD_COUNTS:
+        _store, service, _rebuild = build_service(
+            model, dataset, n_shards, seed, n_cells=1, table_coverage=1.0
+        )
+        answers[n_shards] = [service.recommend(r, K) for r in requests]
+    baseline = answers[1]
+    differing = {
+        str(n): sum(
+            a.tier != b.tier
+            or a.items.tobytes() != b.items.tobytes()
+            or a.scores.tobytes() != b.scores.tobytes()
+            for a, b in zip(baseline, answers[n])
+        )
+        for n in SHARD_COUNTS[1:]
+    }
+    return {"n_requests": len(requests), "differing_vs_one_shard": differing}
 
 
 def run(seed: int = 0) -> dict:
     """The full comparison; returns the JSON-serializable report."""
     dataset, test, model = build_setup(seed)
-
-    # The monolithic reference: full-bundle rebuild cost + exact-index HR.
-    full_start = time.perf_counter()
-    flat_bundle = build_bundle(
-        model, dataset, n_cells=None, table_coverage=0.9, seed=seed
-    )
-    full_rebuild = time.perf_counter() - full_start
     exact = evaluate_hitrate(
         SimilarityIndex(model), test, ks=HR_KS, name="exact"
     )
-
-    report = {
-        "full_rebuild_s": full_rebuild,
+    return {
+        "host": host_context(),
         "exact_hr": {str(k): exact.hit_rates[k] for k in HR_KS},
         "shards": [
             measure_shard(model, dataset, test, n, seed) for n in SHARD_COUNTS
         ],
+        "contract": contract(),
     }
-    del flat_bundle
-    return report
 
 
 def check_report(report: dict) -> None:
@@ -151,9 +209,10 @@ def check_report(report: dict) -> None:
             assert served <= ceiling + 0.05, "serving cannot beat the exact index"
             assert served >= ceiling * 0.5, "serving HR collapsed vs exact"
     # The operational win: one shard of a 4-way split rebuilds (much)
-    # faster than the monolithic bundle.
-    four = next(e for e in report["shards"] if e["n_shards"] == 4)
-    assert four["shard_swap_s"] < report["full_rebuild_s"]
+    # faster than the whole bundle (the one-shard row's swap).
+    one, _two, four = report["shards"]
+    assert four["shard_swap_s"] < one["shard_swap_s"]
+    assert set(report["contract"]["differing_vs_one_shard"].values()) == {0}
 
 
 def test_sharded_report():
@@ -164,32 +223,19 @@ def test_sharded_report():
 
 
 def test_scatter_gather_matches_unsharded():
-    """Full coverage: N-shard answers == unsharded answers, ids and scores."""
-    dataset, _test, model = build_setup(seed=1)
-    flat = build_bundle(model, dataset, n_cells=1, table_coverage=1.0, seed=1)
-    unsharded = MatchingService(
-        ModelStore(flat), MatchingServiceConfig(default_k=K, cache_size=0)
-    )
-    partition = hbgp_partition(dataset, HBGPConfig(n_partitions=4))
-    store = ShardedModelStore.build(
-        model, dataset, partition, n_cells=1, table_coverage=1.0, seed=1
-    )
-    sharded = ShardedMatchingService(
-        store, MatchingServiceConfig(default_k=K, cache_size=0)
-    )
-    requests = synth_requests(dataset, 200, seed=1)
-    for request in requests:
-        a = unsharded.recommend(request, K)
-        b = sharded.recommend(request, K)
-        assert a.tier == b.tier
-        np.testing.assert_array_equal(a.items, b.items)
-        np.testing.assert_allclose(a.scores, b.scores)
+    """Full coverage: N-shard answers == one-shard answers, ids and scores."""
+    result = contract(seed=1)
+    assert result["n_requests"] == N_CONTRACT_REQUESTS
+    assert set(result["differing_vs_one_shard"].values()) == {0}, result
 
 
 def main() -> None:
     report = run(seed=0)
     check_report(report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
+    REPORT_PATH.write_text(text + "\n")
+    print(f"wrote {REPORT_PATH}")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 Walks the sharded deployment story at laptop scale:
 
 1. train embeddings, partition the item space with HBGP (Sec. III-B)
-   and stand up a :class:`ShardedMatchingService` — one double-buffered
-   store per partition behind a scatter-gather dispatcher;
+   and hand :class:`MatchingService` a ``ShardedModelStore`` — one
+   double-buffered store per partition, scatter-gathered;
 2. answer one request per routing path — local table hit on the owning
    shard, cross-shard ANN scatter, cold item, cold user, popularity
-   merge — and show the sharded answers match the unsharded service;
+   merge — and show N shards answer exactly like the same class over a
+   single ``ModelStore`` (the one-shard case);
 3. refresh ONE shard while a background thread keeps querying: the
    other shards' generations (and cached answers) survive untouched;
 4. run the same traffic through a process pool — one worker per shard —
@@ -29,7 +30,6 @@ from repro.serving import (
     MatchingServiceConfig,
     MatchRequest,
     ModelStore,
-    ShardedMatchingService,
     ShardedModelStore,
     ShardWorkerPool,
     build_bundle,
@@ -66,11 +66,11 @@ def main() -> None:
     store = ShardedModelStore.build(
         model, dataset, partition, n_cells=1, table_coverage=1.0, seed=0
     )
-    service = ShardedMatchingService(store)
+    service = MatchingService(store)
     sizes = [int(np.sum(store.item_partition == s)) for s in range(N_SHARDS)]
     print(f"— {N_SHARDS} HBGP shards, items per shard: {sizes} —")
 
-    # Reference: the monolithic service with the same build settings.
+    # Reference: the same class over one store, same build settings.
     unsharded = MatchingService(
         ModelStore(build_bundle(model, dataset, n_cells=1, table_coverage=1.0, seed=0)),
         MatchingServiceConfig(),
@@ -113,7 +113,7 @@ def main() -> None:
 
     # ----------------------------- process pool + serving-side HR@K
     with ShardWorkerPool(store) as pool:
-        pooled = ShardedMatchingService(store, pool=pool)
+        pooled = MatchingService(store, pool=pool)
         for request in synth_requests(dataset, 300, seed=3):
             pooled.recommend(request, K)
         hr = evaluate_service_hitrate(pooled, test, ks=(10,), name="sharded")

@@ -230,7 +230,7 @@ def _add_shard_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="serve from this many HBGP shards behind the scatter-gather"
-        " dispatcher (0/1 = the unsharded service)",
+        " dispatcher (0/1 = one unpartitioned store)",
     )
     p.add_argument(
         "--shard-executor",
@@ -585,8 +585,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _build_service(args: argparse.Namespace):
     """Shared setup for ``serve-demo``/``loadgen``: dataset -> live service.
 
-    ``--shards N`` (N >= 2) partitions the item space with HBGP and
-    serves from per-shard stores behind the scatter-gather dispatcher;
+    One service class either way: ``--shards N`` (N >= 2) partitions the
+    item space with HBGP and hands it per-shard stores, otherwise it
+    gets a single ``ModelStore`` (the one-shard case);
     ``--shard-executor process`` adds one worker process per shard.
     """
     from repro.core.model import EmbeddingModel
@@ -597,11 +598,7 @@ def _build_service(args: argparse.Namespace):
     model = EmbeddingModel.load(args.model)
     if getattr(args, "shards", 0) and args.shards >= 2:
         from repro.graph.hbgp import HBGPConfig, hbgp_partition
-        from repro.serving import (
-            ShardedMatchingService,
-            ShardedModelStore,
-            ShardWorkerPool,
-        )
+        from repro.serving import ShardedModelStore, ShardWorkerPool
 
         partition = hbgp_partition(dataset, HBGPConfig(n_partitions=args.shards))
         store = ShardedModelStore.build(
@@ -618,7 +615,7 @@ def _build_service(args: argparse.Namespace):
             if args.shard_executor == "process"
             else None
         )
-        return dataset, model, store, ShardedMatchingService(store, pool=pool)
+        return dataset, model, store, MatchingService(store, pool=pool)
     bundle = build_bundle(
         model,
         dataset,
@@ -640,21 +637,11 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
 
     dataset, model, store, service = _build_service(args)
     sharded = hasattr(store, "n_shards")
-    if sharded:
-        bundles = store.snapshot()
-        covered = np.concatenate([b.table.item_ids for b in bundles])
-        uncovered = [
-            int(i)
-            for b in bundles
-            for i in b.index.item_ids
-            if int(i) not in b.table
-        ]
-    else:
-        bundle = store.current()
-        covered = bundle.table.item_ids
-        uncovered = [
-            int(i) for i in bundle.index.item_ids if int(i) not in bundle.table
-        ]
+    bundles = store.snapshot()
+    covered = np.concatenate([b.table.item_ids for b in bundles])
+    uncovered = [
+        int(i) for b in bundles for i in b.index.item_ids if int(i) not in b.table
+    ]
 
     def show(label: str, request) -> None:
         result = service.recommend(request, args.k)
@@ -780,8 +767,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         show("new listing (streamed)", stream.new_item_ids[0])
     print("— metrics —")
     print(json.dumps(service.snapshot(), indent=2, sort_keys=True))
-    if sharded:
-        service.close()
+    service.close()
     return 0
 
 
@@ -804,7 +790,6 @@ def _cmd_refresh_daemon(args: argparse.Namespace) -> int:
     )
 
     dataset, model, store, service = _build_service(args)
-    sharded = hasattr(store, "n_shards")
     config = RefreshConfig(
         interval=args.interval if args.interval > 0 else 86400.0,
         max_retries=args.max_retries,
@@ -848,8 +833,7 @@ def _cmd_refresh_daemon(args: argparse.Namespace) -> int:
             for _ in range(args.cycles):
                 daemon.run_once()
     finally:
-        if sharded:
-            service.close()
+        service.close()
     status = daemon.status()
     status["metrics"] = service.snapshot()
     text = json.dumps(status, indent=2, sort_keys=True)
@@ -868,7 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import GatewayConfig, GatewayThread
 
     dataset, model, store, service = _build_service(args)
-    sharded = hasattr(store, "n_shards")
     config = GatewayConfig(
         host=args.host,
         port=args.port,
@@ -972,8 +955,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if daemon is not None:
             daemon.stop()
         gateway.stop()
-        if sharded:
-            service.close()
+        service.close()
     print(json.dumps(gateway.gateway.metrics_snapshot(), indent=2, sort_keys=True))
     return 0
 
@@ -1069,8 +1051,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             service, requests, k=args.k, batch_size=args.batch_size, swap=swap
         )
     finally:
-        if sharded:
-            service.close()
+        service.close()
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.output:
@@ -1206,8 +1187,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     finally:
         applier.stop()
         gateway.stop()
-        if sharded:
-            service.close()
+        service.close()
 
     reports = applier.history
     applied = [r for r in reports if r.applied]
@@ -1221,7 +1201,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "duplicate_windows": sum(1 for r in reports if r.duplicate),
         "timed_out": timed_out,
         "sharded": sharded,
-        "store_version": list(store.versions) if sharded else store.version,
+        "store_version": store.version,
         "new_items": new_ids,
         "new_item_tiers": tiers,
         "new_items_servable": servable,

@@ -7,9 +7,8 @@ request-serving system:
 - :mod:`repro.serving.candidates` — the nightly precomputed I2I table;
 - :mod:`repro.serving.store` — double-buffered bundle of serving
   artifacts with atomic hot swap (the daily-refresh handover);
-- :mod:`repro.serving.service` — the request router: tiered fallback
-  chain (table → ANN → cold item → cold user → popularity), LRU/TTL
-  result cache, micro-batched ANN retrieval;
+- :mod:`repro.serving.service` — the request/response vocabulary
+  (``MatchRequest``, ``MatchResult``, ``MatchingServiceConfig``, tiers);
 - :mod:`repro.serving.cache` / :mod:`repro.serving.metrics` — the hot
   path's cache and per-tier latency accounting;
 - :mod:`repro.serving.loadgen` — synthetic traffic replay with QPS and
@@ -18,8 +17,11 @@ request-serving system:
   coalescing into micro-batches, load shedding, swap coordination;
 - :mod:`repro.serving.netload` — multi-process open-loop network load
   generation over real sockets;
-- :mod:`repro.serving.sharding` — HBGP-sharded serving: per-partition
-  stores that swap independently behind a scatter-gather dispatcher;
+- :mod:`repro.serving.sharding` — the matching service: one request
+  path (table → ANN → cold item → cold user → popularity, LRU/TTL
+  result cache, micro-batched scatter-gather) over one store or over
+  per-HBGP-partition stores that swap independently, plus the one flip
+  protocol refresh and streaming promote through;
 - :mod:`repro.serving.parallel` — one worker process per shard (fork-
   shared read-only arrays) so QPS scales past the GIL;
 - :mod:`repro.serving.eval` — serving-side HR@K (the evaluator routed
@@ -56,7 +58,6 @@ from repro.serving.netload import (
     wait_for_gateway,
 )
 from repro.serving.service import (
-    MatchingService,
     MatchingServiceConfig,
     MatchRequest,
     MatchResult,
@@ -70,6 +71,7 @@ from repro.serving.store import (
     share_bundle,
 )
 from repro.serving.sharding import (
+    MatchingService,
     ShardedMatchingService,
     ShardedModelStore,
     build_shard_bundle,

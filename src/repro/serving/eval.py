@@ -20,7 +20,7 @@ from repro.serving.service import MatchResult
 
 
 class AnsweringService(Protocol):
-    """Structural interface of both matching services."""
+    """What the evaluator needs of a matching service."""
 
     def recommend_batch(
         self, requests: list, k: int | None = None

@@ -3,9 +3,8 @@
 Everything below this module answers requests in-process; this is the
 layer where they cross a socket.  A :class:`RecommendGateway` puts a
 dependency-free asyncio HTTP/1.1 server in front of a
-:class:`~repro.serving.service.MatchingService` or
-:class:`~repro.serving.sharding.ShardedMatchingService` and adds the
-three things an online matcher needs at the edge:
+:class:`~repro.serving.sharding.MatchingService` (over one store or
+over HBGP shards — the same class) and adds the three things an online matcher needs at the edge:
 
 - **request coalescing** — concurrent single ``/recommend`` calls are
   queued and, whenever an executor slot is free, drained into one
@@ -243,8 +242,7 @@ class RecommendGateway:
     Parameters
     ----------
     service:
-        A :class:`~repro.serving.service.MatchingService` or
-        :class:`~repro.serving.sharding.ShardedMatchingService`; the
+        A :class:`~repro.serving.sharding.MatchingService`; the
         gateway records its edge counters (``gateway_*``) and end-to-end
         latency histogram on the service's own
         :class:`~repro.serving.metrics.ServingMetrics`, so one
@@ -269,7 +267,7 @@ class RecommendGateway:
         self._executor: ThreadPoolExecutor | None = None
         self._gate = _SwapGate()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
 
     @property
     def service(self):
@@ -301,7 +299,7 @@ class RecommendGateway:
         self._server = await asyncio.start_server(
             self._handle_connection, self._config.host, self._config.port
         )
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
         logger.info(
             "gateway listening on %s:%d (max_batch=%d, slots=%d, high_water=%d)",
             self._config.host,
@@ -509,10 +507,8 @@ class RecommendGateway:
             self._require_method(method, "GET")
             return 200, {
                 "status": "ok",
-                "store_version": to_jsonable(self._service.store.version)
-                if hasattr(self._service.store, "version")
-                else to_jsonable(self._service.store.versions),
-                "uptime_s": time.time() - self._started_at,
+                "store_version": to_jsonable(self._service.store.version),
+                "uptime_s": time.monotonic() - self._started_at,
             }
         if path == "/metrics":
             self._require_method(method, "GET")
@@ -597,7 +593,7 @@ class RecommendGateway:
             "max_batch": self._config.max_batch,
             "queue_high_water": self._config.queue_high_water,
             "latency_budget_ms": self._config.latency_budget_ms,
-            "uptime_s": time.time() - self._started_at,
+            "uptime_s": time.monotonic() - self._started_at,
         }
         return to_jsonable(snap)
 

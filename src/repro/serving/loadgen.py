@@ -1,6 +1,6 @@
 """Synthetic load generation against the matching service.
 
-Drives a :class:`~repro.serving.service.MatchingService` with a
+Drives a :class:`~repro.serving.sharding.MatchingService` with a
 configurable request mix (warm items skewed Zipf-style like real click
 traffic, cold items, cold users, garbage), optionally performs a hot
 swap mid-run, and reports QPS, cache hit rate and per-tier latency
@@ -22,7 +22,8 @@ from repro.data.schema import (
     PURCHASE_POWERS,
     BehaviorDataset,
 )
-from repro.serving.service import MatchingService, MatchRequest
+from repro.serving.service import MatchRequest
+from repro.serving.sharding import MatchingService
 from repro.utils import Timer, ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("serving.loadgen")

@@ -93,10 +93,10 @@ class LatencyHistogram:
 class ServingMetrics:
     """Thread-safe counters + per-tier latency histograms for the service.
 
-    Counter names are free-form; the :class:`~repro.serving.service.MatchingService`
-    uses ``requests``, ``cache_hit``, ``cache_miss``, ``swaps`` and
-    ``errors``.  ``observe(tier, seconds)`` lazily creates one histogram
-    per tier.
+    Counter names are free-form; the
+    :class:`~repro.serving.sharding.MatchingService` uses ``requests``,
+    ``cache_hit``, ``cache_miss``, ``swaps`` and ``errors``.
+    ``observe(tier, seconds)`` lazily creates one histogram per tier.
 
     Beyond counters and histograms there are *gauges* (point-in-time
     numbers — a gauge may be a zero-argument callable, evaluated at

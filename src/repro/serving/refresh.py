@@ -59,7 +59,12 @@ from repro.core.similarity import SimilarityIndex
 from repro.core.vocab import TokenKind
 from repro.data.schema import BehaviorDataset
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import build_shard_bundle
+from repro.serving.sharding import (
+    build_shard_bundle,
+    freshest_model,
+    promote,
+    serving_target,
+)
 from repro.serving.store import build_bundle
 from repro.utils import ensure_rng, get_logger, require, require_positive
 
@@ -183,11 +188,11 @@ class RefreshDaemon:
         What to refresh: a :class:`~repro.serving.store.ModelStore`, a
         :class:`~repro.serving.sharding.ShardedModelStore`, or a service
         wrapping either (anything with ``.recommend`` and ``.store``).
-        Passing the *service* is preferred — sharded swaps then go
-        through :meth:`ShardedMatchingService.swap_shard` so an attached
-        worker pool stays in sync, and refresh metrics land on the
-        service's own :class:`ServingMetrics` (one ``snapshot()`` shows
-        both sides).
+        Passing the *service* is preferred — swaps then go through
+        :meth:`MatchingService.swap_shard` so an attached worker pool
+        stays in sync, and refresh metrics land on the service's own
+        :class:`ServingMetrics` (one ``snapshot()`` shows both sides).
+        See :func:`~repro.serving.sharding.serving_target`.
     dataset_source:
         ``dataset_source(cycle) -> BehaviorDataset`` — hands the daemon
         "today's" behavior data each cycle (cycle numbers start at 1).
@@ -222,21 +227,13 @@ class RefreshDaemon:
     ) -> None:
         self._config = config or RefreshConfig()
         self._config.validate()
-        self._service = target if hasattr(target, "recommend") else None
-        self._store = target.store if self._service is not None else target
-        self._sharded = hasattr(self._store, "n_shards")
-        if metrics is None:
-            metrics = (
-                self._service.metrics
-                if self._service is not None
-                else ServingMetrics()
-            )
-        self._metrics = metrics
+        self._target = target
+        self._store, self._metrics = serving_target(target, metrics)
         self._dataset_source = dataset_source
         self._fault_hook = fault_hook
         self._promote_gate = promote_gate
         self._rng = ensure_rng(seed)
-        self._model = self._current_model()
+        self._model = freshest_model(self._store.snapshot())
 
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -296,17 +293,10 @@ class RefreshDaemon:
                 "last_drift": self._last_drift,
                 "last_error": self._last_error,
             }
-        versions = self._store.versions if self._sharded else self._store.version
-        state["store_version"] = versions
+        state["store_version"] = self._store.version
         state["generation_age_s"] = self._store.generation_age_s
         state["history"] = history
         return state
-
-    def _current_model(self) -> EmbeddingModel:
-        if self._sharded:
-            bundles = self._store.snapshot()
-            return max(bundles, key=lambda bundle: bundle.version).model
-        return self._store.current().model
 
     # ------------------------------------------------------------------
     # the cycle
@@ -481,7 +471,7 @@ class RefreshDaemon:
         self._metrics.observe("refresh_build", phase_seconds["build"])
 
         start = enter("promote")
-        versions = self._promote(artifacts)
+        versions = promote(self._target, *artifacts, gate=self._promote_gate)
         self._model = updated
         phase_seconds["promote"] = time.perf_counter() - start
         self._metrics.observe("refresh_promote", phase_seconds["promote"])
@@ -494,18 +484,22 @@ class RefreshDaemon:
         return drift, versions, phase_seconds
 
     def _build(self, model: EmbeddingModel, dataset: BehaviorDataset):
-        """The expensive half.  Sharded: *every* bundle is built before
-        the first swap, so a failure here can never tear a promotion."""
-        if not self._sharded:
-            return build_bundle(model, dataset, **self._config.build_kwargs)
+        """The expensive half: ``({shard: bundle}, partition map)``.
+
+        *Every* bundle is built before :func:`promote` flips the first
+        one, so a failure here can never tear a promotion.
+        """
+        if not hasattr(self._store, "n_shards"):
+            bundle = build_bundle(model, dataset, **self._config.build_kwargs)
+            return {0: bundle}, None
         assignment = self._extend_partition(dataset)
         mode = self._config.build_kwargs.get("mode", "cosine")
         kwargs = {
             k: v for k, v in self._config.build_kwargs.items() if k != "mode"
         }
         index = SimilarityIndex(model, mode=mode)
-        bundles = [
-            build_shard_bundle(
+        bundles = {
+            shard: build_shard_bundle(
                 model,
                 dataset,
                 np.flatnonzero(assignment == shard),
@@ -514,7 +508,7 @@ class RefreshDaemon:
                 **kwargs,
             )
             for shard in range(self._store.n_shards)
-        ]
+        }
         return bundles, assignment
 
     def _extend_partition(self, dataset: BehaviorDataset) -> np.ndarray:
@@ -530,40 +524,6 @@ class RefreshDaemon:
             np.arange(len(old), n_items) % self._store.n_shards
         )
         return assignment
-
-    def _promote(self, artifacts) -> "list[int] | int":
-        """The cheap half: pointer flips only.
-
-        With a ``promote_gate`` (the network gateway's swap gate) the
-        flips run only while no coalesced batch is in flight.
-        """
-        if self._promote_gate is not None:
-            return self._promote_gate(lambda: self._flip(artifacts))
-        return self._flip(artifacts)
-
-    def _flip(self, artifacts) -> "list[int] | int":
-        if not self._sharded:
-            old = self._store.swap(artifacts)
-            if self._service is not None:
-                self._metrics.incr("swaps")
-            old.release()
-            return self._store.version
-        bundles, assignment = artifacts
-        retired = []
-        for shard, bundle in enumerate(bundles):
-            if self._service is not None:
-                # Through the service so an attached worker pool swaps too.
-                retired.append(self._service.swap_shard(shard, bundle))
-            else:
-                retired.append(self._store.swap_shard(shard, bundle))
-        self._store.update_partition(assignment)
-        # Retire the whole old generation only after every shard flipped:
-        # segments may be shared across its shard bundles (the model
-        # matrices), and release is unlink-only — readers still holding a
-        # snapshot keep valid pages until their references drop.
-        for bundle in retired:
-            bundle.release()
-        return self._store.versions
 
     # ------------------------------------------------------------------
     # the background thread
@@ -593,14 +553,14 @@ class RefreshDaemon:
 
     def wait_for_cycles(self, n: int, timeout: float = 30.0) -> bool:
         """Block until ``n`` total cycles have completed (True) or timeout."""
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         with self._cycle_done:
             while True:
                 with self._lock:
                     done = len(self._history)
                 if done >= n:
                     return True
-                remaining = deadline - time.time()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
                 self._cycle_done.wait(remaining)

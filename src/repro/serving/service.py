@@ -1,41 +1,19 @@
-"""The online matching service: tiered fallback chain over hot-swappable models.
+"""The request/response vocabulary every serving layer shares.
 
-Production matching at Taobao scale answers every request, not just the
-easy ones.  This service resolves a :class:`MatchRequest` through a
-fallback chain, cheapest tier first:
-
-1. ``table`` — O(1) hit in the nightly precomputed candidate table;
-2. ``ann`` — live IVF-ANN retrieval for items the table missed (e.g.
-   filtered out every candidate, or the item was onboarded after the
-   nightly build);
-3. ``cold_item`` — a brand-new item with no trained vector is served
-   from the sum of its SI input vectors (Eq. 6 of the paper);
-4. ``cold_user`` — a no-history user is served from the average of the
-   user-type vectors matching their demographics (Sec. IV-C);
-5. ``popularity`` — the last resort: globally click-ranked items.
-
-Every tier is accounted for separately (counts + latency quantiles via
-:class:`~repro.serving.metrics.ServingMetrics`), results are memoized in
-an LRU/TTL cache keyed by the serving bundle's *version* — so a hot swap
-(:class:`~repro.serving.store.ModelStore`) invalidates stale results for
-free — and warm ANN traffic can be micro-batched into a single matrix
-product via :meth:`MatchingService.recommend_batch`.
+:data:`TIERS`, :class:`MatchRequest`, :class:`MatchResult` and
+:class:`MatchingServiceConfig` are what the matching service, the
+gateway, the load generators and the evaluators all speak.  The service
+itself — one request path for one shard or many — is
+:class:`repro.serving.sharding.MatchingService`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coldstart import cold_user_vector, infer_cold_item_vector
-from repro.serving.cache import LRUTTLCache
-from repro.serving.metrics import ServingMetrics, to_jsonable
-from repro.serving.store import ModelBundle, ModelStore
-from repro.utils import get_logger, require_positive
-
-logger = get_logger("serving.service")
+from repro.utils import require_positive
 
 #: Fallback tiers, cheapest first (the resolution order).
 TIERS: tuple[str, ...] = ("table", "ann", "cold_item", "cold_user", "popularity")
@@ -104,272 +82,3 @@ class MatchingServiceConfig:
             require_positive(self.cache_ttl, "cache_ttl")
         if self.n_probe is not None:
             require_positive(self.n_probe, "n_probe")
-
-
-class MatchingService:
-    """Answers ``recommend(request, k)`` through the tiered fallback chain.
-
-    Parameters
-    ----------
-    store:
-        The double-buffered :class:`~repro.serving.store.ModelStore`.
-        Each request snapshots ``store.current()`` once, so hot swaps
-        never mix generations within a request.
-    config:
-        Request-path knobs (cache size/TTL, default ``k``, ANN probes).
-    cache, metrics:
-        Injectable for tests; sensible defaults otherwise.  Pass
-        ``config.cache_size = 0`` to disable caching entirely.
-    """
-
-    def __init__(
-        self,
-        store: ModelStore,
-        config: MatchingServiceConfig | None = None,
-        cache: LRUTTLCache | None = None,
-        metrics: ServingMetrics | None = None,
-    ) -> None:
-        self._config = config or MatchingServiceConfig()
-        self._config.validate()
-        self._store = store
-        if cache is None and self._config.cache_size > 0:
-            cache = LRUTTLCache(
-                maxsize=self._config.cache_size, ttl=self._config.cache_ttl
-            )
-        self._cache = cache
-        self._metrics = metrics or ServingMetrics()
-
-    @property
-    def store(self) -> ModelStore:
-        return self._store
-
-    @property
-    def cache(self) -> LRUTTLCache | None:
-        return self._cache
-
-    @property
-    def metrics(self) -> ServingMetrics:
-        return self._metrics
-
-    # ------------------------------------------------------------------
-    # single-request path
-    # ------------------------------------------------------------------
-
-    def recommend(
-        self, request: "MatchRequest | int", k: int | None = None
-    ) -> MatchResult:
-        """Resolve one request through the fallback chain.
-
-        ``request`` may be a bare item id (the common warm case) or a
-        full :class:`MatchRequest`.
-        """
-        request = self._normalize(request)
-        k = self._config.default_k if k is None else k
-        require_positive(k, "k")
-        self._metrics.incr("requests")
-        bundle = self._store.current()
-
-        key = (bundle.version, k, request.cache_key())
-        if self._cache is not None:
-            start = time.perf_counter()
-            hit = self._cache.get(key)
-            if hit is not None:
-                # A hit is still a served request: time it and put it on
-                # the `cache` histogram so snapshot quantiles describe
-                # the whole traffic, not just the miss path.
-                latency = time.perf_counter() - start
-                self._metrics.incr("cache_hit")
-                self._metrics.observe("cache", latency)
-                return MatchResult(
-                    hit.items, hit.scores, hit.tier, hit.version, True, latency
-                )
-            self._metrics.incr("cache_miss")
-
-        start = time.perf_counter()
-        try:
-            items, scores, tier = self._resolve(bundle, request, k)
-        except Exception:
-            self._metrics.incr("errors")
-            raise
-        latency = time.perf_counter() - start
-        self._metrics.observe(tier, latency)
-        result = MatchResult(items, scores, tier, bundle.version, False, latency)
-        if self._cache is not None:
-            self._cache.put(key, result)
-        return result
-
-    # ------------------------------------------------------------------
-    # micro-batched path
-    # ------------------------------------------------------------------
-
-    def recommend_batch(
-        self, requests: "list[MatchRequest | int]", k: int | None = None
-    ) -> list[MatchResult]:
-        """Resolve many requests, micro-batching the ANN tier.
-
-        Cache hits, table hits and cold/popularity requests resolve
-        individually (they are O(1) or rare); all warm requests that
-        need live retrieval are collected and answered by a *single*
-        :meth:`IVFIndex.topk_batch` call — one gather + one matrix
-        product for the whole batch instead of per-request GEMVs.
-
-        The whole batch is served from one bundle snapshot, so a hot
-        swap mid-batch cannot mix generations.
-        """
-        k = self._config.default_k if k is None else k
-        require_positive(k, "k")
-        bundle = self._store.current()
-        requests = [self._normalize(r) for r in requests]
-        results: list[MatchResult | None] = [None] * len(requests)
-        ann_rows: list[int] = []
-
-        for row, request in enumerate(requests):
-            self._metrics.incr("requests")
-            key = (bundle.version, k, request.cache_key())
-            if self._cache is not None:
-                start = time.perf_counter()
-                hit = self._cache.get(key)
-                if hit is not None:
-                    latency = time.perf_counter() - start
-                    self._metrics.incr("cache_hit")
-                    self._metrics.observe("cache", latency)
-                    results[row] = MatchResult(
-                        hit.items, hit.scores, hit.tier, hit.version, True, latency
-                    )
-                    continue
-                self._metrics.incr("cache_miss")
-            item = request.item_id
-            if (
-                item is not None
-                and int(item) not in bundle.table
-                and int(item) in bundle.ann
-            ):
-                ann_rows.append(row)
-                continue
-            results[row] = self._resolve_and_record(bundle, request, k)
-
-        if ann_rows:
-            ids = np.asarray(
-                [int(requests[row].item_id) for row in ann_rows], dtype=np.int64
-            )
-            start = time.perf_counter()
-            batch_ids, batch_scores = bundle.ann.topk_batch(
-                ids, k, n_probe=self._config.n_probe
-            )
-            per_request = (time.perf_counter() - start) / len(ann_rows)
-            for out_row, row in enumerate(ann_rows):
-                valid = batch_ids[out_row] >= 0
-                result = MatchResult(
-                    batch_ids[out_row][valid],
-                    batch_scores[out_row][valid],
-                    "ann",
-                    bundle.version,
-                    False,
-                    per_request,
-                )
-                self._metrics.observe("ann", per_request)
-                if self._cache is not None:
-                    self._cache.put(
-                        (bundle.version, k, requests[row].cache_key()), result
-                    )
-                results[row] = result
-        return results  # type: ignore[return-value]
-
-    def knows_item(self, item_id: int) -> bool:
-        """Whether ``item_id`` resolves through a warm tier (table or ANN).
-
-        The serving-side HR@K evaluator uses this as the answerability
-        test — items only reachable via popularity count as misses.
-        """
-        bundle = self._store.current()
-        item = int(item_id)
-        return item in bundle.table or item in bundle.ann
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Metrics + cache + store state in one JSON-serializable dict."""
-        snap = self._metrics.snapshot()
-        snap["store_version"] = self._store.version
-        snap["cache"] = self._cache.stats() if self._cache is not None else None
-        return to_jsonable(snap)
-
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _normalize(request: "MatchRequest | int") -> MatchRequest:
-        if isinstance(request, MatchRequest):
-            return request
-        return MatchRequest(item_id=int(request))
-
-    def _resolve_and_record(
-        self, bundle: ModelBundle, request: MatchRequest, k: int
-    ) -> MatchResult:
-        start = time.perf_counter()
-        try:
-            items, scores, tier = self._resolve(bundle, request, k)
-        except Exception:
-            self._metrics.incr("errors")
-            raise
-        latency = time.perf_counter() - start
-        self._metrics.observe(tier, latency)
-        result = MatchResult(items, scores, tier, bundle.version, False, latency)
-        if self._cache is not None:
-            self._cache.put((bundle.version, k, request.cache_key()), result)
-        return result
-
-    def _resolve(
-        self, bundle: ModelBundle, request: MatchRequest, k: int
-    ) -> tuple[np.ndarray, np.ndarray, str]:
-        if request.item_id is not None:
-            item = int(request.item_id)
-            if item in bundle.table:
-                items, scores = bundle.table.topk(item, k)
-                if len(items):
-                    return items, scores, "table"
-            if item in bundle.ann:
-                items, scores = bundle.ann.topk(
-                    item, k, n_probe=self._config.n_probe
-                )
-                return items, scores, "ann"
-        if request.si_values:
-            try:
-                vector = infer_cold_item_vector(bundle.model, request.si_values)
-            except ValueError:
-                pass  # no SI instance in vocabulary; keep falling
-            else:
-                items, scores = bundle.ann.topk_by_vector(
-                    vector, k, n_probe=self._config.n_probe
-                )
-                return items, scores, "cold_item"
-        if request.has_demographics:
-            try:
-                vector = cold_user_vector(
-                    bundle.model,
-                    gender=request.gender,
-                    age_bucket=request.age_bucket,
-                    purchase_power=request.purchase_power,
-                )
-            except ValueError:
-                pass  # demographics outside every trained user type
-            else:
-                items, scores = bundle.ann.topk_by_vector(
-                    vector, k, n_probe=self._config.n_probe
-                )
-                return items, scores, "cold_user"
-        return self._popularity(bundle, request, k)
-
-    @staticmethod
-    def _popularity(
-        bundle: ModelBundle, request: MatchRequest, k: int
-    ) -> tuple[np.ndarray, np.ndarray, str]:
-        items = bundle.popular_items
-        scores = bundle.popular_scores
-        if request.item_id is not None:
-            keep = items != int(request.item_id)
-            items, scores = items[keep], scores[keep]
-        return items[:k].copy(), scores[:k].copy(), "popularity"

@@ -1,11 +1,13 @@
-"""HBGP-sharded serving: per-partition stores behind a scatter-gather dispatcher.
+"""The matching service: one request path over one or many HBGP shards.
 
 The paper partitions the item space with HBGP (Sec. III-B) so skip-gram
 work rarely crosses workers.  The same locality argument applies online:
 shard the serving artifacts by HBGP partition and a nightly refresh of
-one item shard never rebuilds — or blocks — the others, which a
-monolithic :class:`~repro.serving.store.ModelStore` swap cannot avoid
-once the corpus grows.
+one item shard never rebuilds — or blocks — the others.  An
+unpartitioned catalogue is simply the partition with one part, so there
+is one service class: :class:`MatchingService` reads a tuple of
+per-shard bundles, and a plain
+:class:`~repro.serving.store.ModelStore` hands it a tuple of one.
 
 Layout
 ------
@@ -19,17 +21,28 @@ Layout
 - :class:`ShardedModelStore` holds one double-buffered
   :class:`~repro.serving.store.ModelStore` per partition plus the HBGP
   ``item -> shard`` map; shards swap independently.
-- :class:`ShardedMatchingService` routes a request to its owning shard
-  (table tier — an O(1) local answer), and falls back to scatter-gather
-  for everything that needs retrieval over the full catalogue: table
-  misses, cold-start vectors, cross-shard requests.  Per-shard partial
-  top-k lists merge by score (all shards score against the same
-  normalized embedding space, so partial results are comparable).
+- :class:`MatchingService` (alias :class:`ShardedMatchingService`)
+  resolves a request through the tier chain, cheapest first:
 
-Scatter-gather merges break score ties by item id, matching the stable
-orderings of the unsharded tiers: with full table coverage and
-exhaustive ANN settings the dispatcher returns *identical* (ids, scores)
-to the unsharded :class:`~repro.serving.service.MatchingService`.
+  1. ``table`` — an O(1) hit in the owning shard's precomputed
+     candidate table;
+  2. ``ann`` — live IVF retrieval for a trained item the table missed:
+     its query vector is scattered to every shard and the per-shard
+     partial top-k lists merge by score (all shards score against the
+     same normalized embedding space, so partials are comparable);
+  3. ``cold_item`` — a brand-new item is served from the sum of its SI
+     input vectors (Eq. 6), scattered the same way;
+  4. ``cold_user`` — a no-history user is served from the average of
+     the user-type vectors matching their demographics (Sec. IV-C);
+  5. ``popularity`` — the last resort: the per-shard slices of the
+     global click ranking, merged.
+
+- :func:`promote` is the one flip protocol the refresh daemon and the
+  stream applier both promote through.
+
+Merges break score ties by item id — the order every tier artifact
+already uses — so the answer for a request does not depend on how many
+shards the catalogue is cut into.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ from repro.serving.service import (
 from repro.serving.store import (
     ModelBundle,
     ModelStore,
+    covered_table_rows,
     popularity_ranking,
     share_bundle,
 )
@@ -95,16 +109,15 @@ def build_shard_bundle(
     ``index`` to amortize vector normalization across shards when
     building all of them at once.
 
-    ``table_coverage`` mirrors :func:`~repro.serving.store.build_bundle`:
-    the covered set is the first fraction of the *global* index order,
-    intersected with this shard, so the union of all shard tables equals
-    the monolithic table at the same coverage.
+    ``table_coverage`` mirrors :func:`~repro.serving.store.build_bundle`
+    (both take their rows from
+    :func:`~repro.serving.store.covered_table_rows`), so the union of
+    all shard tables equals the monolithic table at the same coverage.
 
     ``ann_precision`` / ``ann_rerank`` select the quantized retrieval
     tier per shard; ``share_memory`` moves the shard's big arrays into
     zero-copy segments so worker processes attach instead of copying.
     """
-    require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
     full = index if index is not None else SimilarityIndex(model, mode=mode)
     shard_items = np.asarray(shard_items, dtype=np.int64)
     shard_items = shard_items[np.isin(shard_items, full.item_ids)]
@@ -113,12 +126,7 @@ def build_shard_bundle(
         "shard owns no trained items; check the partition map",
     )
 
-    table_rows = shard_items
-    if table_coverage < 1.0:
-        covered = full.item_ids[
-            : max(1, int(full.n_items * table_coverage))
-        ]
-        table_rows = shard_items[np.isin(shard_items, covered)]
+    table_rows = covered_table_rows(full, table_coverage, owned=shard_items)
     table = build_candidate_table(full, dataset, table_config, items=table_rows)
 
     shard_index = full.restrict(shard_items)
@@ -241,6 +249,11 @@ class ShardedModelStore:
         """Per-shard live bundle versions."""
         return [store.version for store in self._stores]
 
+    #: What reports print as ``store_version``: an ``int`` for a
+    #: :class:`ModelStore`, the per-shard list here — callers read
+    #: ``store.version`` without asking which kind they hold.
+    version = versions
+
     @property
     def generation_age_s(self) -> float:
         """Age of the *stalest* shard's live generation, in seconds."""
@@ -331,7 +344,7 @@ class ShardedModelStore:
 
 
 # ----------------------------------------------------------------------
-# the dispatcher
+# the service
 # ----------------------------------------------------------------------
 
 
@@ -343,7 +356,7 @@ def merge_topk(
     """Merge per-shard partial top-k lists into one global top-k.
 
     Pads (``id < 0`` / NaN score) are dropped; ties break by item id,
-    matching the stable orderings of the unsharded tiers.
+    matching the stable orderings of the tier artifacts.
     """
     require_positive(k, "k")
     ids = np.concatenate([np.asarray(p[0]).ravel() for p in parts])
@@ -356,30 +369,50 @@ def merge_topk(
     return ids[order].astype(np.int64), scores[order]
 
 
-class ShardedMatchingService:
-    """Scatter-gather request router over a :class:`ShardedModelStore`.
+def freshest_model(bundles: Sequence[ModelBundle]) -> EmbeddingModel:
+    """The newest generation's model among ``bundles``.
 
-    Routing, cheapest path first:
+    Shards can run mixed generations after a partial refresh; cold-start
+    vectors and warm-start training have no owning shard, so the
+    freshest model wins.
+    """
+    return max(bundles, key=lambda bundle: bundle.version).model
 
-    1. a warm item is sent to its owning shard; a candidate-table hit is
-       answered locally (O(1), identical to the unsharded table tier);
-    2. a table miss on a trained item scatters the item's query vector
-       to *all* shards and merges per-shard ANN top-k by score;
-    3. cold items (Eq. 6) and cold users (user-type averaging) scatter
-       their inferred vector the same way;
-    4. popularity merges the per-shard slices of the global click
-       ranking.
+
+class MatchingService:
+    """Answers ``recommend(request, k)`` through the tiered fallback chain.
+
+    Written against one read interface — ``store.snapshot()`` (a tuple
+    of per-shard bundles, held for the whole request so a hot swap never
+    mixes generations within it) and ``store.shard_of(item)`` — which
+    both store kinds provide, so the request path never asks how many
+    shards there are:
+
+    - ``MatchingService(ModelStore(bundle), config)`` serves an
+      unpartitioned catalogue as the one-shard case;
+    - ``ShardedMatchingService(ShardedModelStore, config, pool=...)``
+      (the same class) serves N HBGP shards.
+
+    Routing: a warm item goes to its owning shard, and a candidate-table
+    hit is answered there; everything that needs retrieval over the full
+    catalogue (table misses, cold-start vectors) scatters one query
+    vector to *all* shards and merges the partial top-k lists.  A batch
+    scatters once for all its rows.
 
     Results are cached keyed by the *owning shard's* version for table
     hits — so refreshing shard A leaves shard B's cached answers warm —
-    and by the full version vector for scattered requests.
+    and by the full version vector for everything else.
 
     Parameters
     ----------
     store:
-        The sharded store; each request snapshots every shard once.
+        A :class:`~repro.serving.store.ModelStore` or a
+        :class:`ShardedModelStore`.
     config:
-        Same knobs as the unsharded service.
+        Request-path knobs (cache size/TTL, default ``k``, ANN probes).
+    cache, metrics:
+        Injectable for tests; sensible defaults otherwise.  Pass
+        ``config.cache_size = 0`` to disable caching entirely.
     pool:
         Optional :class:`~repro.serving.parallel.ShardWorkerPool`; when
         given, gather work runs one-process-per-shard so throughput
@@ -389,7 +422,7 @@ class ShardedMatchingService:
 
     def __init__(
         self,
-        store: ShardedModelStore,
+        store: "ModelStore | ShardedModelStore",
         config: MatchingServiceConfig | None = None,
         cache: LRUTTLCache | None = None,
         metrics: ServingMetrics | None = None,
@@ -404,11 +437,11 @@ class ShardedMatchingService:
             )
         self._cache = cache
         self._metrics = metrics or ServingMetrics()
-        self._shard_metrics = [ServingMetrics() for _ in range(store.n_shards)]
+        self._shard_metrics = [ServingMetrics() for _ in store.snapshot()]
         self._pool = pool
 
     @property
-    def store(self) -> ShardedModelStore:
+    def store(self) -> "ModelStore | ShardedModelStore":
         return self._store
 
     @property
@@ -430,22 +463,18 @@ class ShardedMatchingService:
             self._pool.close()
             self._pool = None
 
-    def __enter__(self) -> "ShardedMatchingService":
+    def __enter__(self) -> "MatchingService":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # swaps
-    # ------------------------------------------------------------------
 
     def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
         """Swap one shard in the store *and* its worker process."""
         old = self._store.swap_shard(shard_id, bundle)
         self._metrics.incr("swaps")
         if self._pool is not None:
-            self._pool.swap(shard_id, self._store.current(shard_id))
+            self._pool.swap(shard_id, self._store.snapshot()[shard_id])
         return old
 
     # ------------------------------------------------------------------
@@ -455,121 +484,89 @@ class ShardedMatchingService:
     def recommend(
         self, request: "MatchRequest | int", k: int | None = None
     ) -> MatchResult:
-        """Resolve one request through routing + scatter-gather."""
-        request = self._normalize(request)
-        k = self._config.default_k if k is None else k
-        require_positive(k, "k")
-        self._metrics.incr("requests")
-        bundles = self._store.snapshot()
+        """Resolve one request — a batch of one, so the coalescer that
+        turns singles into batches cannot change an answer.
 
-        key = self._cache_key(bundles, request, k)
-        if self._cache is not None:
-            start = time.perf_counter()
-            hit = self._cache.get(key)
-            if hit is not None:
-                # Same contract as the unsharded service: hits are timed
-                # and land on the `cache` histogram.
-                latency = time.perf_counter() - start
-                self._metrics.incr("cache_hit")
-                self._metrics.observe("cache", latency)
-                return MatchResult(
-                    hit.items, hit.scores, hit.tier, hit.version, True, latency
-                )
-            self._metrics.incr("cache_miss")
-
-        start = time.perf_counter()
-        try:
-            items, scores, tier, version = self._resolve(bundles, request, k)
-        except Exception:
-            self._metrics.incr("errors")
-            raise
-        latency = time.perf_counter() - start
-        self._metrics.observe(tier, latency)
-        result = MatchResult(items, scores, tier, version, False, latency)
-        if self._cache is not None:
-            self._cache.put(key, result)
-        return result
+        ``request`` may be a bare item id (the common warm case) or a
+        full :class:`MatchRequest`.
+        """
+        return self.recommend_batch([request], k)[0]
 
     def recommend_batch(
         self, requests: "list[MatchRequest | int]", k: int | None = None
     ) -> list[MatchResult]:
         """Resolve many requests, micro-batching the scatter-gather work.
 
-        Table hits, cache hits and popularity requests resolve
-        individually (they are O(1)); every request that needs vector
-        retrieval is collected and answered with *one*
-        ``topk_by_vector_batch`` call per shard — one scatter for the
-        whole batch instead of per-request fan-outs.
+        Cache hits, table hits and popularity requests resolve one by
+        one (they are O(1)); every request that needs vector retrieval
+        is collected and answered with *one* ``topk_by_vector_batch``
+        call per shard — one scatter for the whole batch instead of
+        per-request fan-outs.  The whole batch is served from one
+        snapshot, so a hot swap mid-batch cannot mix generations.
         """
         k = self._config.default_k if k is None else k
         require_positive(k, "k")
+        requests = [self._normalize(request) for request in requests]
         bundles = self._store.snapshot()
-        requests = [self._normalize(r) for r in requests]
+        versions = tuple(bundle.version for bundle in bundles)
         results: list[MatchResult | None] = [None] * len(requests)
-        gather_rows: list[int] = []
-        gather_vectors: list[np.ndarray] = []
-        gather_excludes: list[int] = []
-        gather_tiers: list[str] = []
-
-        for row, request in enumerate(requests):
-            self._metrics.incr("requests")
-            key = self._cache_key(bundles, request, k)
-            if self._cache is not None:
-                start = time.perf_counter()
-                hit = self._cache.get(key)
-                if hit is not None:
-                    latency = time.perf_counter() - start
-                    self._metrics.incr("cache_hit")
-                    self._metrics.observe("cache", latency)
-                    results[row] = MatchResult(
-                        hit.items, hit.scores, hit.tier, hit.version, True, latency
-                    )
+        gather: list[tuple] = []  # (row, key, vector, exclude, tier) to scatter
+        self._metrics.incr("requests", len(requests))
+        try:
+            for row, request in enumerate(requests):
+                item = request.item_id
+                shard = None if item is None else self._store.shard_of(item)
+                key = self._cache_key(bundles, versions, shard, request, k)
+                results[row] = self._probe(key)
+                if results[row] is not None:
                     continue
-                self._metrics.incr("cache_miss")
-            plan = self._plan(bundles, request)
-            if plan is None:
-                results[row] = self._resolve_and_record(bundles, request, k)
-            else:
-                vector, exclude, tier = plan
-                gather_rows.append(row)
-                gather_vectors.append(vector)
-                gather_excludes.append(exclude)
-                gather_tiers.append(tier)
-
-        if gather_rows:
-            vectors = np.stack(gather_vectors)
-            excludes = np.asarray(gather_excludes, dtype=np.int64)
-            start = time.perf_counter()
-            parts = self._scatter(bundles, vectors, k, excludes)
-            per_request = (time.perf_counter() - start) / len(gather_rows)
-            version = max(bundle.version for bundle in bundles)
-            for out_row, row in enumerate(gather_rows):
-                items, scores = merge_topk(
-                    [(ids[out_row], sc[out_row]) for ids, sc in parts],
-                    k,
-                    exclude_item=(
-                        int(excludes[out_row]) if excludes[out_row] >= 0 else None
-                    ),
-                )
-                tier = gather_tiers[out_row]
-                self._metrics.observe(tier, per_request)
-                result = MatchResult(
-                    items, scores, tier, version, False, per_request
-                )
-                if self._cache is not None:
-                    self._cache.put(
-                        self._cache_key(bundles, requests[row], k), result
+                start = time.perf_counter()
+                answer, query = self._resolve(bundles, request, k, shard)
+                if answer is None:
+                    gather.append((row, key, *query))
+                else:
+                    results[row] = self._record(
+                        key, *answer, time.perf_counter() - start
                     )
-                results[row] = result
+            if gather:
+                rows, keys, vectors, excludes, tiers = zip(*gather)
+                start = time.perf_counter()
+                parts = self._scatter(
+                    bundles,
+                    np.stack(vectors),
+                    k,
+                    np.asarray(excludes, dtype=np.int64),
+                )
+                merged = [
+                    merge_topk(
+                        [(ids[i], scores[i]) for ids, scores in parts],
+                        k,
+                        exclude_item=exclude if exclude >= 0 else None,
+                    )
+                    for i, exclude in enumerate(excludes)
+                ]
+                per_request = (time.perf_counter() - start) / len(rows)
+                newest = max(versions)
+                for row, key, tier, (items, scores) in zip(rows, keys, tiers, merged):
+                    results[row] = self._record(
+                        key, items, scores, tier, newest, per_request
+                    )
+        except Exception:
+            self._metrics.incr("errors")
+            raise
         return results  # type: ignore[return-value]
 
     def knows_item(self, item_id: int) -> bool:
-        """Whether ``item_id`` resolves through a warm tier on any shard."""
+        """Whether ``item_id`` resolves through a warm tier (table or ANN).
+
+        The serving-side HR@K evaluator uses this as the answerability
+        test — items only reachable via popularity count as misses.
+        """
         item = int(item_id)
         shard = self._store.shard_of(item)
         if shard is None:
             return False
-        bundle = self._store.current(shard)
+        bundle = self._store.snapshot()[shard]
         return item in bundle.table or item in bundle.ann
 
     # ------------------------------------------------------------------
@@ -577,20 +574,22 @@ class ShardedMatchingService:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Dispatcher metrics plus per-shard state in one dict.
+        """Metrics + cache + store state in one JSON-serializable dict.
 
-        Shape matches :meth:`MatchingService.snapshot` (``counters``,
-        ``cache_hit_rate``, ``tiers``, ``cache``, ``store_version``) with
-        an extra ``shards`` list aggregating per-shard metrics.
+        ``store_version`` is the store's own ``version`` (an ``int`` for
+        a :class:`ModelStore`, a per-shard list for a
+        :class:`ShardedModelStore`); a partitioned store additionally
+        reports ``n_shards`` and the per-shard metrics under ``shards``.
         """
         snap = self._metrics.snapshot()
-        snap["store_version"] = self._store.versions
+        snap["store_version"] = self._store.version
         snap["cache"] = self._cache.stats() if self._cache is not None else None
-        snap["shards"] = [
-            {"shard": shard, **metrics.snapshot()}
-            for shard, metrics in enumerate(self._shard_metrics)
-        ]
-        snap["n_shards"] = self._store.n_shards
+        if isinstance(self._store, ShardedModelStore):
+            snap["shards"] = [
+                {"shard": shard, **metrics.snapshot()}
+                for shard, metrics in enumerate(self._shard_metrics)
+            ]
+            snap["n_shards"] = self._store.n_shards
         return to_jsonable(snap)
 
     # ------------------------------------------------------------------
@@ -603,124 +602,109 @@ class ShardedMatchingService:
             return request
         return MatchRequest(item_id=int(request))
 
-    @staticmethod
-    def _freshest_model(bundles: tuple[ModelBundle, ...]) -> EmbeddingModel:
-        """Cold-start vectors come from the newest generation's model.
-
-        Shards can run mixed generations after a partial refresh; cold
-        requests have no owning shard, so the freshest model wins.
-        """
-        return max(bundles, key=lambda bundle: bundle.version).model
-
     def _cache_key(
-        self, bundles: tuple[ModelBundle, ...], request: MatchRequest, k: int
-    ) -> tuple:
-        """Version-scoped cache key.
+        self,
+        bundles: tuple[ModelBundle, ...],
+        versions: tuple[int, ...],
+        shard: int | None,
+        request: MatchRequest,
+        k: int,
+    ) -> "tuple | None":
+        """Version-scoped cache key (``None`` with the cache off).
 
         Table hits depend only on the owning shard's generation, so a
         swap of shard A does not cold-start shard B's cached answers;
         anything scattered depends on every shard's generation.
         """
-        if request.item_id is not None:
-            item = int(request.item_id)
-            shard = self._store.shard_of(item)
-            if shard is not None and item in bundles[shard].table:
-                return ("shard", shard, bundles[shard].version, k, request.cache_key())
-        return ("all", tuple(b.version for b in bundles), k, request.cache_key())
+        if self._cache is None:
+            return None
+        if shard is not None and request.item_id in bundles[shard].table:
+            return ("shard", shard, versions[shard], k, request.cache_key())
+        return ("all", versions, k, request.cache_key())
 
-    def _plan(
-        self, bundles: tuple[ModelBundle, ...], request: MatchRequest
-    ) -> "tuple[np.ndarray, int, str] | None":
-        """Decide whether a request needs scatter-gather.
+    def _probe(self, key: "tuple | None") -> MatchResult | None:
+        """The one cache probe: a hit is a served request like any other,
+        timed and put on the ``cache`` histogram so snapshot quantiles
+        describe the whole traffic, not just the miss path."""
+        if key is None:
+            return None
+        start = time.perf_counter()
+        hit = self._cache.get(key)
+        if hit is None:
+            self._metrics.incr("cache_miss")
+            return None
+        latency = time.perf_counter() - start
+        self._metrics.incr("cache_hit")
+        self._metrics.observe("cache", latency)
+        return MatchResult(hit.items, hit.scores, hit.tier, hit.version, True, latency)
 
-        Returns ``(query_vector, exclude_item, tier)`` for requests that
-        gather across shards, or ``None`` for locally resolvable ones
-        (table hit, popularity).
+    def _record(
+        self,
+        key: "tuple | None",
+        items: np.ndarray,
+        scores: np.ndarray,
+        tier: str,
+        version: int,
+        latency: float,
+    ) -> MatchResult:
+        """Account for one resolved request and run the one cache fill."""
+        self._metrics.observe(tier, latency)
+        result = MatchResult(items, scores, tier, version, False, latency)
+        if key is not None:
+            self._cache.put(key, result)
+        return result
+
+    def _resolve(
+        self,
+        bundles: tuple[ModelBundle, ...],
+        request: MatchRequest,
+        k: int,
+        shard: int | None,
+    ) -> "tuple[tuple | None, tuple | None]":
+        """Walk the tier chain as far as one shard can take it.
+
+        Returns ``(answer, None)`` for the tiers answered on the spot —
+        ``(items, scores, tier, version)`` from the owning shard's table
+        or from popularity — and ``(None, query)`` for the tiers that
+        score a vector against every shard: ``(vector, exclude_item,
+        tier)`` with ``exclude_item = -1`` for none.
         """
-        if request.item_id is not None:
+        if shard is not None:
             item = int(request.item_id)
-            shard = self._store.shard_of(item)
-            if shard is not None:
-                bundle = bundles[shard]
-                if item in bundle.table and len(bundle.table.topk(item, 1)[0]):
-                    return None
-                if item in bundle.index:
-                    return bundle.index.query_vector(item), item, "ann"
+            home = bundles[shard]
+            if item in home.table:
+                start = time.perf_counter()
+                items, scores = home.table.topk(item, k)
+                if len(items):
+                    self._shard_metrics[shard].incr("table_hits")
+                    self._shard_metrics[shard].observe(
+                        "table", time.perf_counter() - start
+                    )
+                    return (items, scores, "table", home.version), None
+            if item in home.index:
+                return None, (home.index.query_vector(item), item, "ann")
         if request.si_values:
             try:
                 vector = infer_cold_item_vector(
-                    self._freshest_model(bundles), request.si_values
+                    freshest_model(bundles), request.si_values
                 )
             except ValueError:
-                pass
+                pass  # no SI instance in vocabulary; keep falling
             else:
-                return vector, -1, "cold_item"
+                return None, (vector, -1, "cold_item")
         if request.has_demographics:
             try:
                 vector = cold_user_vector(
-                    self._freshest_model(bundles),
+                    freshest_model(bundles),
                     gender=request.gender,
                     age_bucket=request.age_bucket,
                     purchase_power=request.purchase_power,
                 )
             except ValueError:
-                pass
+                pass  # demographics outside every trained user type
             else:
-                return vector, -1, "cold_user"
-        return None
-
-    def _resolve_and_record(
-        self, bundles: tuple[ModelBundle, ...], request: MatchRequest, k: int
-    ) -> MatchResult:
-        start = time.perf_counter()
-        try:
-            items, scores, tier, version = self._resolve(bundles, request, k)
-        except Exception:
-            self._metrics.incr("errors")
-            raise
-        latency = time.perf_counter() - start
-        self._metrics.observe(tier, latency)
-        result = MatchResult(items, scores, tier, version, False, latency)
-        if self._cache is not None:
-            self._cache.put(self._cache_key(bundles, request, k), result)
-        return result
-
-    def _resolve(
-        self, bundles: tuple[ModelBundle, ...], request: MatchRequest, k: int
-    ) -> tuple[np.ndarray, np.ndarray, str, int]:
-        if request.item_id is not None:
-            item = int(request.item_id)
-            shard = self._store.shard_of(item)
-            if shard is not None:
-                bundle = bundles[shard]
-                if item in bundle.table:
-                    start = time.perf_counter()
-                    items, scores = bundle.table.topk(item, k)
-                    if len(items):
-                        self._shard_metrics[shard].incr("table_hits")
-                        self._shard_metrics[shard].observe(
-                            "table", time.perf_counter() - start
-                        )
-                        return items, scores, "table", bundle.version
-
-        plan = self._plan(bundles, request)
-        if plan is not None:
-            vector, exclude, tier = plan
-            parts = self._scatter(
-                bundles,
-                vector[None, :],
-                k,
-                np.asarray([exclude], dtype=np.int64),
-            )
-            items, scores = merge_topk(
-                [(ids[0], sc[0]) for ids, sc in parts],
-                k,
-                exclude_item=exclude if exclude >= 0 else None,
-            )
-            version = max(bundle.version for bundle in bundles)
-            return items, scores, tier, version
-
-        return self._popularity(bundles, request, k)
+                return None, (vector, -1, "cold_user")
+        return self._popularity(bundles, request, k), None
 
     def _scatter(
         self,
@@ -740,35 +724,110 @@ class ShardedMatchingService:
             parts, timings = self._pool.scatter(
                 vectors, k, self._config.n_probe, exclude_items
             )
-            for shard, elapsed in enumerate(timings):
-                self._shard_metrics[shard].incr("gathers")
-                self._shard_metrics[shard].observe("gather", elapsed)
-            return parts
-        parts = []
-        for shard, bundle in enumerate(bundles):
-            start = time.perf_counter()
-            parts.append(
-                bundle.ann.topk_by_vector_batch(
-                    vectors,
-                    k,
-                    n_probe=self._config.n_probe,
-                    exclude_items=exclude_items,
+        else:
+            parts, timings = [], []
+            for bundle in bundles:
+                start = time.perf_counter()
+                parts.append(
+                    bundle.ann.topk_by_vector_batch(
+                        vectors,
+                        k,
+                        n_probe=self._config.n_probe,
+                        exclude_items=exclude_items,
+                    )
                 )
-            )
-            self._shard_metrics[shard].incr("gathers")
-            self._shard_metrics[shard].observe(
-                "gather", time.perf_counter() - start
-            )
+                timings.append(time.perf_counter() - start)
+        for metrics, elapsed in zip(self._shard_metrics, timings):
+            metrics.incr("gathers")
+            metrics.observe("gather", elapsed)
         return parts
 
+    @staticmethod
     def _popularity(
-        self, bundles: tuple[ModelBundle, ...], request: MatchRequest, k: int
+        bundles: tuple[ModelBundle, ...], request: MatchRequest, k: int
     ) -> tuple[np.ndarray, np.ndarray, str, int]:
+        """Merge the shards' slices of the global click ranking.
+
+        Each slice is already in global order, so the global top-``k``
+        lies within every slice's first ``k + 1`` (one spare for the
+        excluded query item).
+        """
         exclude = int(request.item_id) if request.item_id is not None else None
         items, scores = merge_topk(
-            [(b.popular_items, b.popular_scores) for b in bundles],
+            [
+                (b.popular_items[: k + 1], b.popular_scores[: k + 1])
+                for b in bundles
+            ],
             k,
             exclude_item=exclude,
         )
         version = max(bundle.version for bundle in bundles)
         return items, scores, "popularity", version
+
+
+#: The same class under the name its N-shard call sites use.
+ShardedMatchingService = MatchingService
+
+
+# ----------------------------------------------------------------------
+# promotion
+# ----------------------------------------------------------------------
+
+
+def serving_target(
+    target, metrics: ServingMetrics | None = None
+) -> "tuple[ModelStore | ShardedModelStore, ServingMetrics]":
+    """``(store, metrics)`` behind a refresh/stream target.
+
+    ``target`` is a store or a service wrapping one.  Passing the
+    *service* is preferred: swaps then go through
+    :meth:`MatchingService.swap_shard` so an attached worker pool stays
+    in sync, and the caller's metrics default to the service's own (one
+    ``snapshot()`` shows serving and refresh).
+    """
+    service = target if hasattr(target, "recommend") else None
+    if metrics is None:
+        metrics = service.metrics if service is not None else ServingMetrics()
+    return (service.store if service is not None else target), metrics
+
+
+def promote(
+    target,
+    bundles: "dict[int, ModelBundle]",
+    partition: np.ndarray | None = None,
+    allow_moves: bool = False,
+    gate=None,
+) -> "list[int] | int":
+    """The flip protocol: install ``{shard: bundle}`` on ``target``.
+
+    The cheap half of a promotion — every bundle is already built, so a
+    build failure can never tear one.  In order:
+
+    1. swap every rebuilt shard, through the service when ``target`` is
+       one so a worker pool follows;
+    2. install the new ``partition`` map (sharded stores; ``None`` keeps
+       the current one) — *after* the swaps, so a reader sees (old map,
+       old bundles) or (new map, new bundles), never a moved item's new
+       owner without its bundle;
+    3. release the retired generation only after the last flip: its
+       zero-copy segments may be shared across shard bundles (the model
+       matrices), and release is unlink-only — readers still holding a
+       snapshot keep valid pages until their references drop.
+
+    With a ``gate`` (the network gateway's swap gate) all of it runs
+    inside one ``gate(flip)`` call, i.e. only while no coalesced batch
+    is in flight.  Returns the store's ``version`` after the flip.
+    """
+    store, _ = serving_target(target)
+
+    def flip() -> "list[int] | int":
+        retired = [
+            target.swap_shard(shard, bundle) for shard, bundle in bundles.items()
+        ]
+        if partition is not None:
+            store.update_partition(partition, allow_moves=allow_moves)
+        for bundle in retired:
+            bundle.release()
+        return store.version
+
+    return flip() if gate is None else gate(flip)

@@ -159,6 +159,26 @@ def popularity_ranking(
     return order.astype(np.int64), scores
 
 
+def covered_table_rows(
+    index: SimilarityIndex, table_coverage: float, owned: np.ndarray | None = None
+) -> np.ndarray:
+    """Item ids whose candidate-table rows a build materializes.
+
+    The covered set is the first ``table_coverage`` fraction of the
+    *global* index order; ``owned`` (one shard's items) intersects it.
+    Both bundle builders take their rows from here, so the union of all
+    shard tables is the monolithic table at the same coverage — and only
+    the covered rows ever run the per-row filter loop.
+    """
+    require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
+    covered = index.item_ids
+    if table_coverage < 1.0:
+        covered = covered[: max(1, int(index.n_items * table_coverage))]
+    if owned is None:
+        return covered
+    return owned[np.isin(owned, covered)]
+
+
 def build_bundle(
     model: EmbeddingModel,
     dataset: BehaviorDataset,
@@ -191,8 +211,8 @@ def build_bundle(
     ``share_memory`` moves the bundle's big arrays into zero-copy
     segments (see :func:`share_bundle`).
     """
-    require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
     index = SimilarityIndex(model, mode=mode)
+    rows = covered_table_rows(index, table_coverage)
     ann = IVFIndex(
         index,
         n_cells=n_cells,
@@ -201,13 +221,7 @@ def build_bundle(
         precision=ann_precision,
         rerank=ann_rerank,
     )
-    table = build_candidate_table(index, dataset, table_config)
-    if table_coverage < 1.0:
-        # The cut must come from the table's *own* item ordering — slicing
-        # `index.item_ids` by `len(table)` mixes two orderings and can
-        # select items the table never materialized.
-        covered = table.item_ids[: max(1, int(len(table) * table_coverage))]
-        table = table.subset(covered)
+    table = build_candidate_table(index, dataset, table_config, items=rows)
     popular_items, popular_scores = popularity_ranking(dataset, max_popular)
     bundle = ModelBundle(
         version=0,
@@ -229,6 +243,11 @@ class ModelStore:
     ``current()`` hands out an immutable snapshot; requests must grab it
     once at arrival and use only that snapshot so a mid-request swap
     cannot mix generations.
+
+    The store is also the one-shard case of
+    :class:`~repro.serving.sharding.ShardedModelStore`: ``snapshot()``,
+    ``shard_of()`` and ``swap_shard()`` are the read/flip interface the
+    matching service and the promotion protocol are written against.
     """
 
     def __init__(self, bundle: ModelBundle) -> None:
@@ -242,6 +261,24 @@ class ModelStore:
         # Reference reads are atomic in CPython; the lock is only needed
         # on the write side to serialize concurrent swappers.
         return self._bundle
+
+    def snapshot(self) -> tuple[ModelBundle, ...]:
+        """The per-request view: a one-bundle tuple."""
+        return (self._bundle,)
+
+    def shard_of(self, item_id: int) -> int:
+        """Every item id is owned by the one shard.
+
+        Deliberately not a fixed-length map: a swapped-in bundle may
+        carry items listed after this store was constructed, and whether
+        an id is *known* is the bundle's call (table / index membership).
+        """
+        return 0
+
+    def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
+        """:meth:`swap` under the sharded store's signature."""
+        require(shard_id == 0, "a ModelStore has exactly one shard")
+        return self.swap(bundle)
 
     @property
     def version(self) -> int:

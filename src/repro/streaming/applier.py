@@ -57,7 +57,12 @@ from repro.data.schema import (
     UserMeta,
 )
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import build_shard_bundle
+from repro.serving.sharding import (
+    build_shard_bundle,
+    freshest_model,
+    promote,
+    serving_target,
+)
 from repro.serving.store import build_bundle
 from repro.streaming.events import EventLog
 from repro.streaming.window import EventWindow, MicroBatchWindower, sessionize
@@ -215,16 +220,8 @@ class StreamApplier:
     ) -> None:
         self._config = config or StreamConfig()
         self._config.validate()
-        self._service = target if hasattr(target, "recommend") else None
-        self._store = target.store if self._service is not None else target
-        self._sharded = hasattr(self._store, "n_shards")
-        if metrics is None:
-            metrics = (
-                self._service.metrics
-                if self._service is not None
-                else ServingMetrics()
-            )
-        self._metrics = metrics
+        self._target = target
+        self._store, self._metrics = serving_target(target, metrics)
         self._log = log
         self._promote_gate = promote_gate
         self._rng = ensure_rng(seed)
@@ -241,8 +238,8 @@ class StreamApplier:
             log, cursor=self._config.cursor, max_events=self._config.window_events
         )
         self._applied_through = log.position(self._config.cursor)
-        self._model = self._current_model()
-        self._expected = self._store_versions()
+        self._model = freshest_model(self._store.snapshot())
+        self._expected = self._store.version
         self._last_apply_monotonic = time.monotonic()
 
         self._apply_lock = threading.Lock()
@@ -296,17 +293,6 @@ class StreamApplier:
     def windows_applied(self) -> int:
         return sum(1 for report in self.history if report.applied)
 
-    def _store_versions(self) -> "tuple[int, ...] | int":
-        if self._sharded:
-            return tuple(self._store.versions)
-        return self._store.version
-
-    def _current_model(self) -> EmbeddingModel:
-        if self._sharded:
-            bundles = self._store.snapshot()
-            return max(bundles, key=lambda bundle: bundle.version).model
-        return self._store.current().model
-
     # ------------------------------------------------------------------
     # reconcile with the nightly refresh
     # ------------------------------------------------------------------
@@ -320,15 +306,15 @@ class StreamApplier:
         and reset the cursor to the log head: events already appended
         are presumed folded into the nightly build.
         """
-        if self._store_versions() == self._expected:
+        if self._store.version == self._expected:
             return False
-        self._model = self._current_model()
+        self._model = freshest_model(self._store.snapshot())
         with self._state_lock:
             self._sessions = list(self._base_sessions)
             self._stream_clicks = np.zeros(len(self._items), dtype=np.int64)
         head = self._log.reset(self._config.cursor)
         self._applied_through = head
-        self._expected = self._store_versions()
+        self._expected = self._store.version
         self._metrics.incr("stream_resyncs")
         logger.info(
             "external promote detected (now %s); stream resynced to"
@@ -452,23 +438,25 @@ class StreamApplier:
             self._items, self._users, self._sessions, validate=False
         )
 
-        if self._sharded:
-            touched_ids = sorted(
-                {event.item_id for event in window.events}
+        if hasattr(self._store, "n_shards"):
+            bundles, assignment, report.moves = self._build_touched_shards(
+                updated, dataset, {event.item_id for event in window.events}
             )
-            versions, moves = self._build_and_promote_sharded(
-                updated, dataset, touched_ids
-            )
-            report.moves = moves
-            if moves:
-                self._metrics.incr("stream_moves", len(moves))
+            if report.moves:
+                self._metrics.incr("stream_moves", len(report.moves))
         else:
             bundle = build_bundle(updated, dataset, **self._config.build_kwargs)
-            versions = self._promote(lambda: self._flip_unsharded(bundle))
-            report.moves = []
+            bundles, assignment = {0: bundle}, None
+        versions = promote(
+            self._target,
+            bundles,
+            assignment,
+            allow_moves=bool(report.moves),
+            gate=self._promote_gate,
+        )
 
         self._model = updated
-        self._expected = self._store_versions()
+        self._expected = versions
         self._applied_through = window.end
         self._windower.commit(window)
         self._last_apply_monotonic = time.monotonic()
@@ -539,24 +527,11 @@ class StreamApplier:
     # build + promote
     # ------------------------------------------------------------------
 
-    def _promote(self, flip):
-        if self._promote_gate is not None:
-            return self._promote_gate(flip)
-        return flip()
-
-    def _flip_unsharded(self, bundle) -> int:
-        old = self._store.swap(bundle)
-        if self._service is not None:
-            self._metrics.incr("swaps")
-        old.release()
-        return self._store.version
-
-    def _build_and_promote_sharded(
-        self,
-        model: EmbeddingModel,
-        dataset: BehaviorDataset,
-        touched_ids: list,
-    ) -> "tuple[list[int], list[tuple[int, int, int]]]":
+    def _build_touched_shards(
+        self, model: EmbeddingModel, dataset: BehaviorDataset, touched_ids: set
+    ) -> "tuple[dict, np.ndarray, list[tuple[int, int, int]]]":
+        """``({shard: bundle}, partition map, moves)`` for one window:
+        only the shards owning clicked, new or moved items rebuild."""
         assignment, moves = self._plan_partition()
         touched_shards = {
             int(assignment[item])
@@ -586,21 +561,7 @@ class StreamApplier:
             )
             for shard in sorted(touched_shards)
         }
-
-        def flip() -> list[int]:
-            retired = []
-            for shard, bundle in bundles.items():
-                if self._service is not None:
-                    retired.append(self._service.swap_shard(shard, bundle))
-                else:
-                    retired.append(self._store.swap_shard(shard, bundle))
-            self._store.update_partition(assignment, allow_moves=bool(moves))
-            for bundle in retired:
-                bundle.release()
-            return self._store.versions
-
-        versions = self._promote(flip)
-        return versions, moves
+        return bundles, assignment, moves
 
     def _plan_partition(
         self,

@@ -122,6 +122,19 @@ class TestEndpoints:
         assert body["store_version"] == 0
         assert body["uptime_s"] >= 0.0
 
+    @pytest.mark.parametrize("step", [3600.0, -3600.0])
+    def test_uptime_survives_wall_clock_steps(self, gateway, monkeypatch, step):
+        """Regression: ``uptime_s`` subtracted ``time.time()`` readings,
+        so an NTP step reported an hour of uptime — or a negative one."""
+        import repro.serving.gateway as gateway_module
+
+        real = time.time
+        monkeypatch.setattr(gateway_module.time, "time", lambda: real() + step)
+        _status, health = _call(gateway.port, "GET", "/healthz")
+        _status, metrics = _call(gateway.port, "GET", "/metrics")
+        for uptime in (health["uptime_s"], metrics["gateway"]["uptime_s"]):
+            assert 0.0 <= uptime < 600.0
+
     def test_metrics_shape(self, gateway):
         _call(gateway.port, "GET", "/recommend?item_id=0")
         status, body = _call(gateway.port, "GET", "/metrics")

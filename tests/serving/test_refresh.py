@@ -1,5 +1,8 @@
 """Tests for the nightly refresh daemon: retries, breaker, drift gate."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -206,6 +209,36 @@ class TestBackgroundThread:
         assert service.store.version >= 2
         assert not daemon.status()["running"]
 
+    @pytest.mark.parametrize("step", [3600.0, -3600.0])
+    def test_wait_for_cycles_ignores_wall_clock_steps(
+        self, service, day_source, monkeypatch, step
+    ):
+        """Regression: the deadline was kept in ``time.time()`` readings,
+        so an NTP step mid-wait returned early (forward) or waited an
+        hour past the timeout (backward)."""
+        daemon = RefreshDaemon(service, day_source, fast_config())  # never started
+        real = time.time
+        readings = {"n": 0}
+
+        def stepping() -> float:
+            readings["n"] += 1
+            return real() + (step if readings["n"] > 1 else 0.0)
+
+        monkeypatch.setattr(refresh_module.time, "time", stepping)
+        outcome = {}
+
+        def wait() -> None:
+            start = time.monotonic()
+            outcome["done"] = daemon.wait_for_cycles(1, timeout=0.3)
+            outcome["elapsed"] = time.monotonic() - start
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert outcome["done"] is False
+        assert 0.25 <= outcome["elapsed"] < 5.0
+
     def test_start_is_idempotent(self, service, day_source):
         daemon = RefreshDaemon(service, day_source, fast_config(interval=30.0))
         daemon.start()
@@ -214,6 +247,9 @@ class TestBackgroundThread:
 
 
 class TestShardedRefresh:
+    """(A shard build that fails mid-cycle leaves every shard on the old
+    generation: ``test_promote.py``, once for both store kinds.)"""
+
     @pytest.fixture()
     def sharded_service(self, fitted_sisg, tiny_split):
         train, _ = tiny_split
@@ -231,32 +267,6 @@ class TestShardedRefresh:
         report = daemon.run_once()
         assert report.promoted
         assert report.versions == [1, 1]
-        assert sharded_service.store.versions == [1, 1]
-
-    def test_failed_build_never_tears_promotion(
-        self, sharded_service, day_source, monkeypatch
-    ):
-        """A failure after shard 0's bundle is built must leave *every*
-        shard on the old generation — builds all land before any swap."""
-        calls = {"n": 0}
-        real = refresh_module.build_shard_bundle
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:  # second shard of the first attempt
-                raise RuntimeError("shard build exploded")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(refresh_module, "build_shard_bundle", flaky)
-        daemon = RefreshDaemon(
-            sharded_service, day_source, fast_config(max_retries=0)
-        )
-        report = daemon.run_once()
-        assert not report.promoted
-        assert sharded_service.store.versions == [0, 0]
-        # Next cycle (no injected failure left) promotes both shards.
-        report = daemon.run_once()
-        assert report.promoted
         assert sharded_service.store.versions == [1, 1]
 
 

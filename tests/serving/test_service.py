@@ -1,4 +1,9 @@
-"""Tests for the matching service: fallback chain, cache, swap, batching."""
+"""Tests for the matching service: fallback chain, cache, swap, batching.
+
+Run against ``MatchingService(ModelStore(bundle))`` — the one-shard
+constructor of the one service class; ``test_sharding.py`` runs the same
+class over N shards.
+"""
 
 import threading
 
@@ -287,6 +292,17 @@ class TestMetricsWiring:
         assert snap["cache_hit_rate"] == pytest.approx(0.2)
         assert snap["store_version"] == 0
         assert snap["cache"]["size"] == 4
+
+    def test_model_store_snapshot_keeps_its_shape(self, service, fresh_store):
+        """A ``ModelStore``-backed service is the one-shard case, but its
+        snapshot stays the unpartitioned one: an ``int`` version, no
+        per-shard section, and ``.store`` is the caller's object."""
+        snap = service.snapshot()
+        assert service.store is fresh_store
+        assert snap["store_version"] == 0 and isinstance(snap["store_version"], int)
+        assert set(snap) == {
+            "counters", "cache_hit_rate", "tiers", "store_version", "cache"
+        }
 
     def test_error_counter(self, service, monkeypatch):
         def boom(*_args, **_kwargs):

@@ -1,4 +1,11 @@
-"""Tests for HBGP-sharded serving: bundles, dispatcher, worker pool."""
+"""Tests for HBGP-sharded serving: bundles, dispatcher, worker pool.
+
+There is one service class, so "sharded vs unsharded" cannot be the
+oracle any more.  Equivalence is anchored twice instead: every shard
+count against the tier artifacts themselves (:class:`TestTierOracles`),
+and one shard against N shards on a tie-heavy world at every ANN
+precision (:class:`TestTieHeavyEquivalence`).
+"""
 
 import threading
 
@@ -6,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core.ann import IVFIndex
+from repro.core.coldstart import cold_user_vector, infer_cold_item_vector
 from repro.core.model import EmbeddingModel
 from repro.core.similarity import SimilarityIndex
-from repro.core.vocab import TokenKind, Vocabulary
+from repro.core.vocab import TokenKind
 from repro.graph.hbgp import HBGPConfig, PartitionResult, hbgp_partition
 from repro.serving import (
+    CandidateTable,
     MatchingService,
     MatchingServiceConfig,
     MatchRequest,
@@ -19,14 +28,17 @@ from repro.serving import (
     ShardedModelStore,
     ShardWorkerPool,
     build_bundle,
+    build_candidate_table,
     build_shard_bundle,
     build_shard_bundles,
     evaluate_service_hitrate,
     merge_topk,
+    popularity_ranking,
 )
 
 N_SHARDS = 3
 K = 10
+NO_CACHE = MatchingServiceConfig(default_k=K, cache_size=0)
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +66,17 @@ def exact_shard_store(fitted_sisg, tiny_split, partition):
 
 
 def fresh_pair(exact_flat_bundle, exact_shard_store):
-    """Fresh (unsharded, sharded) services over the shared builds."""
-    config = MatchingServiceConfig(default_k=K, cache_size=0)
-    unsharded = MatchingService(ModelStore(exact_flat_bundle), config)
-    sharded = ShardedMatchingService(exact_shard_store, config)
+    """Fresh (one-shard, N-shard) services over the shared builds."""
+    unsharded = MatchingService(ModelStore(exact_flat_bundle), NO_CACHE)
+    sharded = ShardedMatchingService(exact_shard_store, NO_CACHE)
     return unsharded, sharded
+
+
+def assert_same_answers(got, want):
+    """Byte-identical ``(ids, scores)`` plus tier."""
+    assert got.tier == want.tier
+    np.testing.assert_array_equal(got.items, want.items)
+    np.testing.assert_array_equal(got.scores, want.scores)
 
 
 def request_mix(train) -> list:
@@ -193,6 +211,9 @@ class TestShardBundles:
 
 
 class TestRoutingEquivalence:
+    """One shard vs three on the shared world (the artifact oracles for
+    every shard count are :class:`TestTierOracles`)."""
+
     def test_scatter_gather_matches_unsharded(
         self, tiny_split, exact_flat_bundle, exact_shard_store
     ):
@@ -200,11 +221,9 @@ class TestRoutingEquivalence:
         train, _ = tiny_split
         unsharded, sharded = fresh_pair(exact_flat_bundle, exact_shard_store)
         for request in request_mix(train):
-            want = unsharded.recommend(request, K)
-            got = sharded.recommend(request, K)
-            assert got.tier == want.tier, request
-            np.testing.assert_array_equal(got.items, want.items)
-            np.testing.assert_allclose(got.scores, want.scores)
+            assert_same_answers(
+                sharded.recommend(request, K), unsharded.recommend(request, K)
+            )
 
     def test_batch_matches_single(
         self, tiny_split, exact_flat_bundle, exact_shard_store
@@ -214,48 +233,43 @@ class TestRoutingEquivalence:
         requests = request_mix(train)
         batched = sharded.recommend_batch(requests, K)
         for request, from_batch in zip(requests, batched):
-            single = sharded.recommend(request, K)
-            assert from_batch.tier == single.tier
-            np.testing.assert_array_equal(from_batch.items, single.items)
-            np.testing.assert_allclose(from_batch.scores, single.scores)
+            assert_same_answers(from_batch, sharded.recommend(request, K))
 
     def test_partial_coverage_ann_tier_matches(
         self, fitted_sisg, tiny_split, partition
     ):
         """Uncovered items scatter to the ANN tier and still match."""
         train, _ = tiny_split
-        config = MatchingServiceConfig(default_k=K, cache_size=0)
         flat = build_bundle(
             fitted_sisg.model, train, n_cells=1, table_coverage=0.8, seed=0
         )
-        unsharded = MatchingService(ModelStore(flat), config)
+        unsharded = MatchingService(ModelStore(flat), NO_CACHE)
         store = ShardedModelStore.build(
             fitted_sisg.model, train, partition,
             n_cells=1, table_coverage=0.8, seed=0,
         )
-        sharded = ShardedMatchingService(store, config)
+        sharded = ShardedMatchingService(store, NO_CACHE)
         uncovered = [
             int(i) for i in flat.index.item_ids if int(i) not in flat.table
         ][:8]
         assert uncovered
         for item in uncovered:
             want = unsharded.recommend(item, K)
-            got = sharded.recommend(item, K)
-            assert want.tier == got.tier == "ann"
-            np.testing.assert_array_equal(got.items, want.items)
-            np.testing.assert_allclose(got.scores, want.scores)
+            assert want.tier == "ann"
+            assert_same_answers(sharded.recommend(item, K), want)
 
     def test_knows_item(self, tiny_split, exact_flat_bundle, exact_shard_store):
         train, _ = tiny_split
-        _unsharded, sharded = fresh_pair(exact_flat_bundle, exact_shard_store)
-        assert sharded.knows_item(0)
-        assert not sharded.knows_item(train.n_items + 50)
-        assert not sharded.knows_item(10**9)
+        for service in fresh_pair(exact_flat_bundle, exact_shard_store):
+            assert service.knows_item(0)
+            assert not service.knows_item(train.n_items + 50)
+            assert not service.knows_item(10**9)
+            assert not service.knows_item(-1)
 
     def test_serving_hitrate_matches_unsharded(
         self, tiny_split, exact_flat_bundle, exact_shard_store
     ):
-        """Serving-side HR@K through the dispatcher == unsharded HR@K."""
+        """Serving-side HR@K does not depend on the shard count."""
         _train, test = tiny_split
         unsharded, sharded = fresh_pair(exact_flat_bundle, exact_shard_store)
         flat_hr = evaluate_service_hitrate(unsharded, test, ks=(5, 10))
@@ -264,51 +278,173 @@ class TestRoutingEquivalence:
         assert 0.0 <= shard_hr.hit_rates[10] <= 1.0
 
 
-class TestTieHeavyEquivalence:
-    """Scatter-gather must equal the unsharded index under massive ties.
+class TestTierOracles:
+    """Every shard count answers exactly what the tier artifacts say.
 
-    Sixty items share five embedding directions, so every query sees
-    ~12-way score ties that straddle shard boundaries.  Equivalence then
-    rests entirely on both sides ordering by ``(-score, id)``: the
-    unsharded index via its tie-break pass, the sharded path via
-    ``merge_topk``'s tie rule.  (The duplicate-heavy vectors also push
-    k-means through its empty-cluster re-seed path on every build.)
+    The oracle never touches the service: the full candidate table, the
+    exhaustive :class:`SimilarityIndex` scan, the cold-start recipes fed
+    to that scan, and the prefix of the global click ranking.
     """
 
-    N_ITEMS = 60
-    N_BASES = 5
+    COVERAGE = 0.8
 
     @pytest.fixture(scope="class")
-    def tie_world(self):
-        rng = np.random.default_rng(7)
-        base = rng.normal(size=(self.N_BASES, 8))
-        vocab = Vocabulary()
-        for i in range(self.N_ITEMS):
-            vocab.add(f"item_{i}", TokenKind.ITEM, payload=i)
-        w_in = np.vstack(
-            [base[i % self.N_BASES] for i in range(self.N_ITEMS)]
+    def oracle(self, fitted_sisg, tiny_split):
+        train, _ = tiny_split
+        index = SimilarityIndex(fitted_sisg.model)
+        return (
+            fitted_sisg.model,
+            train,
+            index,
+            build_candidate_table(index, train),
+            popularity_ranking(train),
         )
-        model = EmbeddingModel(vocab, w_in, w_in.copy())
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def service(self, request, fitted_sisg, tiny_split):
+        """Exhaustive ANN (one cell), 80% table, ``n`` shards."""
+        train, _ = tiny_split
+        kwargs = dict(n_cells=1, table_coverage=self.COVERAGE, seed=0)
+        if request.param == 1:
+            store = ModelStore(build_bundle(fitted_sisg.model, train, **kwargs))
+        else:
+            partition = hbgp_partition(
+                train, HBGPConfig(n_partitions=request.param)
+            )
+            store = ShardedModelStore.build(
+                fitted_sisg.model, train, partition, **kwargs
+            )
+        return MatchingService(store, NO_CACHE)
+
+    def covered(self, index):
+        n = max(1, int(index.n_items * self.COVERAGE))
+        return index.item_ids[:n], index.item_ids[n:]
+
+    def test_table_tier_is_the_full_tables_row(self, service, oracle):
+        _model, _train, index, table, _pop = oracle
+        in_table, _ = self.covered(index)
+        items = [int(i) for i in in_table[:: max(1, len(in_table) // 12)]]
+        for result, item in zip(service.recommend_batch(items, K), items):
+            want_ids, want_scores = table.topk(item, K)
+            assert result.tier == "table"
+            np.testing.assert_array_equal(result.items, want_ids)
+            np.testing.assert_array_equal(result.scores, want_scores)
+
+    def test_ann_tier_is_the_exhaustive_scan(self, service, oracle):
+        _model, _train, index, _table, _pop = oracle
+        _, uncovered = self.covered(index)
+        items = [int(i) for i in uncovered[:12]]
+        assert items
+        for result, item in zip(service.recommend_batch(items, K), items):
+            want_ids, want_scores = index.topk(item, K)
+            assert result.tier == "ann"
+            np.testing.assert_array_equal(result.items, want_ids)
+            np.testing.assert_allclose(result.scores, want_scores, rtol=1e-5)
+
+    def test_cold_tiers_are_the_recipe_fed_to_the_scan(self, service, oracle):
+        model, train, index, _table, _pop = oracle
+        cold_items = [
+            MatchRequest(si_values=dict(train.items[i].si_values))
+            for i in (3, 17, 40)
+        ]
+        cold_users = [
+            MatchRequest(gender="F", age_bucket="25-30"),
+            MatchRequest(gender="M", purchase_power="high"),
+        ]
+        vectors = [
+            infer_cold_item_vector(model, r.si_values) for r in cold_items
+        ] + [
+            cold_user_vector(model, r.gender, r.age_bucket, r.purchase_power)
+            for r in cold_users
+        ]
+        tiers = ["cold_item"] * len(cold_items) + ["cold_user"] * len(cold_users)
+        results = service.recommend_batch(cold_items + cold_users, K)
+        for result, vector, tier in zip(results, vectors, tiers):
+            want_ids, want_scores = index.topk_by_vector(vector, K)
+            assert result.tier == tier
+            np.testing.assert_array_equal(result.items, want_ids)
+            np.testing.assert_allclose(result.scores, want_scores, rtol=1e-5)
+
+    def test_popularity_tier_is_the_ranking_prefix(self, service, oracle):
+        _model, _train, _index, _table, (ranked, shares) = oracle
+        unknown = service.recommend(MatchRequest(item_id=10**9), K)
+        assert unknown.tier == "popularity"
+        np.testing.assert_array_equal(unknown.items, ranked[:K])
+        np.testing.assert_array_equal(unknown.scores, shares[:K])
+        empty = service.recommend(MatchRequest(), K)
+        np.testing.assert_array_equal(empty.items, ranked[:K])
+
+    def test_one_table_hit_probes_the_table_once(
+        self, service, oracle, monkeypatch
+    ):
+        """The owning shard is resolved and its table read exactly once
+        per table-hit request, singles and batches alike."""
+        _model, _train, index, _table, _pop = oracle
+        item = int(self.covered(index)[0][0])
+        calls = []
+        real = CandidateTable.topk
+
+        def counting(table, item_id, k):
+            calls.append(item_id)
+            return real(table, item_id, k)
+
+        monkeypatch.setattr(CandidateTable, "topk", counting)
+        assert service.recommend(item, K).tier == "table"
+        assert calls == [item]
+        service.recommend_batch([item, item], K)
+        assert calls == [item] * 3
+
+
+N_BASES = 5
+
+
+@pytest.fixture(scope="module")
+def tie_world(fitted_sisg, tiny_split):
+    """``(model, train)`` where every item sits on one of five directions.
+
+    The shared SISG model (SI and user-type tokens intact, so all five
+    tiers stay reachable) with each item vector overwritten by
+    ``base[item % 5]``: every query sees ~n/5-way score ties that
+    straddle shard boundaries, and equivalence rests entirely on every
+    layer ordering by ``(-score, id)``.  (The duplicate-heavy vectors
+    also push k-means through its empty-cluster re-seed path.)
+    """
+    train, _ = tiny_split
+    model = fitted_sisg.model
+    base = np.random.default_rng(7).normal(size=(N_BASES, model.dim))
+    w_in, w_out = model.w_in.copy(), model.w_out.copy()
+    for vid in model.vocab.ids_of_kind(TokenKind.ITEM):
+        w_in[vid] = w_out[vid] = base[model.vocab.item_id_of(int(vid)) % N_BASES]
+    return EmbeddingModel(model.vocab, w_in, w_out), train
+
+
+class TestTieHeavyEquivalence:
+    """Scatter-gather over N shards must equal one shard under massive ties."""
+
+    @pytest.fixture(scope="class")
+    def tie_indexes(self, tie_world):
+        model, _train = tie_world
         full = SimilarityIndex(model, mode="cosine")
         full_ivf = IVFIndex(full, n_cells=4, n_probe=4, seed=0)
-        shard_anns = []
-        for shard in range(N_SHARDS):
-            owned = np.flatnonzero(
-                np.arange(self.N_ITEMS) % N_SHARDS == shard
-            ).astype(np.int64)
-            shard_anns.append(
-                IVFIndex(full.restrict(owned), n_cells=4, n_probe=4, seed=0)
+        shard_anns = [
+            IVFIndex(
+                full.restrict(full.item_ids[full.item_ids % N_SHARDS == shard]),
+                n_cells=4,
+                n_probe=4,
+                seed=0,
             )
+            for shard in range(N_SHARDS)
+        ]
         return full, full_ivf, shard_anns
 
-    def test_fixture_is_tie_heavy(self, tie_world):
-        _full, full_ivf, _anns = tie_world
-        _ids, scores = full_ivf.topk(0, K)
+    def test_fixture_is_tie_heavy(self, tie_indexes):
+        full, full_ivf, _anns = tie_indexes
+        _ids, scores = full_ivf.topk(int(full.item_ids[0]), K)
         assert len(np.unique(scores)) < len(scores)
 
-    def test_scatter_matches_unsharded(self, tie_world):
-        full, full_ivf, shard_anns = tie_world
-        for item in range(0, self.N_ITEMS, 7):
+    def test_scatter_matches_unsharded(self, tie_indexes):
+        full, full_ivf, shard_anns = tie_indexes
+        for item in full.item_ids[::7].tolist():
             want_ids, want_scores = full_ivf.topk(item, K)
             vector = full.query_vector(item)[None, :]
             exclude = np.asarray([item], dtype=np.int64)
@@ -322,9 +458,9 @@ class TestTieHeavyEquivalence:
             np.testing.assert_array_equal(got_ids, want_ids)
             np.testing.assert_array_equal(got_scores, want_scores)
 
-    def test_batch_matches_single_on_ties(self, tie_world):
-        _full, full_ivf, _anns = tie_world
-        queries = np.arange(0, self.N_ITEMS, 5, dtype=np.int64)
+    def test_batch_matches_single_on_ties(self, tie_indexes):
+        full, full_ivf, _anns = tie_indexes
+        queries = full.item_ids[::5]
         batch_ids, batch_scores = full_ivf.topk_batch(queries, K)
         for row, item in enumerate(queries):
             single_ids, single_scores = full_ivf.topk(int(item), K)
@@ -333,6 +469,56 @@ class TestTieHeavyEquivalence:
             np.testing.assert_array_equal(
                 batch_scores[row][valid], single_scores
             )
+
+    @pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+    def test_one_shard_equals_n_shards_on_every_tier(self, tie_world, precision):
+        """All five tiers, singles and 32-batches, byte for byte."""
+        model, train = tie_world
+        kwargs = dict(
+            n_cells=4, n_probe=4, table_coverage=0.5, seed=0,
+            ann_precision=precision,
+        )
+        flat = build_bundle(model, train, **kwargs)
+        index = SimilarityIndex(model)
+        assignment = np.arange(train.n_items) % N_SHARDS
+        store = ShardedModelStore(
+            [
+                build_shard_bundle(
+                    model, train, np.flatnonzero(assignment == shard),
+                    index=index, **kwargs,
+                )
+                for shard in range(N_SHARDS)
+            ],
+            assignment,
+        )
+        one = MatchingService(ModelStore(flat), NO_CACHE)
+        many = ShardedMatchingService(store, NO_CACHE)
+
+        uncovered = [int(i) for i in flat.index.item_ids if int(i) not in flat.table]
+        requests = (
+            [int(i) for i in flat.table.item_ids[:8]]
+            + uncovered[:10]
+            + [MatchRequest(si_values=dict(train.items[i].si_values)) for i in range(6)]
+            + [
+                MatchRequest(gender="F", age_bucket="25-30"),
+                MatchRequest(gender="M", purchase_power="high"),
+                MatchRequest(age_bucket="18-24"),
+            ]
+            + [MatchRequest(item_id=10**9), MatchRequest(), MatchRequest(item_id=-4)]
+        )
+        want = [one.recommend(request, K) for request in requests]
+        assert {result.tier for result in want} == {
+            "table", "ann", "cold_item", "cold_user", "popularity"
+        }
+        for request, expected in zip(requests, want):
+            assert_same_answers(many.recommend(request, K), expected)
+        for service in (one, many):
+            for start in range(0, len(requests), 32):
+                chunk = requests[start : start + 32]
+                for got, expected in zip(
+                    service.recommend_batch(chunk, K), want[start : start + 32]
+                ):
+                    assert_same_answers(got, expected)
 
 
 class TestShardSwaps:

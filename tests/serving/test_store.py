@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.model import EmbeddingModel
-from repro.serving import ModelStore, build_bundle, popularity_ranking
+from repro.core.similarity import SimilarityIndex
+from repro.serving import (
+    ModelStore,
+    build_bundle,
+    build_candidate_table,
+    build_shard_bundle,
+    popularity_ranking,
+)
 from repro.serving.store import ModelBundle
 
 
@@ -78,6 +85,55 @@ class TestBuildBundle:
             want_ids, want_scores = full.table.topk(int(item), 10)
             np.testing.assert_array_equal(got_ids, want_ids)
             np.testing.assert_allclose(got_scores, want_scores)
+
+    def test_partial_coverage_builds_only_the_covered_rows(
+        self, fitted_sisg, tiny_split, monkeypatch
+    ):
+        """Regression: ``table_coverage < 1`` used to run the per-row
+        filter loop for *every* item and ``.subset()`` the rest away.
+
+        The covered rows come from one helper shared with the shard
+        builder, so at coverage 0.5 the monolithic table and the union
+        of three shard tables both equal ``full_table.subset(covered)``
+        byte for byte — and the build never scans an uncovered item.
+        """
+        import repro.serving.store as store_mod
+
+        train, _ = tiny_split
+        model = fitted_sisg.model
+        index = SimilarityIndex(model)
+        covered = index.item_ids[: int(index.n_items * 0.5)]
+        want = build_candidate_table(index, train).subset(covered)
+
+        scanned = []
+        real_topk = SimilarityIndex.topk
+
+        def recording_topk(self, item_id, k, exclude_query=True):
+            scanned.append(int(item_id))
+            return real_topk(self, item_id, k, exclude_query)
+
+        monkeypatch.setattr(store_mod.SimilarityIndex, "topk", recording_topk)
+        table = build_bundle(
+            model, train, n_cells=4, table_coverage=0.5, seed=0
+        ).table
+        assert scanned == covered.tolist()
+
+        def same(got, rows):
+            np.testing.assert_array_equal(got.item_ids, want.item_ids[rows])
+            assert got._candidates.tobytes() == want._candidates[rows].tobytes()
+            assert got._scores.tobytes() == want._scores[rows].tobytes()
+
+        same(table, np.arange(len(want)))
+        assignment = np.arange(train.n_items) % 3
+        seen = []
+        for shard in range(3):
+            shard_table = build_shard_bundle(
+                model, train, np.flatnonzero(assignment == shard),
+                index=index, n_cells=4, table_coverage=0.5, seed=0,
+            ).table
+            same(shard_table, want._rows_of(shard_table.item_ids))
+            seen.extend(shard_table.item_ids.tolist())
+        assert sorted(seen) == sorted(covered.tolist())
 
     def test_invalid_coverage(self, fitted_sisg, tiny_split):
         train, _ = tiny_split
