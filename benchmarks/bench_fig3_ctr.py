@@ -63,11 +63,8 @@ class SISGServing:
         self.model = model
         self.catalogue = catalogue
         vocab = model.model.vocab
-        self._trained = {
-            vocab.item_id_of(int(v))
-            for v in vocab.ids_of_kind(TokenKind.ITEM)
-            if vocab.count_of(int(v)) > 0
-        }
+        item_vids = vocab.ids_of_kind(TokenKind.ITEM)
+        self._trained = set(vocab.item_ids()[vocab.counts[item_vids] > 0].tolist())
 
     def __contains__(self, item_id: int) -> bool:
         return True  # answers every trigger

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.enrichment import si_token
 from repro.core.model import EmbeddingModel
-from repro.core.vocab import TokenKind
 from repro.data.schema import AGE_BUCKETS, GENDERS, PURCHASE_POWERS
 from repro.utils import require
 
@@ -75,32 +74,26 @@ def _matching_user_type_ids(
     gender: str | None,
     age_bucket: str | None,
     purchase_power: str | None,
-) -> list[int]:
-    """Vocabulary ids of user-type tokens matching the given demographics."""
-    if gender is not None:
-        require(gender in GENDERS, f"unknown gender {gender!r}; expected {GENDERS}")
-    if age_bucket is not None:
-        require(
-            age_bucket in AGE_BUCKETS,
-            f"unknown age bucket {age_bucket!r}; expected {AGE_BUCKETS}",
+) -> np.ndarray:
+    """Vocabulary ids of user-type tokens matching the given demographics.
+
+    One mask over the vocabulary's user-type key table: nothing here
+    iterates the vocabulary, so a request costs the same however large
+    it grows.
+    """
+    ids, keys = model.vocab.user_type_keys()
+    mask = np.ones(len(ids), dtype=bool)
+    for column, (value, known, label) in enumerate(
+        (
+            (gender, GENDERS, "gender"),
+            (age_bucket, AGE_BUCKETS, "age bucket"),
+            (purchase_power, PURCHASE_POWERS, "purchase power"),
         )
-    if purchase_power is not None:
-        require(
-            purchase_power in PURCHASE_POWERS,
-            f"unknown purchase power {purchase_power!r}; expected"
-            f" {PURCHASE_POWERS}",
-        )
-    matches: list[int] = []
-    for vid in model.vocab.ids_of_kind(TokenKind.USER_TYPE):
-        gender_idx, age_idx, power_idx, _tags = model.vocab.payload_of(int(vid))
-        if gender is not None and GENDERS[gender_idx] != gender:
-            continue
-        if age_bucket is not None and AGE_BUCKETS[age_idx] != age_bucket:
-            continue
-        if purchase_power is not None and PURCHASE_POWERS[power_idx] != purchase_power:
-            continue
-        matches.append(int(vid))
-    return matches
+    ):
+        if value is not None:
+            require(value in known, f"unknown {label} {value!r}; expected {known}")
+            mask &= keys[:, column] == known.index(value)
+    return ids[mask]
 
 
 def cold_user_vector(
@@ -120,7 +113,7 @@ def cold_user_vector(
         "no trained user type matches the requested demographics"
         f" (gender={gender!r}, age={age_bucket!r}, power={purchase_power!r})",
     )
-    return model.w_in[np.asarray(matches, dtype=np.int64)].mean(axis=0)
+    return model.w_in[matches].mean(axis=0)
 
 
 def recommend_for_cold_user(

@@ -23,16 +23,11 @@ import numpy as np
 from repro.core.enrichment import build_enriched_corpus
 from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig, SGNSTrainer
-from repro.core.vocab import TokenKind, Vocabulary
+from repro.core.vocab import TokenKind
 from repro.data.schema import ITEM_SI_FEATURES, BehaviorDataset
 from repro.utils import ensure_rng, get_logger, require_in_range
 
 logger = get_logger("core.incremental")
-
-
-def _clone_vocab(vocab: Vocabulary) -> Vocabulary:
-    """Deep-copy a vocabulary so the previous model stays immutable."""
-    return Vocabulary.from_dict(vocab.to_dict())
 
 
 def incremental_update(
@@ -74,7 +69,7 @@ def incremental_update(
     require_in_range(lr_decay, "lr_decay", 0.0, 1.0, inclusive=False)
     rng = ensure_rng(seed)
 
-    vocab = _clone_vocab(previous.vocab)
+    vocab = previous.vocab.copy()  # the previous model stays immutable
     old_size = len(vocab)
     corpus = build_enriched_corpus(
         new_dataset, with_si=with_si, with_user_types=with_user_types,

@@ -70,9 +70,7 @@ class SimilarityIndex(ZeroCopyPickle):
         item_vids = model.vocab.ids_of_kind(TokenKind.ITEM)
         require(len(item_vids) > 0, "model contains no item tokens")
         self._item_vids = item_vids
-        self._item_ids = np.asarray(
-            [model.vocab.item_id_of(int(v)) for v in item_vids], dtype=np.int64
-        )
+        self._item_ids = model.vocab.item_ids()
         self._vid_row = {int(v): row for row, v in enumerate(item_vids)}
         self._item_row = {int(i): row for row, i in enumerate(self._item_ids)}
 

@@ -340,11 +340,9 @@ class SISG:
 
         result = hbgp_partition(dataset, HBGPConfig(n_partitions=n_workers))
         token_partition = np.full(len(vocab), -1, dtype=np.int64)
-        item_tokens = vocab.ids_of_kind(TokenKind.ITEM)
-        item_ids = np.asarray(
-            [vocab.item_id_of(int(t)) for t in item_tokens], dtype=np.int64
-        )
-        token_partition[item_tokens] = result.item_partition[item_ids]
+        token_partition[vocab.ids_of_kind(TokenKind.ITEM)] = result.item_partition[
+            vocab.item_ids()
+        ]
         return token_partition
 
     def _require_fitted(self) -> None:

@@ -43,6 +43,10 @@ class Vocabulary:
         self._kinds: list[TokenKind] = []
         self._payloads: list[Any] = []
         self._counts: list[int] = []
+        # Append-only like the vocabulary itself, so always ascending and
+        # never stale; `add` publishes an id here last.
+        self._ids_by_kind: dict[TokenKind, list[int]] = {k: [] for k in TokenKind}
+        self._user_type_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -74,6 +78,7 @@ class Vocabulary:
         self._kinds.append(kind)
         self._payloads.append(payload)
         self._counts.append(count)
+        self._ids_by_kind[kind].append(token_id)
         return token_id
 
     def id_of(self, token: str) -> int:
@@ -111,9 +116,33 @@ class Vocabulary:
 
     def ids_of_kind(self, kind: TokenKind) -> np.ndarray:
         """All token ids of the given kind, ascending."""
+        return np.asarray(self._ids_by_kind[kind], dtype=np.int64)
+
+    def item_ids(self) -> np.ndarray:
+        """The ``item_id`` of each ITEM token, aligned with ``ids_of_kind(ITEM)``."""
+        payloads = self._payloads
         return np.asarray(
-            [i for i, k in enumerate(self._kinds) if k is kind], dtype=np.int64
+            [payloads[i] for i in self._ids_by_kind[TokenKind.ITEM]], dtype=np.int64
         )
+
+    def user_type_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, keys)`` of the USER_TYPE tokens, ascending by id.
+
+        ``keys`` is the ``(n, 3)`` integer array of ``(gender_idx, age_idx,
+        power_idx)``.  Derived once per number of user types (they are only
+        ever appended) and published as one finished tuple, so concurrent
+        first callers at worst both build it.  Both arrays are read-only.
+        """
+        ids = self._ids_by_kind[TokenKind.USER_TYPE]
+        table = self._user_type_keys
+        if table is None or len(table[0]) != len(ids):
+            id_array = np.asarray(ids, dtype=np.int64)
+            keys = np.asarray(
+                [self._payloads[i][:3] for i in id_array.tolist()], dtype=np.int64
+            ).reshape(-1, 3)
+            id_array.flags.writeable = keys.flags.writeable = False
+            table = self._user_type_keys = (id_array, keys)
+        return table
 
     def item_id_of(self, token_id: int) -> int:
         """Recover the original ``item_id`` behind an ITEM token."""
@@ -136,6 +165,17 @@ class Vocabulary:
     def tokens(self) -> Iterable[str]:
         """Iterate over all token strings in id order."""
         return iter(self._tokens)
+
+    def copy(self) -> "Vocabulary":
+        """An independent vocabulary with the same tokens, ids and index."""
+        clone = Vocabulary()
+        clone._token_to_id = dict(self._token_to_id)
+        clone._tokens = list(self._tokens)
+        clone._kinds = list(self._kinds)
+        clone._payloads = list(self._payloads)  # payloads are immutable
+        clone._counts = list(self._counts)
+        clone._ids_by_kind = {k: list(v) for k, v in self._ids_by_kind.items()}
+        return clone
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (used by :meth:`EmbeddingModel.save`)."""

@@ -102,10 +102,10 @@ def build_token_partition(
     owner = rng.integers(0, n_workers, size=n_tokens).astype(np.int64)
     if item_partition is not None:
         item_partition = np.asarray(item_partition, dtype=np.int64)
-        for vid in vocab.ids_of_kind(TokenKind.ITEM):
-            item_id = vocab.item_id_of(int(vid))
-            if 0 <= item_id < len(item_partition) and item_partition[item_id] >= 0:
-                owner[vid] = item_partition[item_id] % n_workers
+        item_vids, item_ids = vocab.ids_of_kind(TokenKind.ITEM), vocab.item_ids()
+        known = (item_ids >= 0) & (item_ids < len(item_partition))
+        item_vids, parts = item_vids[known], item_partition[item_ids[known]]
+        owner[item_vids[parts >= 0]] = parts[parts >= 0] % n_workers
 
     shared = np.zeros(n_tokens, dtype=bool)
     if total > 0:

@@ -121,8 +121,8 @@ def request_from_payload(payload: dict) -> MatchRequest:
 def result_to_payload(result: MatchResult) -> dict:
     """A :class:`MatchResult` as its JSON response body."""
     return {
-        "items": [int(item) for item in result.items],
-        "scores": [float(score) for score in result.scores],
+        "items": result.items.tolist(),
+        "scores": result.scores.tolist(),
         "tier": result.tier,
         "version": to_jsonable(result.version),
         "cached": bool(result.cached),

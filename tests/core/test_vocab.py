@@ -1,5 +1,7 @@
 """Unit tests for the token vocabulary."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -101,11 +103,95 @@ class TestCounts:
         np.testing.assert_array_equal(vocab.top_k_by_count(2), [0, 1])
 
 
+def brute_force_ids(vocab: Vocabulary, kind: TokenKind) -> list[int]:
+    """The enumeration `ids_of_kind` used to be: every token, one compare."""
+    return [i for i in range(len(vocab)) if vocab.kind_of(i) is kind]
+
+
+def assert_index_matches_enumeration(vocab: Vocabulary) -> None:
+    for kind in TokenKind:
+        ids = vocab.ids_of_kind(kind)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == brute_force_ids(vocab, kind)
+    items = vocab.ids_of_kind(TokenKind.ITEM)
+    assert vocab.item_ids().tolist() == [vocab.item_id_of(int(v)) for v in items]
+
+
 class TestKinds:
     def test_ids_of_kind(self):
         vocab = make_vocab()
         np.testing.assert_array_equal(vocab.ids_of_kind(TokenKind.ITEM), [0, 1])
         np.testing.assert_array_equal(vocab.ids_of_kind(TokenKind.USER_TYPE), [3])
+
+    def test_index_follows_add_and_ignores_readds(self):
+        vocab = make_vocab()
+        assert_index_matches_enumeration(vocab)
+        vocab.add("item_0", TokenKind.ITEM, 0, count=4)  # re-add: no new id
+        vocab.add("item_9", TokenKind.ITEM, 9)
+        vocab.add("UT_M_25-30_mid", TokenKind.USER_TYPE, (1, 1, 1, (2,)))
+        assert_index_matches_enumeration(vocab)
+        assert vocab.ids_of_kind(TokenKind.ITEM).tolist() == [0, 1, 4]
+
+    def test_returned_ids_are_the_callers_to_mutate(self):
+        vocab = make_vocab()
+        vocab.ids_of_kind(TokenKind.ITEM)[:] = -1
+        assert vocab.ids_of_kind(TokenKind.ITEM).tolist() == [0, 1]
+
+    def test_empty_vocabulary(self):
+        vocab = Vocabulary()
+        assert_index_matches_enumeration(vocab)
+        ids, keys = vocab.user_type_keys()
+        assert ids.shape == (0,) and keys.shape == (0, 3)
+
+    def test_index_survives_dict_and_pickle_round_trips(self):
+        vocab = make_vocab()
+        vocab.user_type_keys()  # a built table must not break either trip
+        for clone in (
+            Vocabulary.from_dict(vocab.to_dict()),
+            pickle.loads(pickle.dumps(vocab)),
+            vocab.copy(),
+        ):
+            assert_index_matches_enumeration(clone)
+            clone.add("city_3", TokenKind.SI, ("city", 3))
+            assert_index_matches_enumeration(clone)
+
+    def test_user_type_keys_follow_growth(self):
+        vocab = make_vocab()
+        ids, keys = vocab.user_type_keys()
+        assert ids.tolist() == [3] and keys.tolist() == [[0, 0, 0]]
+        assert vocab.user_type_keys() is vocab.user_type_keys()  # derived once
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0, 0] = 1
+        vocab.add("brand_8", TokenKind.SI, ("brand", 8))
+        assert vocab.user_type_keys()[0] is ids  # no new user type: not rebuilt
+        vocab.add("UT_M_31-35_high", TokenKind.USER_TYPE, (1, 2, 2, (5, 6)))
+        ids, keys = vocab.user_type_keys()
+        assert ids.tolist() == [3, 5]
+        assert keys.tolist() == [[0, 0, 0], [1, 2, 2]]
+
+
+class TestCopy:
+    def test_copy_equals_original(self):
+        vocab = make_vocab()
+        clone = vocab.copy()
+        assert clone.to_dict() == vocab.to_dict()
+        assert clone.to_dict()["tokens"] is not vocab.to_dict()["tokens"]
+
+    def test_growing_the_copy_leaves_the_original_alone(self):
+        vocab = make_vocab()
+        before = {key: list(value) for key, value in vocab.to_dict().items()}
+        clone = vocab.copy()
+        assert clone.add("item_2", TokenKind.ITEM, 2, count=1) == len(vocab)
+        clone.add("UT_M_18-24_low", TokenKind.USER_TYPE, (1, 0, 0, ()))
+        clone.add_count(0, 7)
+        assert len(vocab) == 4 and len(clone) == 6
+        assert vocab.to_dict() == before
+        assert "item_2" not in vocab and "item_2" in clone
+        assert vocab.ids_of_kind(TokenKind.ITEM).tolist() == [0, 1]
+        assert vocab.user_type_keys()[0].tolist() == [3]
+        assert clone.user_type_keys()[0].tolist() == [3, 5]
+        assert_index_matches_enumeration(vocab)
+        assert_index_matches_enumeration(clone)
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -31,6 +32,8 @@ from repro.serving import (
     request_to_payload,
     synth_requests,
 )
+from repro.serving.gateway import result_to_payload
+from repro.serving.service import MatchResult
 
 K = 5
 
@@ -112,6 +115,34 @@ def _assert_identical(payload: dict, expected) -> None:
     assert payload["items"] == [int(item) for item in expected.items]
     assert payload["scores"] == [float(score) for score in expected.scores]
     assert payload["tier"] == expected.tier
+
+
+class TestResultPayload:
+    """`ndarray.tolist()` must encode to the bytes the per-element form did."""
+
+    @pytest.mark.parametrize(
+        "items, scores, version",
+        [
+            (np.array([7, 0, 2**40]), np.array([0.1, 1 / 3, 1e-30], np.float32), 3),
+            (np.array([7, 0, 2**40]), np.array([0.1, 1 / 3, np.pi], np.float64), 3),
+            (np.array([5, 6], np.int32), np.array([0.5, np.nan], np.float32), (2, 1)),
+            (np.empty(0, np.int64), np.empty(0, np.float32), [4, 4]),
+        ],
+    )
+    def test_json_bytes_equal_elementwise_form(self, items, scores, version):
+        result = MatchResult(items, scores, "ann", version, False, 0.25)
+        payload = result_to_payload(result)
+        assert all(type(i) is int for i in payload["items"])
+        assert all(type(x) is float for x in payload["scores"])
+        elementwise = {
+            "items": [int(item) for item in items],
+            "scores": [float(score) for score in scores],
+            "tier": "ann",
+            "version": list(version) if isinstance(version, (tuple, list)) else version,
+            "cached": False,
+            "latency_s": 0.25,
+        }
+        assert json.dumps(payload) == json.dumps(elementwise)
 
 
 class TestEndpoints:

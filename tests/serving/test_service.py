@@ -5,6 +5,7 @@ constructor of the one service class; ``test_sharding.py`` runs the same
 class over N shards.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -18,6 +19,9 @@ from repro.serving import (
     ModelStore,
     build_bundle,
 )
+
+from repro.core.model import EmbeddingModel
+from repro.core.vocab import TokenKind, Vocabulary
 
 from .test_cache import FakeClock
 
@@ -106,6 +110,21 @@ class TestFallbackChain:
         service = MatchingService(store)
         result = service.recommend(MatchRequest(gender="F"))
         assert result.tier == "popularity"
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            MatchRequest(gender="X"),
+            MatchRequest(gender="F", age_bucket="90-99"),
+            MatchRequest(age_bucket="18-24", purchase_power="ultra"),
+        ],
+    )
+    def test_unknown_demographic_string_falls_to_popularity(self, uncached, request_):
+        result = uncached.recommend(request_)
+        assert result.tier == "popularity"
+        assert len(result.items) == 10
+        batch = uncached.recommend_batch([request_, MatchRequest(gender="F")])
+        assert [r.tier for r in batch] == ["popularity", "cold_user"]
 
     def test_int_shorthand(self, service, serving_bundle):
         request_result = service.recommend(
@@ -333,3 +352,57 @@ class TestMatchRequest:
             MatchRequest(gender="F").cache_key()
             != MatchRequest(age_bucket="25-30").cache_key()
         )
+
+
+class TestColdUserCostIsIndependentOfVocabularySize:
+    """Nothing on the request path iterates the vocabulary (count-based:
+    no wall clock).  After the first cold-user request has derived the
+    user-type key table, further ones make no per-token vocabulary call,
+    whether the vocabulary has 3k tokens or 13k."""
+
+    COHORTS = [
+        MatchRequest(gender="F"),
+        MatchRequest(gender="M", age_bucket="25-30"),
+        MatchRequest(purchase_power="mid"),
+        MatchRequest(gender="F", age_bucket="18-24", purchase_power="low"),
+    ]
+
+    @staticmethod
+    def count_vocabulary_walks(monkeypatch):
+        calls = {"payload_of": 0, "kind_of": 0, "ids_of_kind": 0}
+        for name in calls:
+            original = getattr(Vocabulary, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Vocabulary, name, counted)
+        return calls
+
+    def serve_100(self, bundle, calls):
+        service = MatchingService(
+            ModelStore(bundle), MatchingServiceConfig(default_k=10, cache_size=0)
+        )
+        assert service.recommend(self.COHORTS[0]).tier == "cold_user"  # warm-up
+        for name in calls:
+            calls[name] = 0
+        results = [service.recommend(self.COHORTS[i % 4]) for i in range(100)]
+        assert {r.tier for r in results} == {"cold_user"}
+        assert calls == {"payload_of": 0, "kind_of": 0, "ids_of_kind": 0}
+        return [(r.items.tobytes(), r.scores.tobytes()) for r in results]
+
+    def test_no_vocabulary_walk_after_warm_up(self, serving_bundle, monkeypatch):
+        calls = self.count_vocabulary_walks(monkeypatch)
+        small = self.serve_100(serving_bundle, calls)
+
+        model = serving_bundle.model
+        vocab = model.vocab.copy()
+        for value in range(10_000):
+            vocab.add(f"padding_{value}", TokenKind.SI, ("padding", value))
+        pad = np.zeros((10_000, model.dim))
+        padded = EmbeddingModel(
+            vocab, np.vstack([model.w_in, pad]), np.vstack([model.w_out, pad])
+        )
+        big = self.serve_100(dataclasses.replace(serving_bundle, model=padded), calls)
+        assert big == small
