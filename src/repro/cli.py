@@ -29,11 +29,10 @@ Commands mirror the production workflow:
   traffic mid-stream, and report whether the new items became
   servable, staleness, and apply latency as JSON.
 
-``serve-demo``, ``loadgen``, ``refresh-daemon`` and ``serve`` accept
-``--shards N``
-to serve from HBGP-sharded per-partition stores behind the
-scatter-gather dispatcher (``--shard-executor process`` runs one worker
-process per shard).
+``serve-demo``, ``loadgen``, ``refresh-daemon``, ``serve`` and ``stream``
+stand the serving stack up from one set of flags; ``--shards N`` serves
+from HBGP-sharded per-partition stores behind the scatter-gather
+dispatcher (``--shard-executor process``: one worker process per shard).
 
 Datasets are stored as ``.npz`` bundles via :mod:`repro.data.io_utils`.
 """
@@ -43,6 +42,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import namedtuple
 
 from repro.utils.logger import configure_basic_logging
 
@@ -142,13 +142,13 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--beta", type=float, default=1.2)
 
 
-def _add_serve_demo(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "serve-demo", help="walk the matching service's fallback chain"
-    )
+def _stack_parent() -> argparse.ArgumentParser:
+    """The flags of every command that stands the serving stack up
+    (``serve-demo``, ``loadgen``, ``refresh-daemon``, ``serve``,
+    ``stream``), declared once; :func:`_build_service` reads them."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("dataset", help="dataset .npz bundle")
     p.add_argument("model", help="model path prefix (from `sisg train`)")
-    p.add_argument("-k", type=int, default=10)
     p.add_argument(
         "--table-coverage",
         type=float,
@@ -157,32 +157,80 @@ def _add_serve_demo(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument("--cells", type=int, default=None, help="IVF cells")
     p.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        help="serve from this many HBGP shards behind the scatter-gather"
+        " dispatcher (0/1 = one unpartitioned store)",
+    )
+    p.add_argument(
+        "--shard-executor",
+        default="serial",
+        choices=["serial", "process"],
+        help="gather execution: in-process, or one worker process per shard",
+    )
+    p.add_argument(
+        "--ann-precision",
+        default="float32",
+        choices=["float32", "int8", "pq"],
+        help="retrieval-tier storage: full float32, int8 scalar"
+        " quantization, or product quantization (both quantized modes"
+        " re-rank the top rerank*k candidates exactly)",
+    )
+    p.add_argument(
+        "--ann-rerank",
+        type=int,
+        default=4,
+        help="exact re-rank depth multiplier for quantized precisions",
+    )
+    p.add_argument(
+        "--zero-copy",
+        action="store_true",
+        help="back bundle arrays with shared-memory segments so worker"
+        " processes and hot-swap generations share one physical copy",
+    )
+    return p
+
+
+def _background_parent() -> argparse.ArgumentParser:
+    """The flags that attach the refresh daemon and the stream applier to
+    a running stack (``serve-demo`` after its walk, ``serve`` through the
+    gateway's swap gate)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
         "--refresh-every",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run the hot swap through the background refresh daemon"
-        " at this interval instead of a manual rebuild",
+        help="run the nightly refresh daemon on a background thread at"
+        " this interval (serve-demo: in place of the manual hot swap)",
     )
     p.add_argument(
         "--stream-every",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="after the walk, run the streaming applier at this interval"
-        " over a synthetic click stream and show a brand-new listing"
-        " becoming servable",
+        help="poll a synthetic click stream (brand-new listings included)"
+        " and apply micro-batch windows at this interval",
     )
-    _add_shard_args(p)
+    return p
+
+
+def _add_serve_demo(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser(
+        "serve-demo",
+        parents=[_stack_parent(), _background_parent()],
+        help="walk the matching service's fallback chain",
+    )
+    p.add_argument("-k", type=int, default=10)
 
 
 def _add_refresh_daemon(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "refresh-daemon",
+        parents=[_stack_parent()],
         help="run nightly refresh cycles against a live service",
     )
-    p.add_argument("dataset", help="dataset .npz bundle")
-    p.add_argument("model", help="model path prefix (from `sisg train`)")
     p.add_argument(
         "--cycles", type=int, default=2, help="refresh cycles to run"
     )
@@ -215,70 +263,18 @@ def _add_refresh_daemon(sub: argparse._SubParsersAction) -> None:
         metavar="N",
         help="inject N build failures to exercise retry/backoff",
     )
-    p.add_argument("--table-coverage", type=float, default=0.8)
-    p.add_argument("--cells", type=int, default=None, help="IVF cells")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--output", default=None, help="also write the JSON status here"
     )
-    _add_shard_args(p)
-
-
-def _add_shard_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="serve from this many HBGP shards behind the scatter-gather"
-        " dispatcher (0/1 = one unpartitioned store)",
-    )
-    p.add_argument(
-        "--shard-executor",
-        default="serial",
-        choices=["serial", "process"],
-        help="gather execution: in-process, or one worker process per shard",
-    )
-    _add_bundle_args(p)
-
-
-def _add_bundle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--ann-precision",
-        default="float32",
-        choices=["float32", "int8", "pq"],
-        help="retrieval-tier storage: full float32, int8 scalar"
-        " quantization, or product quantization (both quantized modes"
-        " re-rank the top rerank*k candidates exactly)",
-    )
-    p.add_argument(
-        "--ann-rerank",
-        type=int,
-        default=4,
-        help="exact re-rank depth multiplier for quantized precisions",
-    )
-    p.add_argument(
-        "--zero-copy",
-        action="store_true",
-        help="back bundle arrays with shared-memory segments so worker"
-        " processes and hot-swap generations share one physical copy",
-    )
-
-
-def _bundle_kwargs(args: argparse.Namespace) -> dict:
-    """The memory-tier build kwargs every serving command shares."""
-    return {
-        "ann_precision": getattr(args, "ann_precision", "float32"),
-        "ann_rerank": getattr(args, "ann_rerank", 4),
-        "share_memory": bool(getattr(args, "zero_copy", False)),
-    }
 
 
 def _add_serve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
-        "serve", help="run the network gateway over a live matching service"
+        "serve",
+        parents=[_stack_parent(), _background_parent()],
+        help="run the network gateway over a live matching service",
     )
-    p.add_argument("dataset", help="dataset .npz bundle")
-    p.add_argument("model", help="model path prefix (from `sisg train`)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8460)
     p.add_argument(
@@ -302,38 +298,35 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         default=0.0,
         help="stop after this many seconds (0 = serve until interrupted)",
     )
-    p.add_argument(
-        "--refresh-every",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run the nightly refresh daemon at this interval, with"
-        " promotions coordinated through the gateway's swap gate",
-    )
-    p.add_argument(
-        "--stream-every",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="poll a synthetic click stream and apply micro-batch windows"
-        " at this interval, promotions through the gateway's swap gate",
-    )
-    p.add_argument("--table-coverage", type=float, default=0.8)
-    p.add_argument("--cells", type=int, default=None, help="IVF cells")
     p.add_argument("--seed", type=int, default=0)
-    _add_shard_args(p)
+
+
+def _traffic_parent() -> argparse.ArgumentParser:
+    """The synthetic-traffic flags ``netload`` and ``loadgen`` share."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--requests", type=int, default=2000)
+    p.add_argument("-k", type=int, default=10)
+    p.add_argument(
+        "--mix",
+        default="0.7,0.1,0.1,0.1",
+        help="warm,cold_item,cold_user,unknown[,cold_wave] weights"
+        " (renormalized; the 5th adds a cold-start wave burst)",
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=None, help="also write the JSON report here")
+    return p
 
 
 def _add_netload(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "netload",
+        parents=[_traffic_parent()],
         help="open-loop network load against a running gateway"
         " (exits 1 when any request errored)",
     )
     p.add_argument("dataset", help="dataset .npz bundle (shapes the traffic)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8460)
-    p.add_argument("--requests", type=int, default=2000)
     p.add_argument(
         "--rate",
         type=float,
@@ -344,54 +337,31 @@ def _add_netload(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--connections", type=int, default=8, help="connections per process"
     )
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument(
-        "--mix",
-        default="0.7,0.1,0.1,0.1",
-        help="warm,cold_item,cold_user,unknown[,cold_wave] weights"
-        " (renormalized; the 5th adds a cold-start wave burst)",
-    )
     p.add_argument("--zipf-a", type=float, default=1.2)
     p.add_argument("--timeout", type=float, default=15.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="also write the JSON report here")
 
 
 def _add_loadgen(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
-        "loadgen", help="synthetic load against the matching service"
+        "loadgen",
+        parents=[_stack_parent(), _traffic_parent()],
+        help="synthetic load against the matching service",
     )
-    p.add_argument("dataset", help="dataset .npz bundle")
-    p.add_argument("model", help="model path prefix (from `sisg train`)")
-    p.add_argument("--requests", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument(
-        "--mix",
-        default="0.7,0.1,0.1,0.1",
-        help="warm,cold_item,cold_user,unknown[,cold_wave] fractions"
-        " (renormalized; the 5th adds a cold-start wave burst)",
-    )
-    p.add_argument("--table-coverage", type=float, default=0.8)
-    p.add_argument("--cells", type=int, default=None, help="IVF cells")
     p.add_argument(
         "--swap-mid",
         action="store_true",
         help="hot-swap a rebuilt bundle halfway through the run",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="also write the JSON report here")
-    _add_shard_args(p)
 
 
 def _add_stream(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "stream",
+        parents=[_stack_parent()],
         help="streaming ingest smoke: apply live windows under a gateway"
         " (exits 1 unless every window landed with zero request errors)",
     )
-    p.add_argument("dataset", help="dataset .npz bundle")
-    p.add_argument("model", help="model path prefix (from `sisg train`)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.add_argument("--windows", type=int, default=2, help="windows to apply")
@@ -423,13 +393,10 @@ def _add_stream(sub: argparse._SubParsersAction) -> None:
         default=1,
         help="continuation epochs per window",
     )
-    p.add_argument("--table-coverage", type=float, default=0.8)
-    p.add_argument("--cells", type=int, default=None, help="IVF cells")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--output", default=None, help="also write the JSON report here"
     )
-    _add_shard_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,18 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_generate(sub)
-    _add_stats(sub)
-    _add_train(sub)
-    _add_evaluate(sub)
-    _add_recommend(sub)
-    _add_partition(sub)
-    _add_serve_demo(sub)
-    _add_loadgen(sub)
-    _add_refresh_daemon(sub)
-    _add_serve(sub)
-    _add_netload(sub)
-    _add_stream(sub)
+    for add_arguments, _run in _COMMANDS.values():
+        add_arguments(sub)
     return parser
 
 
@@ -459,26 +416,35 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     configure_basic_logging(logging.DEBUG if args.verbose else logging.INFO)
-    handlers = {
-        "generate": _cmd_generate,
-        "stats": _cmd_stats,
-        "train": _cmd_train,
-        "evaluate": _cmd_evaluate,
-        "recommend": _cmd_recommend,
-        "partition": _cmd_partition,
-        "serve-demo": _cmd_serve_demo,
-        "loadgen": _cmd_loadgen,
-        "refresh-daemon": _cmd_refresh_daemon,
-        "serve": _cmd_serve,
-        "netload": _cmd_netload,
-        "stream": _cmd_stream,
-    }
-    return handlers[args.command](args)
+    _add_arguments, run = _COMMANDS[args.command]
+    return run(args)
 
 
 # ----------------------------------------------------------------------
 # command implementations (imports deferred so --help stays instant)
 # ----------------------------------------------------------------------
+
+
+def _emit_json(doc: dict, output: "str | None" = None) -> None:
+    """Print ``doc`` as JSON; also write it to ``output`` when given."""
+    import json
+    from pathlib import Path
+
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
+    if output:
+        Path(output).write_text(text + "\n")
+
+
+def _load_mix(args: argparse.Namespace):
+    """``--mix`` as a ``LoadMix`` (``None``, with a message, when malformed)."""
+    from repro.serving import LoadMix
+
+    weights = [float(part) for part in args.mix.split(",")]
+    if len(weights) not in (4, 5):
+        print("--mix needs 4 or 5 comma-separated weights", file=sys.stderr)
+        return None
+    return LoadMix(*weights)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -537,17 +503,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _load_index(args: argparse.Namespace):
+    """The exact similarity index over the saved model at ``args.model``."""
     from repro.core.model import EmbeddingModel
     from repro.core.similarity import SimilarityIndex
+
+    mode = "directional" if args.directional else "cosine"
+    return SimilarityIndex(EmbeddingModel.load(args.model), mode=mode)
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.data.io_utils import load_dataset
     from repro.eval.hitrate import evaluate_hitrate
 
     dataset = load_dataset(args.dataset)
     _train, test = dataset.split_last_item()
-    model = EmbeddingModel.load(args.model)
-    mode = "directional" if args.directional else "cosine"
-    index = SimilarityIndex(model, mode=mode)
+    index = _load_index(args)
     result = evaluate_hitrate(index, test, ks=tuple(args.ks), name=args.model)
     for k in sorted(result.hit_rates):
         print(f"HR@{k:<4d} {result.hit_rates[k]:.4f}")
@@ -555,13 +526,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    from repro.core.model import EmbeddingModel
-    from repro.core.similarity import SimilarityIndex
-
-    model = EmbeddingModel.load(args.model)
-    mode = "directional" if args.directional else "cosine"
-    index = SimilarityIndex(model, mode=mode)
-    items, scores = index.topk(args.item, args.k)
+    items, scores = _load_index(args).topk(args.item, args.k)
     for item, score in zip(items, scores):
         print(f"item_{int(item):<10d} {score:+.4f}")
     return 0
@@ -582,8 +547,25 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_service(args: argparse.Namespace):
-    """Shared setup for ``serve-demo``/``loadgen``: dataset -> live service.
+#: What the stack flags stand up (:func:`_build_service`): the parsed
+#: flags, the dataset, the embedding model and the live matching service.
+_Stack = namedtuple("_Stack", "args dataset model service")
+
+
+def _bundle_kwargs(args: argparse.Namespace, seed: int) -> dict:
+    """The bundle-build kwargs of the stack flags, for one generation."""
+    return {
+        "n_cells": args.cells,
+        "table_coverage": args.table_coverage,
+        "seed": seed,
+        "ann_precision": args.ann_precision,
+        "ann_rerank": args.ann_rerank,
+        "share_memory": args.zero_copy,
+    }
+
+
+def _build_service(args: argparse.Namespace) -> _Stack:
+    """The stack flags -> dataset, model and the live service.
 
     One service class either way: ``--shards N`` (N >= 2) partitions the
     item space with HBGP and hands it per-shard stores, otherwise it
@@ -596,48 +578,108 @@ def _build_service(args: argparse.Namespace):
 
     dataset = load_dataset(args.dataset)
     model = EmbeddingModel.load(args.model)
-    if getattr(args, "shards", 0) and args.shards >= 2:
+    build_kwargs = _bundle_kwargs(args, seed=0)
+    pool = None
+    if args.shards >= 2:
         from repro.graph.hbgp import HBGPConfig, hbgp_partition
         from repro.serving import ShardedModelStore, ShardWorkerPool
 
         partition = hbgp_partition(dataset, HBGPConfig(n_partitions=args.shards))
-        store = ShardedModelStore.build(
-            model,
-            dataset,
-            partition,
-            n_cells=args.cells,
-            table_coverage=args.table_coverage,
-            seed=0,
-            **_bundle_kwargs(args),
-        )
-        pool = (
-            ShardWorkerPool(store)
-            if args.shard_executor == "process"
-            else None
-        )
-        return dataset, model, store, MatchingService(store, pool=pool)
-    bundle = build_bundle(
-        model,
-        dataset,
-        n_cells=args.cells,
-        table_coverage=args.table_coverage,
-        seed=0,
-        **_bundle_kwargs(args),
+        store = ShardedModelStore.build(model, dataset, partition, **build_kwargs)
+        if args.shard_executor == "process":
+            pool = ShardWorkerPool(store)
+    else:
+        store = ModelStore(build_bundle(model, dataset, **build_kwargs))
+    return _Stack(args, dataset, model, MatchingService(store, pool=pool))
+
+
+def _hot_swap(stack: _Stack, seed: int) -> None:
+    """Rebuild shard 0 — the whole catalogue when there is one shard —
+    and swap it in; any other shard keeps serving untouched."""
+    bundles, _ = stack.service.store.build_generation(
+        stack.model, stack.dataset, shards=[0], **_bundle_kwargs(stack.args, seed)
     )
-    store = ModelStore(bundle)
-    return dataset, model, store, MatchingService(store)
+    stack.service.swap_shard(0, bundles[0])
+
+
+def _next_generation(
+    stack: _Stack, seed: int, build_seed: "int | None", epochs: int
+) -> dict:
+    """The warm-start ``train_config`` and the ``build_kwargs`` that the
+    refresh and the stream config both take."""
+    from repro.core.sgns import SGNSConfig
+
+    if build_seed is None:
+        build_seed = seed
+    return {
+        "train_config": SGNSConfig(
+            dim=stack.model.dim, epochs=epochs, window=2, negatives=2, seed=seed
+        ),
+        "build_kwargs": _bundle_kwargs(stack.args, build_seed),
+    }
+
+
+def _refresh_daemon(
+    stack: _Stack,
+    interval: float,
+    seed: int,
+    build_seed: "int | None" = None,
+    epochs: int = 1,
+    promote_gate=None,
+    fault_hook=None,
+    **cycle_knobs,
+):
+    """A refresh daemon over the stack, fed bootstrap-resampled days."""
+    from repro.serving import RefreshConfig, RefreshDaemon, bootstrap_day_source
+
+    config = RefreshConfig(
+        interval=interval,
+        **_next_generation(stack, seed, build_seed, epochs),
+        **cycle_knobs,
+    )
+    return RefreshDaemon(
+        stack.service,
+        bootstrap_day_source(stack.dataset, seed=seed),
+        config,
+        fault_hook=fault_hook,
+        promote_gate=promote_gate,
+        seed=seed,
+    )
+
+
+def _stream_applier(
+    stack: _Stack,
+    seed: int,
+    build_seed: "int | None" = None,
+    epochs: int = 1,
+    promote_gate=None,
+    log=None,
+    **window_knobs,
+):
+    """A stream applier over the stack (on a fresh event log by default)."""
+    from repro.streaming import EventLog, StreamApplier, StreamConfig
+
+    config = StreamConfig(
+        **_next_generation(stack, seed, build_seed, epochs), **window_knobs
+    )
+    return StreamApplier(
+        stack.service,
+        EventLog() if log is None else log,
+        stack.dataset,
+        config,
+        promote_gate=promote_gate,
+        seed=seed,
+    )
 
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    import json
-
     import numpy as np
 
-    from repro.serving import MatchRequest, build_bundle, build_shard_bundle
+    from repro.serving import MatchRequest
 
-    dataset, model, store, service = _build_service(args)
-    sharded = hasattr(store, "n_shards")
-    bundles = store.snapshot()
+    stack = _build_service(args)
+    dataset, service = stack.dataset, stack.service
+    bundles = service.store.snapshot()
     covered = np.concatenate([b.table.item_ids for b in bundles])
     uncovered = [
         int(i) for b in bundles for i in b.index.item_ids if int(i) not in b.table
@@ -665,29 +707,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     if args.refresh_every is not None:
         # Daemon-driven refresh: warm-start retrain + rebuild + promote
         # on a background thread while the service keeps serving.
-        from repro.core.sgns import SGNSConfig
-        from repro.serving import (
-            RefreshConfig,
-            RefreshDaemon,
-            bootstrap_day_source,
-        )
-
         print(f"— refresh daemon (every {args.refresh_every:g}s) —")
-        config = RefreshConfig(
-            interval=args.refresh_every,
-            train_config=SGNSConfig(
-                dim=model.dim, epochs=1, window=2, negatives=2, seed=0
-            ),
-            build_kwargs={
-                "n_cells": args.cells,
-                "table_coverage": args.table_coverage,
-                "seed": 1,
-                **_bundle_kwargs(args),
-            },
-        )
-        daemon = RefreshDaemon(
-            service, bootstrap_day_source(dataset, seed=0), config
-        )
+        daemon = _refresh_daemon(stack, args.refresh_every, seed=0, build_seed=1)
         with daemon:
             if not daemon.wait_for_cycles(1, timeout=300.0):
                 print("refresh cycle timed out", file=sys.stderr)
@@ -700,59 +721,15 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         show("warm item after refresh", int(covered[0]))
     else:
         print("— hot swap —")
-        if sharded:
-            # Refresh only shard 0: the other shards keep serving untouched.
-            new_bundle = build_shard_bundle(
-                model,
-                dataset,
-                np.flatnonzero(store.item_partition == 0),
-                n_cells=args.cells,
-                table_coverage=args.table_coverage,
-                seed=1,
-                **_bundle_kwargs(args),
-            )
-            service.swap_shard(0, new_bundle)
-            print(f"swapped shard 0 only; shard versions: {store.versions}")
-        else:
-            store.swap(
-                build_bundle(
-                    model,
-                    dataset,
-                    n_cells=args.cells,
-                    table_coverage=args.table_coverage,
-                    seed=1,
-                    **_bundle_kwargs(args),
-                )
-            )
+        _hot_swap(stack, seed=1)
+        print(f"rebuilt shard 0 only; store version: {service.store.version}")
         show("warm item after swap", int(covered[0]))
     if args.stream_every is not None:
-        from repro.core.sgns import SGNSConfig
-        from repro.streaming import (
-            EventLog,
-            StreamApplier,
-            StreamConfig,
-            SyntheticEventStream,
-        )
+        from repro.streaming import SyntheticEventStream
 
         print(f"— streaming ingest (every {args.stream_every:g}s) —")
         stream = SyntheticEventStream(dataset, seed=0)
-        applier = StreamApplier(
-            service,
-            EventLog(),
-            dataset,
-            StreamConfig(
-                train_config=SGNSConfig(
-                    dim=model.dim, epochs=1, window=2, negatives=2, seed=0
-                ),
-                build_kwargs={
-                    "n_cells": args.cells,
-                    "table_coverage": args.table_coverage,
-                    "seed": 2,
-                    **_bundle_kwargs(args),
-                },
-            ),
-            seed=0,
-        )
+        applier = _stream_applier(stack, seed=0, build_seed=2)
         with applier.start(args.stream_every, event_source=stream):
             if not applier.wait_for_windows(2, timeout=300.0):
                 print("stream windows timed out", file=sys.stderr)
@@ -766,7 +743,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             )
         show("new listing (streamed)", stream.new_item_ids[0])
     print("— metrics —")
-    print(json.dumps(service.snapshot(), indent=2, sort_keys=True))
+    _emit_json(service.snapshot())
     service.close()
     return 0
 
@@ -778,50 +755,25 @@ def _cmd_refresh_daemon(args: argparse.Namespace) -> int:
     serving (that is the point of failure isolation), but a refresh job
     that never lands a new generation should page someone.
     """
-    import json
-    from pathlib import Path
+    from repro.serving import failing_build_hook
 
-    from repro.core.sgns import SGNSConfig
-    from repro.serving import (
-        RefreshConfig,
-        RefreshDaemon,
-        bootstrap_day_source,
-        failing_build_hook,
-    )
-
-    dataset, model, store, service = _build_service(args)
-    config = RefreshConfig(
-        interval=args.interval if args.interval > 0 else 86400.0,
+    stack = _build_service(args)
+    service = stack.service
+    daemon = _refresh_daemon(
+        stack,
+        args.interval if args.interval > 0 else 86400.0,
+        seed=args.seed,
+        epochs=args.train_epochs,
+        fault_hook=(
+            failing_build_hook({"build": args.inject_failures})
+            if args.inject_failures > 0
+            else None
+        ),
         max_retries=args.max_retries,
         backoff_base=0.05,
         backoff_cap=1.0,
         drift_threshold=args.drift_threshold,
         lr_decay=args.lr_decay,
-        train_config=SGNSConfig(
-            dim=model.dim,
-            epochs=args.train_epochs,
-            window=2,
-            negatives=2,
-            seed=args.seed,
-        ),
-        build_kwargs={
-            "n_cells": args.cells,
-            "table_coverage": args.table_coverage,
-            "seed": args.seed,
-            **_bundle_kwargs(args),
-        },
-    )
-    hook = (
-        failing_build_hook({"build": args.inject_failures})
-        if args.inject_failures > 0
-        else None
-    )
-    daemon = RefreshDaemon(
-        service,
-        bootstrap_day_source(dataset, seed=args.seed),
-        config,
-        fault_hook=hook,
-        seed=args.seed,
     )
     try:
         if args.interval > 0:
@@ -836,22 +788,19 @@ def _cmd_refresh_daemon(args: argparse.Namespace) -> int:
         service.close()
     status = daemon.status()
     status["metrics"] = service.snapshot()
-    text = json.dumps(status, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    _emit_json(status, args.output)
     promotions = sum(1 for r in status["history"] if r["promoted"])
     return 0 if promotions > 0 else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Stand the gateway up on a socket; serve until --duration or ^C."""
-    import json
     import time
 
     from repro.serving import GatewayConfig, GatewayThread
 
-    dataset, model, store, service = _build_service(args)
+    stack = _build_service(args)
+    service = stack.service
     config = GatewayConfig(
         host=args.host,
         port=args.port,
@@ -874,31 +823,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         if args.refresh_every is not None:
-            from repro.core.sgns import SGNSConfig
-            from repro.serving import (
-                RefreshConfig,
-                RefreshDaemon,
-                bootstrap_day_source,
-            )
-
-            daemon = RefreshDaemon(
-                service,
-                bootstrap_day_source(dataset, seed=args.seed),
-                RefreshConfig(
-                    interval=args.refresh_every,
-                    train_config=SGNSConfig(
-                        dim=model.dim, epochs=1, window=2, negatives=2,
-                        seed=args.seed,
-                    ),
-                    build_kwargs={
-                        "n_cells": args.cells,
-                        "table_coverage": args.table_coverage,
-                        "seed": args.seed,
-                        **_bundle_kwargs(args),
-                    },
-                ),
-                promote_gate=gateway.swap_gate,
-                seed=args.seed,
+            daemon = _refresh_daemon(
+                stack, args.refresh_every, seed=args.seed, promote_gate=gateway.swap_gate
             )
             daemon.start()
             print(
@@ -907,36 +833,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         if args.stream_every is not None:
-            from repro.core.sgns import SGNSConfig
-            from repro.streaming import (
-                EventLog,
-                StreamApplier,
-                StreamConfig,
-                SyntheticEventStream,
-            )
+            from repro.streaming import SyntheticEventStream
 
-            applier = StreamApplier(
-                service,
-                EventLog(),
-                dataset,
-                StreamConfig(
-                    train_config=SGNSConfig(
-                        dim=model.dim, epochs=1, window=2, negatives=2,
-                        seed=args.seed,
-                    ),
-                    build_kwargs={
-                        "n_cells": args.cells,
-                        "table_coverage": args.table_coverage,
-                        "seed": args.seed,
-                        **_bundle_kwargs(args),
-                    },
-                ),
-                promote_gate=gateway.swap_gate,
-                seed=args.seed,
+            applier = _stream_applier(
+                stack, seed=args.seed, promote_gate=gateway.swap_gate
             )
             applier.start(
                 args.stream_every,
-                event_source=SyntheticEventStream(dataset, seed=args.seed),
+                event_source=SyntheticEventStream(stack.dataset, seed=args.seed),
             )
             print(
                 f"stream applier attached (every {args.stream_every:g}s,"
@@ -956,21 +860,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             daemon.stop()
         gateway.stop()
         service.close()
-    print(json.dumps(gateway.gateway.metrics_snapshot(), indent=2, sort_keys=True))
+    _emit_json(gateway.gateway.metrics_snapshot())
     return 0
 
 
 def _cmd_netload(args: argparse.Namespace) -> int:
     """Drive a running gateway; exits 1 when any request errored."""
-    import json
-    from pathlib import Path
-
     from repro.data.io_utils import load_dataset
-    from repro.serving import LoadMix, NetLoadConfig, run_netload
+    from repro.serving import NetLoadConfig, run_netload
 
-    weights = [float(part) for part in args.mix.split(",")]
-    if len(weights) not in (4, 5):
-        print("--mix needs 4 or 5 comma-separated weights", file=sys.stderr)
+    mix = _load_mix(args)
+    if mix is None:
         return 2
     dataset = load_dataset(args.dataset)
     config = NetLoadConfig(
@@ -986,65 +886,29 @@ def _cmd_netload(args: argparse.Namespace) -> int:
     report = run_netload(
         dataset,
         config,
-        mix=LoadMix(*weights),
+        mix=mix,
         zipf_a=args.zipf_a,
         seed=args.seed,
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    _emit_json(report, args.output)
     return 0 if report["errors"] == 0 else 1
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+    from repro.serving import run_load, synth_requests
 
-    from repro.serving import LoadMix, build_bundle, run_load, synth_requests
-
-    fractions = [float(part) for part in args.mix.split(",")]
-    if len(fractions) not in (4, 5):
-        print("--mix needs 4 or 5 comma-separated fractions", file=sys.stderr)
+    mix = _load_mix(args)
+    if mix is None:
         return 2
-    mix = LoadMix(*fractions)
-    dataset, model, store, service = _build_service(args)
-    sharded = hasattr(store, "n_shards")
-    requests = synth_requests(dataset, args.requests, mix=mix, seed=args.seed)
+    stack = _build_service(args)
+    service = stack.service
+    requests = synth_requests(stack.dataset, args.requests, mix=mix, seed=args.seed)
 
     swap = None
     if args.swap_mid:
-        if sharded:
-            import numpy as np
 
-            from repro.serving import build_shard_bundle
-
-            def swap() -> None:
-                # Per-shard refresh: only shard 0 rebuilds mid-traffic.
-                service.swap_shard(
-                    0,
-                    build_shard_bundle(
-                        model,
-                        dataset,
-                        np.flatnonzero(store.item_partition == 0),
-                        n_cells=args.cells,
-                        table_coverage=args.table_coverage,
-                        seed=args.seed + 1,
-                        **_bundle_kwargs(args),
-                    ),
-                )
-        else:
-            def swap() -> None:
-                store.swap(
-                    build_bundle(
-                        model,
-                        dataset,
-                        n_cells=args.cells,
-                        table_coverage=args.table_coverage,
-                        seed=args.seed + 1,
-                        **_bundle_kwargs(args),
-                    )
-                )
+        def swap() -> None:
+            _hot_swap(stack, seed=args.seed + 1)
 
     try:
         report = run_load(
@@ -1052,10 +916,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     finally:
         service.close()
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    _emit_json(report, args.output)
     return 0
 
 
@@ -1070,23 +931,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     window applied, no request errored, and every new listing is
     servable from a non-popularity tier.
     """
-    import json
     import time
-    from pathlib import Path
 
-    from repro.core.sgns import SGNSConfig
     from repro.serving import GatewayConfig, GatewayThread
     from repro.serving.loadgen import latency_percentiles
     from repro.serving.netload import fetch_json, wait_for_gateway
-    from repro.streaming import (
-        EventLog,
-        StreamApplier,
-        StreamConfig,
-        SyntheticEventStream,
-    )
+    from repro.streaming import EventLog, SyntheticEventStream
 
-    dataset, model, store, service = _build_service(args)
-    sharded = hasattr(store, "n_shards")
+    stack = _build_service(args)
+    dataset, service = stack.dataset, stack.service
+    store = service.store
     metrics = service.metrics
     stream = SyntheticEventStream(
         dataset,
@@ -1098,32 +952,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     gateway = GatewayThread(
         service, GatewayConfig(host=args.host, port=args.port, default_k=args.k)
     )
-    applier = StreamApplier(
-        service,
-        log,
-        dataset,
-        StreamConfig(
-            # The whole stream is pre-loaded into the log, so the window
-            # cap is what splits it back into `--windows` micro-batches.
-            window_events=args.events_per_window,
-            train_config=SGNSConfig(
-                dim=model.dim,
-                epochs=args.train_epochs,
-                window=2,
-                negatives=2,
-                seed=args.seed,
-            ),
-            drift_threshold=args.drift_threshold,
-            rebalance_ratio=4.0 if sharded else None,
-            build_kwargs={
-                "n_cells": args.cells,
-                "table_coverage": args.table_coverage,
-                "seed": args.seed,
-                **_bundle_kwargs(args),
-            },
-        ),
-        promote_gate=gateway.swap_gate,
+    applier = _stream_applier(
+        stack,
         seed=args.seed,
+        epochs=args.train_epochs,
+        promote_gate=gateway.swap_gate,
+        log=log,
+        # The whole stream is pre-loaded into the log, so the window cap
+        # is what splits it back into `--windows` micro-batches.
+        window_events=args.events_per_window,
+        drift_threshold=args.drift_threshold,
+        # Hot-item re-routing; a no-op on a store of one shard.
+        rebalance_ratio=4.0,
     )
 
     errors = 0
@@ -1131,17 +971,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     timed_out = False
     tiers: dict[str, str] = {}
 
-    def fire(item_id: int) -> None:
+    def fire(item_id: int) -> str:
+        """One ``/recommend`` over the wire; the serving tier, or ``error``."""
         nonlocal errors, served
         try:
-            fetch_json(
+            payload = fetch_json(
                 args.host,
                 gateway.port,
                 f"/recommend?item_id={item_id}&k={args.k}",
             )
-            served += 1
         except Exception:
             errors += 1
+            return "error"
+        served += 1
+        return str(payload["tier"])
 
     try:
         gateway.start()
@@ -1171,17 +1014,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # Post-apply: every new listing must now serve from a real tier,
         # observed through the gateway, not the in-process service.
         for item_id in new_ids:
-            try:
-                payload = fetch_json(
-                    args.host,
-                    gateway.port,
-                    f"/recommend?item_id={item_id}&k={args.k}",
-                )
-                served += 1
-                tiers[str(item_id)] = str(payload["tier"])
-            except Exception:
-                errors += 1
-                tiers[str(item_id)] = "error"
+            tiers[str(item_id)] = fire(item_id)
         for extra in range(args.requests_per_window):
             fire((extra * 11) % dataset.n_items)
     finally:
@@ -1200,7 +1033,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "windows_quarantined": sum(1 for r in reports if r.quarantined),
         "duplicate_windows": sum(1 for r in reports if r.duplicate),
         "timed_out": timed_out,
-        "sharded": sharded,
+        "sharded": store.n_shards > 1,
         "store_version": store.version,
         "new_items": new_ids,
         "new_item_tiers": tiers,
@@ -1214,10 +1047,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "apply_latency_s": latency_percentiles([r.apply_s for r in applied]),
         "reports": [r.as_dict() for r in reports],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    _emit_json(doc, args.output)
     ok = (
         not timed_out
         and errors == 0
@@ -1225,6 +1055,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         and servable
     )
     return 0 if ok else 1
+
+
+#: The one command table: ``name -> (declare its flags, run it)``.
+_COMMANDS = {
+    "generate": (_add_generate, _cmd_generate),
+    "stats": (_add_stats, _cmd_stats),
+    "train": (_add_train, _cmd_train),
+    "evaluate": (_add_evaluate, _cmd_evaluate),
+    "recommend": (_add_recommend, _cmd_recommend),
+    "partition": (_add_partition, _cmd_partition),
+    "serve-demo": (_add_serve_demo, _cmd_serve_demo),
+    "loadgen": (_add_loadgen, _cmd_loadgen),
+    "refresh-daemon": (_add_refresh_daemon, _cmd_refresh_daemon),
+    "serve": (_add_serve, _cmd_serve),
+    "netload": (_add_netload, _cmd_netload),
+    "stream": (_add_stream, _cmd_stream),
+}
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ candidate table) produces artifacts; this package turns them into a
 request-serving system:
 
 - :mod:`repro.serving.candidates` — the nightly precomputed I2I table;
-- :mod:`repro.serving.store` — double-buffered bundle of serving
-  artifacts with atomic hot swap (the daily-refresh handover);
+- :mod:`repro.serving.store` — the one bundle builder, and the
+  double-buffered store that builds its own next generation and hot-swaps
+  it atomically (the daily-refresh handover);
 - :mod:`repro.serving.service` — the request/response vocabulary
   (``MatchRequest``, ``MatchResult``, ``MatchingServiceConfig``, tiers);
 - :mod:`repro.serving.cache` / :mod:`repro.serving.metrics` — the hot
@@ -67,6 +68,7 @@ from repro.serving.store import (
     ModelBundle,
     ModelStore,
     build_bundle,
+    build_shard_bundle,
     popularity_ranking,
     share_bundle,
 )
@@ -74,7 +76,6 @@ from repro.serving.sharding import (
     MatchingService,
     ShardedMatchingService,
     ShardedModelStore,
-    build_shard_bundle,
     build_shard_bundles,
     merge_topk,
 )

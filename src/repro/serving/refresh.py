@@ -55,17 +55,13 @@ import numpy as np
 from repro.core.incremental import embedding_drift, incremental_update
 from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig
-from repro.core.similarity import SimilarityIndex
 from repro.core.vocab import TokenKind
 from repro.data.schema import BehaviorDataset
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import (
-    build_shard_bundle,
-    freshest_model,
-    promote,
-    serving_target,
-)
-from repro.serving.store import build_bundle
+from repro.serving.sharding import freshest_model, promote, serving_target
+# bench/trace.py wraps this module's bindings of the two builders.
+from repro.serving.sharding import build_shard_bundle  # noqa: F401
+from repro.serving.store import build_bundle  # noqa: F401
 from repro.utils import ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("serving.refresh")
@@ -466,7 +462,14 @@ class RefreshDaemon:
         self._metrics.observe("refresh_train", phase_seconds["train"])
 
         start = enter("build")
-        artifacts = self._build(updated, dataset)
+        # Every bundle is built before `promote` flips the first one, so
+        # a failure here can never tear a promotion.
+        artifacts = self._store.build_generation(
+            updated,
+            dataset,
+            partition=self._extend_partition(dataset),
+            **self._config.build_kwargs,
+        )
         phase_seconds["build"] = time.perf_counter() - start
         self._metrics.observe("refresh_build", phase_seconds["build"])
 
@@ -483,47 +486,12 @@ class RefreshDaemon:
         )
         return drift, versions, phase_seconds
 
-    def _build(self, model: EmbeddingModel, dataset: BehaviorDataset):
-        """The expensive half: ``({shard: bundle}, partition map)``.
-
-        *Every* bundle is built before :func:`promote` flips the first
-        one, so a failure here can never tear a promotion.
-        """
-        if not hasattr(self._store, "n_shards"):
-            bundle = build_bundle(model, dataset, **self._config.build_kwargs)
-            return {0: bundle}, None
-        assignment = self._extend_partition(dataset)
-        mode = self._config.build_kwargs.get("mode", "cosine")
-        kwargs = {
-            k: v for k, v in self._config.build_kwargs.items() if k != "mode"
-        }
-        index = SimilarityIndex(model, mode=mode)
-        bundles = {
-            shard: build_shard_bundle(
-                model,
-                dataset,
-                np.flatnonzero(assignment == shard),
-                mode=mode,
-                index=index,
-                **kwargs,
-            )
-            for shard in range(self._store.n_shards)
-        }
-        return bundles, assignment
-
     def _extend_partition(self, dataset: BehaviorDataset) -> np.ndarray:
         """Today's item -> shard map: old items keep their shard, newly
         listed items are spread round-robin."""
         old = self._store.item_partition
-        n_items = dataset.n_items
-        if n_items <= len(old):
-            return old
-        assignment = np.empty(n_items, dtype=np.int64)
-        assignment[: len(old)] = old
-        assignment[len(old):] = (
-            np.arange(len(old), n_items) % self._store.n_shards
-        )
-        return assignment
+        listed = np.arange(len(old), dataset.n_items) % self._store.n_shards
+        return np.concatenate([old, listed])
 
     # ------------------------------------------------------------------
     # the background thread

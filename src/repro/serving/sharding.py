@@ -12,12 +12,12 @@ per-shard bundles, and a plain
 Layout
 ------
 
-- :func:`build_shard_bundle` materializes one partition's artifacts: the
-  partition's rows of the candidate table (candidates still drawn from
-  the *full* catalogue, so a sharded table answers exactly like the
-  corresponding rows of a monolithic build), a per-shard
-  :class:`~repro.core.similarity.SimilarityIndex` slice + IVF index, and
-  the partition's slice of the global popularity ranking.
+- :func:`~repro.serving.store.build_shard_bundle`, the one bundle
+  builder, materializes one partition's artifacts: the partition's rows
+  of the candidate table (candidates still drawn from the *full*
+  catalogue, so the union of the shard tables is the one-shard table), a
+  per-shard :class:`~repro.core.similarity.SimilarityIndex` slice + IVF
+  index, and the partition's slice of the global popularity ranking.
 - :class:`ShardedModelStore` holds one double-buffered
   :class:`~repro.serving.store.ModelStore` per partition plus the HBGP
   ``item -> shard`` map; shards swap independently.
@@ -48,31 +48,25 @@ shards the catalogue is cut into.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.ann import IVFIndex
 from repro.core.coldstart import cold_user_vector, infer_cold_item_vector
 from repro.core.model import EmbeddingModel
 from repro.core.similarity import SimilarityIndex
 from repro.data.schema import BehaviorDataset
 from repro.graph.hbgp import PartitionResult
 from repro.serving.cache import LRUTTLCache
-from repro.serving.candidates import CandidateTableConfig, build_candidate_table
+# bench/trace.py wraps this module's binding of the name.
+from repro.serving.candidates import build_candidate_table  # noqa: F401
 from repro.serving.metrics import ServingMetrics, to_jsonable
 from repro.serving.service import (
     MatchingServiceConfig,
     MatchRequest,
     MatchResult,
 )
-from repro.serving.store import (
-    ModelBundle,
-    ModelStore,
-    covered_table_rows,
-    popularity_ranking,
-    share_bundle,
-)
+from repro.serving.store import ModelBundle, ModelStore, build_shard_bundle
 from repro.utils import get_logger, require, require_positive
 
 logger = get_logger("serving.sharding")
@@ -83,88 +77,28 @@ logger = get_logger("serving.sharding")
 # ----------------------------------------------------------------------
 
 
-def build_shard_bundle(
+def _build_shards(
     model: EmbeddingModel,
     dataset: BehaviorDataset,
-    shard_items: np.ndarray,
-    mode: str = "cosine",
-    table_config: CandidateTableConfig | None = None,
-    n_cells: int | None = None,
-    n_probe: int = 4,
-    max_popular: int | None = 1000,
-    table_coverage: float = 1.0,
-    seed: "int | np.random.Generator | None" = 0,
-    index: SimilarityIndex | None = None,
-    ann_precision: str = "float32",
-    ann_rerank: int = 4,
-    share_memory: bool = False,
-    share_backend: str = "shm",
-    share_dir: "str | None" = None,
-) -> ModelBundle:
-    """Materialize the serving artifacts owned by one HBGP partition.
+    item_partition: np.ndarray,
+    shards: Iterable[int],
+    **build_kwargs,
+) -> dict[int, ModelBundle]:
+    """``{shard: bundle}`` for ``shards`` of ``item_partition``.
 
-    The expensive steps — top-k scans for the candidate-table rows and
-    the IVF k-means — touch only this shard's items, so one partition
-    refreshes without rebuilding the world.  Pass a prebuilt full
-    ``index`` to amortize vector normalization across shards when
-    building all of them at once.
-
-    ``table_coverage`` mirrors :func:`~repro.serving.store.build_bundle`
-    (both take their rows from
-    :func:`~repro.serving.store.covered_table_rows`), so the union of
-    all shard tables equals the monolithic table at the same coverage.
-
-    ``ann_precision`` / ``ann_rerank`` select the quantized retrieval
-    tier per shard; ``share_memory`` moves the shard's big arrays into
-    zero-copy segments so worker processes attach instead of copying.
+    The full similarity index is built once and sliced per shard.
     """
-    full = index if index is not None else SimilarityIndex(model, mode=mode)
-    shard_items = np.asarray(shard_items, dtype=np.int64)
-    shard_items = shard_items[np.isin(shard_items, full.item_ids)]
-    require(
-        len(shard_items) > 0,
-        "shard owns no trained items; check the partition map",
-    )
-
-    table_rows = covered_table_rows(full, table_coverage, owned=shard_items)
-    table = build_candidate_table(full, dataset, table_config, items=table_rows)
-
-    shard_index = full.restrict(shard_items)
-    cells = n_cells
-    if cells is not None:
-        cells = min(cells, shard_index.n_items)
-    ann = IVFIndex(
-        shard_index,
-        n_cells=cells,
-        n_probe=n_probe,
-        seed=seed,
-        precision=ann_precision,
-        rerank=ann_rerank,
-    )
-
-    # The shard's slice of the *global* click ranking: scores keep their
-    # global normalization so per-shard lists merge back into the global
-    # ordering by score alone.
-    popular_items, popular_scores = popularity_ranking(dataset, max_items=None)
-    mask = np.isin(popular_items, shard_items)
-    popular_items = popular_items[mask]
-    popular_scores = popular_scores[mask]
-    if max_popular is not None:
-        popular_items = popular_items[:max_popular]
-        popular_scores = popular_scores[:max_popular]
-
-    bundle = ModelBundle(
-        version=0,
-        model=model,
-        index=shard_index,
-        ann=ann,
-        table=table,
-        popular_items=popular_items,
-        popular_scores=popular_scores,
-    )
-    if share_memory:
-        bundle = share_bundle(bundle, backend=share_backend, directory=share_dir)
-    return bundle
+    index = SimilarityIndex(model, mode=build_kwargs.get("mode", "cosine"))
+    return {
+        shard: build_shard_bundle(
+            model,
+            dataset,
+            np.flatnonzero(item_partition == shard),
+            index=index,
+            **build_kwargs,
+        )
+        for shard in shards
+    }
 
 
 def build_shard_bundles(
@@ -173,23 +107,12 @@ def build_shard_bundles(
     partition: PartitionResult,
     **build_kwargs,
 ) -> tuple[list[ModelBundle], np.ndarray]:
-    """All shard bundles for ``partition`` plus the item -> shard map.
-
-    The full similarity index is built once and sliced per shard.
-    """
+    """All shard bundles for ``partition`` plus the item -> shard map."""
     assignment = partition.serving_assignment()
-    index = SimilarityIndex(model, mode=build_kwargs.get("mode", "cosine"))
-    bundles = [
-        build_shard_bundle(
-            model,
-            dataset,
-            np.flatnonzero(assignment == shard),
-            index=index,
-            **build_kwargs,
-        )
-        for shard in range(partition.n_partitions)
-    ]
-    return bundles, assignment
+    bundles = _build_shards(
+        model, dataset, assignment, range(partition.n_partitions), **build_kwargs
+    )
+    return list(bundles.values()), assignment
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +249,32 @@ class ShardedModelStore:
         )
         return old
 
+    def build_generation(
+        self,
+        model: EmbeddingModel,
+        dataset: BehaviorDataset,
+        shards: Iterable[int] | None = None,
+        partition: np.ndarray | None = None,
+        **build_kwargs,
+    ) -> tuple[dict[int, ModelBundle], np.ndarray]:
+        """Build the next generation: ``({shard: bundle}, partition)``.
+
+        The expensive half of a promotion, run outside every lock; hand
+        the result to :func:`promote`.  ``shards`` limits the rebuild to
+        those shards (default: all of them); ``partition`` is the item ->
+        shard map the generation is cut by (default: the live one).
+        Every bundle is built before the caller flips the first one, so a
+        failure here can never tear a promotion.
+        """
+        if partition is None:
+            partition = self._item_partition
+        if shards is None:
+            shards = range(self.n_shards)
+        bundles = _build_shards(
+            model, dataset, partition, sorted(shards), **build_kwargs
+        )
+        return bundles, partition
+
     def refresh_shard(
         self,
         shard_id: int,
@@ -338,9 +287,10 @@ class ShardedModelStore:
         The expensive build touches only this shard's items and runs
         outside every lock; only the shard's pointer flip is serialized.
         """
-        shard_items = np.flatnonzero(self._item_partition == shard_id)
-        bundle = build_shard_bundle(model, dataset, shard_items, **build_kwargs)
-        return self.swap_shard(shard_id, bundle)
+        bundles, _ = self.build_generation(
+            model, dataset, shards=[shard_id], **build_kwargs
+        )
+        return self.swap_shard(shard_id, bundles[shard_id])
 
 
 # ----------------------------------------------------------------------
@@ -578,13 +528,14 @@ class MatchingService:
 
         ``store_version`` is the store's own ``version`` (an ``int`` for
         a :class:`ModelStore`, a per-shard list for a
-        :class:`ShardedModelStore`); a partitioned store additionally
-        reports ``n_shards`` and the per-shard metrics under ``shards``.
+        :class:`ShardedModelStore`); a store of several shards
+        additionally reports ``n_shards`` and the per-shard metrics
+        under ``shards``.
         """
         snap = self._metrics.snapshot()
         snap["store_version"] = self._store.version
         snap["cache"] = self._cache.stats() if self._cache is not None else None
-        if isinstance(self._store, ShardedModelStore):
+        if self._store.n_shards > 1:
             snap["shards"] = [
                 {"shard": shard, **metrics.snapshot()}
                 for shard, metrics in enumerate(self._shard_metrics)

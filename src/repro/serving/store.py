@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -159,29 +160,10 @@ def popularity_ranking(
     return order.astype(np.int64), scores
 
 
-def covered_table_rows(
-    index: SimilarityIndex, table_coverage: float, owned: np.ndarray | None = None
-) -> np.ndarray:
-    """Item ids whose candidate-table rows a build materializes.
-
-    The covered set is the first ``table_coverage`` fraction of the
-    *global* index order; ``owned`` (one shard's items) intersects it.
-    Both bundle builders take their rows from here, so the union of all
-    shard tables is the monolithic table at the same coverage — and only
-    the covered rows ever run the per-row filter loop.
-    """
-    require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
-    covered = index.item_ids
-    if table_coverage < 1.0:
-        covered = covered[: max(1, int(index.n_items * table_coverage))]
-    if owned is None:
-        return covered
-    return owned[np.isin(owned, covered)]
-
-
-def build_bundle(
+def build_shard_bundle(
     model: EmbeddingModel,
     dataset: BehaviorDataset,
+    shard_items: np.ndarray,
     mode: str = "cosine",
     table_config: CandidateTableConfig | None = None,
     n_cells: int | None = None,
@@ -189,44 +171,81 @@ def build_bundle(
     max_popular: int | None = 1000,
     table_coverage: float = 1.0,
     seed: "int | np.random.Generator | None" = 0,
+    index: SimilarityIndex | None = None,
     ann_precision: str = "float32",
     ann_rerank: int = 4,
     share_memory: bool = False,
     share_backend: str = "shm",
     share_dir: "str | None" = None,
 ) -> ModelBundle:
-    """Materialize every serving artifact for one model generation.
+    """Materialize the serving artifacts of the items one shard owns.
 
-    This is the expensive half of a refresh (k-means for the IVF index,
-    quantizer training, the filtered candidate table); call it *before*
-    handing the result to :meth:`ModelStore.swap` so the swap itself
-    stays O(1).
+    The one builder: an HBGP partition passes its items, an unpartitioned
+    catalogue passes all of them (:func:`build_bundle`).  This is the
+    expensive half of a refresh — the top-k scans for the candidate-table
+    rows, the IVF k-means, quantizer training — and it touches only
+    ``shard_items``, so one partition rebuilds without rebuilding the
+    world; run it *before* the swap so the swap itself stays O(1).  Pass
+    a prebuilt full ``index`` to amortize vector normalization when
+    building several shards at once.
 
     ``table_coverage < 1.0`` keeps only that fraction of items in the
     candidate table — the rest fall through to the live-ANN tier, like
-    items listed after the nightly build.
+    items listed after the nightly build.  The covered set is the first
+    ``table_coverage`` fraction of the *global* index order, intersected
+    with the shard, and candidates are drawn from the full catalogue: the
+    union of all shard tables is the one-shard table, and only covered
+    rows ever run the per-row filter loop.
 
     ``ann_precision`` selects the retrieval tier's memory mode (int8 /
     product quantization with exact re-rank of ``ann_rerank * k``);
-    ``share_memory`` moves the bundle's big arrays into zero-copy
-    segments (see :func:`share_bundle`).
+    ``n_cells`` is clamped to the shard's size; ``share_memory`` moves
+    the bundle's big arrays into zero-copy segments (see
+    :func:`share_bundle`) so worker processes attach instead of copying.
     """
-    index = SimilarityIndex(model, mode=mode)
-    rows = covered_table_rows(index, table_coverage)
+    require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
+    full = index if index is not None else SimilarityIndex(model, mode=mode)
+    owned = np.asarray(shard_items, dtype=np.int64)
+    shard_items = owned[np.isin(owned, full.item_ids)]
+    require(
+        len(shard_items) > 0,
+        "shard owns no trained items; check the partition map",
+    )
+
+    covered = full.item_ids
+    if table_coverage < 1.0:
+        covered = covered[: max(1, int(full.n_items * table_coverage))]
+    table = build_candidate_table(
+        full, dataset, table_config, items=shard_items[np.isin(shard_items, covered)]
+    )
+
+    # A shard that owns every indexed item serves the index as it is.
+    shard_index = (
+        full
+        if np.array_equal(shard_items, full.item_ids)
+        else full.restrict(shard_items)
+    )
     ann = IVFIndex(
-        index,
-        n_cells=n_cells,
+        shard_index,
+        n_cells=None if n_cells is None else min(n_cells, shard_index.n_items),
         n_probe=n_probe,
         seed=seed,
         precision=ann_precision,
         rerank=ann_rerank,
     )
-    table = build_candidate_table(index, dataset, table_config, items=rows)
-    popular_items, popular_scores = popularity_ranking(dataset, max_popular)
+
+    # The shard's slice of the *global* click ranking: scores keep their
+    # global normalization so per-shard lists merge back into the global
+    # ordering by score alone.
+    popular_items, popular_scores = popularity_ranking(dataset)
+    mask = np.isin(popular_items, owned)
+    popular_items = popular_items[mask][:max_popular]
+    popular_scores = popular_scores[mask][:max_popular]
+
     bundle = ModelBundle(
         version=0,
         model=model,
-        index=index,
+        index=shard_index,
         ann=ann,
         table=table,
         popular_items=popular_items,
@@ -235,6 +254,15 @@ def build_bundle(
     if share_memory:
         bundle = share_bundle(bundle, backend=share_backend, directory=share_dir)
     return bundle
+
+
+def build_bundle(
+    model: EmbeddingModel, dataset: BehaviorDataset, **build_kwargs
+) -> ModelBundle:
+    """:func:`build_shard_bundle` for the one shard that owns every item."""
+    return build_shard_bundle(
+        model, dataset, np.arange(dataset.n_items), **build_kwargs
+    )
 
 
 class ModelStore:
@@ -246,9 +274,12 @@ class ModelStore:
 
     The store is also the one-shard case of
     :class:`~repro.serving.sharding.ShardedModelStore`: ``snapshot()``,
-    ``shard_of()`` and ``swap_shard()`` are the read/flip interface the
-    matching service and the promotion protocol are written against.
+    ``shard_of()``, ``build_generation()`` and ``swap_shard()`` are the
+    read/build/flip interface the matching service, the refresh daemon,
+    the stream applier and the promotion protocol are written against.
     """
+
+    n_shards = 1
 
     def __init__(self, bundle: ModelBundle) -> None:
         self._lock = threading.Lock()
@@ -274,6 +305,28 @@ class ModelStore:
         an id is *known* is the bundle's call (table / index membership).
         """
         return 0
+
+    @property
+    def item_partition(self) -> np.ndarray:
+        """The item -> shard map over the live bundle's ids: all zeros."""
+        return np.zeros(int(self._bundle.index.item_ids.max()) + 1, dtype=np.int64)
+
+    def build_generation(
+        self,
+        model: EmbeddingModel,
+        dataset: BehaviorDataset,
+        shards: "Iterable[int] | None" = None,
+        partition: np.ndarray | None = None,
+        **build_kwargs,
+    ) -> "tuple[dict[int, ModelBundle], None]":
+        """Build the next generation: ``({0: bundle}, None)``.
+
+        The expensive half of a promotion, run outside every lock; hand
+        the result to :func:`~repro.serving.sharding.promote` (or
+        :meth:`swap`).  ``shards`` and ``partition`` are the sharded
+        store's arguments: one shard has nothing to select or to map.
+        """
+        return {0: build_bundle(model, dataset, **build_kwargs)}, None
 
     def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
         """:meth:`swap` under the sharded store's signature."""
@@ -336,9 +389,8 @@ class ModelStore:
     ) -> ModelBundle:
         """Build artifacts for ``model`` and swap them in; returns the old bundle.
 
-        Convenience wrapper for the nightly loop: the expensive
-        :func:`build_bundle` runs outside the lock, only the pointer
-        flip is serialized.
+        Convenience wrapper for the nightly loop: the expensive build
+        runs outside the lock, only the pointer flip is serialized.
         """
-        bundle = build_bundle(model, dataset, **build_kwargs)
-        return self.swap(bundle)
+        bundles, _ = self.build_generation(model, dataset, **build_kwargs)
+        return self.swap(bundles[0])

@@ -46,7 +46,6 @@ import numpy as np
 from repro.core.incremental import embedding_drift, incremental_update
 from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig
-from repro.core.similarity import SimilarityIndex
 from repro.core.vocab import TokenKind
 from repro.data.schema import (
     AGE_BUCKETS,
@@ -57,13 +56,10 @@ from repro.data.schema import (
     UserMeta,
 )
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import (
-    build_shard_bundle,
-    freshest_model,
-    promote,
-    serving_target,
-)
-from repro.serving.store import build_bundle
+from repro.serving.sharding import freshest_model, promote, serving_target
+# bench/trace.py wraps this module's bindings of the two builders.
+from repro.serving.sharding import build_shard_bundle  # noqa: F401
+from repro.serving.store import build_bundle  # noqa: F401
 from repro.streaming.events import EventLog
 from repro.streaming.window import EventWindow, MicroBatchWindower, sessionize
 from repro.utils import ensure_rng, get_logger, require, require_positive
@@ -438,19 +434,20 @@ class StreamApplier:
             self._items, self._users, self._sessions, validate=False
         )
 
-        if hasattr(self._store, "n_shards"):
-            bundles, assignment, report.moves = self._build_touched_shards(
-                updated, dataset, {event.item_id for event in window.events}
-            )
-            if report.moves:
-                self._metrics.incr("stream_moves", len(report.moves))
-        else:
-            bundle = build_bundle(updated, dataset, **self._config.build_kwargs)
-            bundles, assignment = {0: bundle}, None
+        assignment, report.moves = self._plan_partition()
+        if report.moves:
+            self._metrics.incr("stream_moves", len(report.moves))
+        # Every bundle is built before `promote` flips the first one.
+        artifacts = self._store.build_generation(
+            updated,
+            dataset,
+            shards=self._touched_shards(window, assignment, report.moves),
+            partition=assignment,
+            **self._config.build_kwargs,
+        )
         versions = promote(
             self._target,
-            bundles,
-            assignment,
+            *artifacts,
             allow_moves=bool(report.moves),
             gate=self._promote_gate,
         )
@@ -527,41 +524,22 @@ class StreamApplier:
     # build + promote
     # ------------------------------------------------------------------
 
-    def _build_touched_shards(
-        self, model: EmbeddingModel, dataset: BehaviorDataset, touched_ids: set
-    ) -> "tuple[dict, np.ndarray, list[tuple[int, int, int]]]":
-        """``({shard: bundle}, partition map, moves)`` for one window:
-        only the shards owning clicked, new or moved items rebuild."""
-        assignment, moves = self._plan_partition()
-        touched_shards = {
-            int(assignment[item])
-            for item in touched_ids
-            if 0 <= item < len(assignment)
+    def _touched_shards(
+        self, window: EventWindow, assignment: np.ndarray, moves: list
+    ) -> set[int]:
+        """The shards one window rebuilds: the owners of its clicked and
+        new items, and both ends of every move."""
+        touched = {
+            int(assignment[event.item_id])
+            for event in window.events
+            if 0 <= event.item_id < len(assignment)
         }
-        touched_shards.update(
-            int(assignment[item])
-            for item in range(len(self._store.item_partition), len(assignment))
+        touched.update(
+            int(shard) for shard in assignment[len(self._store.item_partition):]
         )
-        for item, src, dst in moves:
-            touched_shards.update((src, dst))
-
-        mode = self._config.build_kwargs.get("mode", "cosine")
-        kwargs = {
-            k: v for k, v in self._config.build_kwargs.items() if k != "mode"
-        }
-        index = SimilarityIndex(model, mode=mode)
-        bundles = {
-            shard: build_shard_bundle(
-                model,
-                dataset,
-                np.flatnonzero(assignment == shard),
-                mode=mode,
-                index=index,
-                **kwargs,
-            )
-            for shard in sorted(touched_shards)
-        }
-        return bundles, assignment, moves
+        for _item, src, dst in moves:
+            touched.update((src, dst))
+        return touched
 
     def _plan_partition(
         self,

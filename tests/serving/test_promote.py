@@ -4,8 +4,9 @@
 or a stream window touches a live store, so its ordering rules are
 checked here rather than once per caller: swap every shard, install the
 map, release the retired generation last, all of it inside one gate
-call.  The build half stays with the callers; what is checked of it here
-is the consequence — a build that fails never reaches ``promote``.
+call.  The build half is the store's ``build_generation``; what is
+checked of it here is the consequence — a build that fails never reaches
+``promote``.
 """
 
 from dataclasses import replace
@@ -25,10 +26,10 @@ from repro.serving import (
     build_bundle,
     build_shard_bundle,
 )
-from repro.serving import refresh as refresh_module
+from repro.serving import sharding as sharding_module
+from repro.serving import store as store_module
 from repro.serving.sharding import promote, serving_target
 from repro.streaming import ClickEvent, EventLog, StreamApplier, StreamConfig
-from repro.streaming import applier as applier_module
 
 TRAIN = SGNSConfig(dim=12, epochs=1, window=2, negatives=2, seed=5)
 BUILD = {"n_cells": 4, "table_coverage": 0.8, "seed": 3}
@@ -150,11 +151,16 @@ class TestPromote:
 
 
 class TestBuildFailureNeverReachesTheFlip:
-    """Both callers build every bundle before calling ``promote``."""
+    """Both callers have every bundle built before calling ``promote``."""
 
     @staticmethod
-    def fail_last_build(monkeypatch, module, n_builds: int) -> None:
-        """Make the ``n_builds``-th build of the next promotion explode."""
+    def fail_last_build(monkeypatch, n_builds: int) -> None:
+        """Make the ``n_builds``-th build of the next promotion explode.
+
+        Patched where the stores look the builders up: the one-shard
+        store builds through ``store.build_bundle``, the sharded one
+        through ``sharding.build_shard_bundle``.
+        """
         calls = {"n": 0}
 
         def flaky(real):
@@ -166,14 +172,17 @@ class TestBuildFailureNeverReachesTheFlip:
 
             return build
 
-        for name in ("build_bundle", "build_shard_bundle"):
+        for module, name in (
+            (store_module, "build_bundle"),
+            (sharding_module, "build_shard_bundle"),
+        ):
             monkeypatch.setattr(module, name, flaky(getattr(module, name)))
 
     def test_refresh_daemon(self, target, tiny_split, monkeypatch):
         train, _ = tiny_split
         store, _ = serving_target(target)
         before = store.version
-        self.fail_last_build(monkeypatch, refresh_module, len(store.snapshot()))
+        self.fail_last_build(monkeypatch, len(store.snapshot()))
         daemon = RefreshDaemon(
             target,
             bootstrap_day_source(train, seed=2),
@@ -190,7 +199,7 @@ class TestBuildFailureNeverReachesTheFlip:
         train, _ = tiny_split
         store, _ = serving_target(target)
         before = store.version
-        self.fail_last_build(monkeypatch, applier_module, len(store.snapshot()))
+        self.fail_last_build(monkeypatch, len(store.snapshot()))
         log = EventLog()
         applier = StreamApplier(
             target, log, train,

@@ -1,6 +1,8 @@
 """End-to-end tests for the ``sisg`` command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,27 @@ class TestParser:
             ["serve", "ds.npz", "model", "--stream-every", "5"]
         )
         assert args.stream_every == 5.0
+
+    def test_surface_is_the_recorded_one(self):
+        """Every sub-command's flags, positionals and defaults, against
+        the surface recorded before the stack flags were declared once:
+        sharing them may add, drop or re-default nothing (``serve-demo``
+        must not, say, silently gain ``--seed``)."""
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        surface = {
+            name: {
+                " ".join(action.option_strings) or action.dest: action.default
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, parser in subparsers.choices.items()
+        }
+        golden = Path(__file__).with_name("cli_parser_surface.json")
+        assert surface == json.loads(golden.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +165,22 @@ class TestWorkflow:
             assert needle in out
         assert '"store_version": 1' in out  # the demo performed a swap
 
+    @pytest.mark.parametrize(
+        "stack_flags",
+        [
+            pytest.param([], id="one-store"),
+            # Regression: --cells above the catalogue size used to crash
+            # the unsharded build and work with --shards 2.
+            pytest.param(["--cells", "5000"], id="cells-clamped"),
+            pytest.param(
+                ["--shards", "2", "--shard-executor", "process",
+                 "--ann-precision", "int8", "--zero-copy"],
+                id="two-shards-process-int8-zero-copy",
+            ),
+        ],
+    )
     def test_loadgen_json_report(
-        self, dataset_path, serving_model_path, tmp_path, capsys
+        self, dataset_path, serving_model_path, tmp_path, capsys, stack_flags
     ):
         out_path = tmp_path / "report.json"
         code = main(
@@ -155,6 +192,7 @@ class TestWorkflow:
                 "--batch-size", "8",
                 "--swap-mid",
                 "--output", str(out_path),
+                *stack_flags,
             ]
         )
         assert code == 0
@@ -285,6 +323,11 @@ class TestWorkflow:
         assert report["request_errors"] == 0
         assert report["new_items_servable"]
         assert report["new_item_tiers"]
+        # The staleness gauge reset when the last window applied.
+        assert (
+            report["staleness_after_last_apply_s"]
+            < report["staleness_before_last_apply_s"]
+        )
         assert json.loads(capsys.readouterr().out) == report
 
     def test_serve_then_netload_over_socket(
@@ -292,7 +335,7 @@ class TestWorkflow:
     ):
         """The full network path: `sisg serve` on a socket, `sisg netload`
         driving it (netload polls /healthz, so starting both concurrently
-        is safe — exactly how the CI smoke job wires them)."""
+        is safe)."""
         import socket
         import threading
 
@@ -337,7 +380,7 @@ class TestWorkflow:
         assert report["ok"] == 60
         assert report["errors"] == 0
         counters = report["gateway"]["counters"]
-        assert counters["gateway_coalesced_batches"] >= 1
+        assert counters["gateway_coalesced_batches"] > 0
         out = capsys.readouterr().out
         assert "gateway listening on" in out
 
