@@ -72,9 +72,7 @@ def load_real_scaling() -> dict | None:
     real = {
         "source": TRAINING_REPORT_PATH.name,
         "host": report.get("host"),
-        "seed_single_thread_pairs_per_sec": report["single_thread"]["seed"][
-            "pairs_per_sec"
-        ],
+        "sequential_pairs_per_sec": report["sequential"]["pairs_per_sec"],
         "engines": {},
     }
     for engine in ("parallel", "tns"):
@@ -83,7 +81,7 @@ def load_real_scaling() -> dict | None:
         real["engines"][engine] = {
             w: {
                 "pairs_per_sec": stats["pairs_per_sec"],
-                "speedup_vs_seed": stats["speedup_vs_seed"],
+                "speedup_vs_sequential": stats["speedup_vs_sequential"],
             }
             for w, stats in report[engine]["workers"].items()
         }

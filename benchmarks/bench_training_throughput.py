@@ -1,24 +1,25 @@
-"""Extension bench — training throughput before/after the kernel overhaul.
+"""Extension bench — training throughput of the three SGNS engines.
 
-Not a paper figure: quantifies the hot-path rewrite and the parallel
-training engines this repo adds on top of the paper's algorithms.  One
-JSON report (``benchmarks/BENCH_training.json``), six sections:
+Not a paper figure: quantifies the parallel training engines this repo
+adds on top of the paper's algorithms, all at the same kernels (there is
+one SGNS step; see :mod:`repro.core.sgns`).  One JSON report
+(``benchmarks/BENCH_training.json``), five sections:
 
 - ``host`` — CPU count, load average and multiprocessing start method.
   Scaling numbers are meaningless without them: an earlier run of this
   bench "showed" 4 Hogwild workers slower than 1, which was a 1-core
   container time-slicing 4 processes, not an engine regression.
-- ``single_thread`` — pairs/sec of the sequential trainer under the
-  *seed* kernels (float64, streaming pair loop, ``np.unique`` +
-  ``np.add.at`` scatter) vs the overhauled ones (float32, materialized
-  epoch pairs, sort + CSR segment-sum scatter).  Contract: >= 2x.
+- ``sequential`` — pairs/sec of :class:`repro.core.sgns.SGNSTrainer`,
+  the baseline the engine curves are read against.  (The before/after
+  of the PR 4 kernel overhaul — seed kernels 147 k pairs/s, overhauled
+  812 k — is a recorded measurement in README "Training performance";
+  the losing kernels no longer exist to be re-run.)
 - ``parallel`` / ``tns`` — pairs/sec of
   :class:`repro.core.hogwild.ParallelSGNSTrainer` at 1/2/4/8 workers
   under both hot-row sync paths (lock merge vs the parameter-server
-  process), with speedup vs the seed single-thread baseline.
-  Contracts: >= 2.5x vs seed at the largest worker count the host can
-  run concurrently (4 on a >= 4-core box), and — on a box with >= 4
-  cores — 4-worker pairs/sec strictly above 1-worker (no anti-scaling).
+  process), with speedup vs ``sequential``.  Contract, on a box with
+  >= 4 cores: 4-worker pairs/sec strictly above 1-worker (no
+  anti-scaling).
 - ``sharding`` — wall-clock of the vectorized ``shard_sequences`` on a
   large synthetic corpus, both strategies.  Contract: array-op speed
   (the pre-vectorization per-sequence loops were setup-time hot spots).
@@ -26,8 +27,6 @@ JSON report (``benchmarks/BENCH_training.json``), six sections:
   vs the sequential trainer on the same split.  Contract: within 5%
   relative (measured gaps run ~0.1%) — lock-free races, per-shard LR
   schedules and server merges must not cost retrieval quality.
-- ``kernels`` — microbenchmarks of the individual rewrites (alias-table
-  build loop vs vectorized, the three ``scatter_update`` kernels).
 
 Runs under pytest (``pytest benchmarks/bench_training_throughput.py``),
 standalone (``python benchmarks/bench_training_throughput.py``), in CI
@@ -49,8 +48,7 @@ import numpy as np
 
 from repro.core.enrichment import build_enriched_corpus
 from repro.core.hogwild import ParallelSGNSTrainer, shard_sequences
-from repro.core.sampling import AliasSampler
-from repro.core.sgns import SGNSConfig, SGNSTrainer, scatter_update
+from repro.core.sgns import SGNSConfig, SGNSTrainer
 from repro.core.sisg import SISG
 from repro.data.synthetic import SyntheticWorld, SyntheticWorldConfig
 from repro.eval.hitrate import evaluate_hitrate
@@ -66,20 +64,10 @@ WORLD = SyntheticWorldConfig(
     forward_geom=0.65,
 )
 
-#: The seed trainer's kernels, pinned for the before/after comparison.
-SEED_KERNELS = dict(
-    dtype="float64", precompute_pairs=False, shuffle_pairs=False,
-    scatter_impl="add_at",
-)
-#: The overhauled hot path.
-FAST_KERNELS = dict(
-    dtype="float32", precompute_pairs=True, shuffle_pairs=True,
-    scatter_impl="segment",
-)
+#: Every engine in this bench trains at these settings.
+KERNELS = dict(dtype="float32", precompute_pairs=True, shuffle_pairs=True)
 
 #: Contracts asserted on the report (also by CI smoke for parity).
-MIN_SINGLE_SPEEDUP = 2.0
-MIN_PARALLEL_SPEEDUP = 2.5
 MAX_PARITY_GAP = 0.05
 #: 2 workers on a multi-core runner must stay within 10% of 1 worker.
 MIN_TWO_WORKER_RATIO = 0.9
@@ -115,42 +103,35 @@ def build_corpus(n_sessions: int, seed: int = 0):
     return dataset, corpus
 
 
-def train_config(kernels: dict, epochs: int) -> SGNSConfig:
+def train_config(epochs: int) -> SGNSConfig:
     return SGNSConfig(
-        dim=32, window=4, negatives=5, epochs=epochs, seed=0, **kernels
+        dim=32, window=4, negatives=5, epochs=epochs, seed=0, **KERNELS
     )
 
 
-def run_single_thread(corpus, epochs: int) -> dict:
-    out = {}
-    for name, kernels in (("seed", SEED_KERNELS), ("fast", FAST_KERNELS)):
-        cfg = train_config(kernels, epochs)
-        trainer = SGNSTrainer(len(corpus.vocab), cfg)
-        start = time.perf_counter()
-        trainer.fit(corpus.sequences, corpus.vocab.counts)
-        elapsed = time.perf_counter() - start
-        out[name] = {
-            "seconds": round(elapsed, 3),
-            "pairs": trainer.pairs_trained,
-            "pairs_per_sec": round(trainer.pairs_trained / elapsed, 1),
-        }
-    out["speedup"] = round(
-        out["fast"]["pairs_per_sec"] / out["seed"]["pairs_per_sec"], 2
-    )
-    return out
+def run_sequential(corpus, epochs: int) -> dict:
+    trainer = SGNSTrainer(len(corpus.vocab), train_config(epochs))
+    start = time.perf_counter()
+    trainer.fit(corpus.sequences, corpus.vocab.counts)
+    elapsed = time.perf_counter() - start
+    return {
+        "seconds": round(elapsed, 3),
+        "pairs": trainer.pairs_trained,
+        "pairs_per_sec": round(trainer.pairs_trained / elapsed, 1),
+    }
 
 
 def run_engine_scaling(
     corpus,
     epochs: int,
-    seed_pairs_per_sec: float,
+    sequential_pairs_per_sec: float,
     hot_sync: str,
     worker_counts=WORKER_COUNTS,
 ) -> dict:
     """Wall-clock pairs/sec of one engine across worker counts."""
     out = {"hot_sync": hot_sync, "workers": {}}
     for n_workers in worker_counts:
-        cfg = train_config(FAST_KERNELS, epochs)
+        cfg = train_config(epochs)
         trainer = ParallelSGNSTrainer(
             len(corpus.vocab), cfg, n_workers=n_workers, hot_sync=hot_sync
         )
@@ -162,7 +143,7 @@ def run_engine_scaling(
             "seconds": round(elapsed, 3),
             "pairs": trainer.pairs_trained,
             "pairs_per_sec": round(pps, 1),
-            "speedup_vs_seed": round(pps / seed_pairs_per_sec, 2),
+            "speedup_vs_sequential": round(pps / sequential_pairs_per_sec, 2),
             "hot_rows": trainer.n_hot,
             "shard_sizes": trainer.shard_sizes,
             "feed_mode": trainer.feed_mode,
@@ -204,7 +185,7 @@ def run_parity(dataset, epochs: int) -> dict:
     settings = dict(
         dim=32, window=3, epochs=epochs, negatives=5,
         learning_rate=0.05, subsample_threshold=1e-4, seed=3,
-        **FAST_KERNELS,
+        **KERNELS,
     )
     sequential = SISG.sisg_f_u(**settings).fit(train)
     seq_result = evaluate_hitrate(
@@ -234,50 +215,12 @@ def run_parity(dataset, epochs: int) -> dict:
     return out
 
 
-def run_kernel_micro(vocab_size: int = 50_000) -> dict:
-    """Microbenchmarks of the individual kernel rewrites."""
-    rng = np.random.default_rng(0)
-    weights = 1.0 / np.arange(1, vocab_size + 1) ** 0.75
-
-    def best_of(fn, repeats=3):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    alias = {
-        "loop_ms": round(
-            best_of(lambda: AliasSampler(weights, build="loop")) * 1e3, 2
-        ),
-        "vectorized_ms": round(
-            best_of(lambda: AliasSampler(weights, build="vectorized")) * 1e3, 2
-        ),
-    }
-    alias["speedup"] = round(alias["loop_ms"] / alias["vectorized_ms"], 2)
-
-    n_rows, batch, dim = 20_000, 24_576, 32
-    indices = rng.integers(0, n_rows, size=batch)
-    scatter = {}
-    for dtype in (np.float64, np.float32):
-        matrix = np.zeros((n_rows, dim), dtype=dtype)
-        grads = rng.standard_normal((batch, dim)).astype(dtype)
-        for impl in ("add_at", "reduceat", "segment"):
-            ms = best_of(
-                lambda: scatter_update(matrix, indices, grads, 1e-3, impl=impl)
-            ) * 1e3
-            scatter[f"{impl}_{np.dtype(dtype).name}_ms"] = round(ms, 2)
-    return {"alias_build": alias, "scatter_update": scatter}
-
-
 def run(smoke: bool = False) -> dict:
     n_sessions = 1200 if smoke else 4000
     epochs = 2
     worker_counts = (1, 2) if smoke else WORKER_COUNTS
     dataset, corpus = build_corpus(n_sessions)
-    single = run_single_thread(corpus, epochs)
-    seed_pps = single["seed"]["pairs_per_sec"]
+    sequential = run_sequential(corpus, epochs)
     report = {
         "mode": "smoke" if smoke else "full",
         "host": host_context(),
@@ -286,13 +229,10 @@ def run(smoke: bool = False) -> dict:
             "vocab": len(corpus.vocab),
             "tokens": corpus.n_tokens,
         },
-        "single_thread": single,
+        "sequential": sequential,
         "sharding": run_shard_timing(5_000 if smoke else 50_000),
         "parity": run_parity(dataset, epochs=5 if smoke else 6),
-        "kernels": run_kernel_micro(5_000 if smoke else 50_000),
         "contracts": {
-            "min_single_thread_speedup": MIN_SINGLE_SPEEDUP,
-            "min_parallel_speedup_4w": MIN_PARALLEL_SPEEDUP,
             "max_parity_gap": MAX_PARITY_GAP,
             "max_shard_us_per_seq": MAX_SHARD_US_PER_SEQ,
             "no_anti_scaling_4w": "enforced when host cpu_count >= 4",
@@ -300,7 +240,8 @@ def run(smoke: bool = False) -> dict:
     }
     for engine, hot_sync in ENGINES.items():
         report[engine] = run_engine_scaling(
-            corpus, epochs, seed_pps, hot_sync, worker_counts
+            corpus, epochs, sequential["pairs_per_sec"], hot_sync,
+            worker_counts,
         )
     return report
 
@@ -308,16 +249,16 @@ def run(smoke: bool = False) -> dict:
 def run_scaling_smoke() -> dict:
     """CI mode for the 2-core runner: 2 workers must not anti-scale."""
     _, corpus = build_corpus(1500)
-    single = run_single_thread(corpus, epochs=1)
-    seed_pps = single["seed"]["pairs_per_sec"]
+    sequential = run_sequential(corpus, epochs=1)
     report = {
         "mode": "scaling-smoke",
         "host": host_context(),
-        "single_thread": single,
+        "sequential": sequential,
     }
     for engine, hot_sync in ENGINES.items():
         report[engine] = run_engine_scaling(
-            corpus, 1, seed_pps, hot_sync, worker_counts=(1, 2)
+            corpus, 1, sequential["pairs_per_sec"], hot_sync,
+            worker_counts=(1, 2),
         )
     return report
 
@@ -350,24 +291,11 @@ def check_report(report: dict, timing: bool = True) -> None:
         )
     if not timing:
         return
-    single = report["single_thread"]["speedup"]
-    assert single >= MIN_SINGLE_SPEEDUP, (
-        f"single-thread speedup {single}x below {MIN_SINGLE_SPEEDUP}x"
-    )
-    # The parallel contract is judged at the worker count the host can
-    # actually run concurrently (4 where there are >= 4 cores): asking a
-    # 1-core box for 4-process speedup measures the scheduler, not the
-    # engine.
-    cores = report["host"]["cpu_count"]
-    measured = sorted(int(w) for w in report["parallel"]["workers"])
-    contract_w = str(max(w for w in measured if w <= max(cores, 1)))
-    contracted = report["parallel"]["workers"][contract_w]["speedup_vs_seed"]
-    assert contracted >= MIN_PARALLEL_SPEEDUP, (
-        f"{contract_w}-worker speedup {contracted}x below"
-        f" {MIN_PARALLEL_SPEEDUP}x ({cores}-core host)"
-    )
     # The no-anti-scaling contract is a *scaling* statement; it can only
-    # be judged where the OS can actually run 4 workers concurrently.
+    # be judged where the OS can actually run 4 workers concurrently:
+    # asking a 1-core box for 4-process speedup measures the scheduler,
+    # not the engine.
+    cores = report["host"]["cpu_count"]
     if cores >= 4:
         for engine in ENGINES:
             workers = report[engine]["workers"]
@@ -386,7 +314,7 @@ def test_training_throughput_smoke(benchmark):
     print(json.dumps(report, indent=2, sort_keys=True))
 
     corpus = build_corpus(400)[1]
-    cfg = train_config(FAST_KERNELS, epochs=1)
+    cfg = train_config(epochs=1)
     benchmark(
         lambda: SGNSTrainer(len(corpus.vocab), cfg).fit(
             corpus.sequences, corpus.vocab.counts

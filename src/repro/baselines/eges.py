@@ -28,11 +28,12 @@ use the SI embeddings only, with attention renormalized over the SI slots
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.sampling import AliasSampler, PairGenerator, build_noise_distribution
-from repro.core.sgns import scatter_update, sigmoid
+from repro.core.sgns import lr_at, scatter_update, sgns_gradients
 from repro.data.schema import ITEM_SI_FEATURES, BehaviorDataset
 from repro.graph.item_graph import build_item_graph
 from repro.graph.random_walk import RandomWalker
@@ -144,13 +145,11 @@ class EGES:
         generator = PairGenerator(
             walks, window=cfg.window, directional=False, seed=rng
         )
-        total_pairs = max(generator.count_pairs() * cfg.epochs, 1)
-        min_lr = cfg.learning_rate * cfg.min_lr_fraction
+        total_pairs = generator.count_pairs() * cfg.epochs
         seen = 0
         for epoch in range(cfg.epochs):
             for centers, contexts in generator.batches(cfg.batch_size):
-                progress = min(seen / total_pairs, 1.0)
-                lr = cfg.learning_rate + (min_lr - cfg.learning_rate) * progress
+                lr = lr_at(cfg, seen, total_pairs)
                 self._update_batch(centers, contexts, sampler, lr, rng)
                 seen += len(centers)
             logger.info("EGES epoch %d/%d done (%d pairs)", epoch + 1, cfg.epochs, seen)
@@ -179,17 +178,11 @@ class EGES:
     ) -> None:
         cfg = self.config
         h, weights, views = self._aggregate(centers)
-
-        z_pos = self._outputs[contexts]
-        g_pos = sigmoid(np.einsum("bd,bd->b", h, z_pos)) - 1.0
-
         negatives = sampler.sample((len(centers), cfg.negatives), rng)
-        z_neg = self._outputs[negatives]
-        g_neg = sigmoid(np.einsum("bd,bnd->bn", h, z_neg))
-
-        grad_h = g_pos[:, None] * z_pos + np.einsum("bn,bnd->bd", g_neg, z_neg)
-        grad_z_pos = g_pos[:, None] * h
-        grad_z_neg = g_neg[..., None] * h[:, None, :]
+        # The SGNS step with the aggregated H_v as the centre vector.
+        grad_h, grad_z_pos, grad_z_neg, _loss = sgns_gradients(
+            h, self._outputs[contexts], self._outputs[negatives]
+        )
 
         # Through the attention-weighted average into the constituents.
         grad_views = weights[..., None] * grad_h[:, None, :]  # (B, S, d)
@@ -200,26 +193,15 @@ class EGES:
         )
 
         d = cfg.dim
-        scatter_update(
+        scatter = partial(scatter_update, lr=lr, max_step_norm=cfg.max_step_norm)
+        scatter(
             self._embeddings,
             self._constituents[centers].ravel(),
             grad_views.reshape(-1, d),
-            lr,
-            max_step_norm=cfg.max_step_norm,
         )
-        scatter_update(
-            self._outputs, contexts, grad_z_pos, lr, max_step_norm=cfg.max_step_norm
-        )
-        scatter_update(
-            self._outputs,
-            negatives.ravel(),
-            grad_z_neg.reshape(-1, d),
-            lr,
-            max_step_norm=cfg.max_step_norm,
-        )
-        scatter_update(
-            self._attention, centers, grad_logits, lr, max_step_norm=cfg.max_step_norm
-        )
+        scatter(self._outputs, contexts, grad_z_pos)
+        scatter(self._outputs, negatives.ravel(), grad_z_neg.reshape(-1, d))
+        scatter(self._attention, centers, grad_logits)
 
     # ------------------------------------------------------------------
     # retrieval

@@ -34,12 +34,11 @@ The worker hot path is built for scaling, not just correctness:
   double-buffered shared-memory pair blocks, so SGD never stalls at an
   epoch boundary waiting for Python-level pair generation.
 - **Batched worker loop**: negatives are drawn one *block* (many
-  minibatches) at a time, hot-row index translation is precomputed per
-  block, minibatches are fused (``fused_batches`` × ``batch_size``) and
-  per-batch attribute lookups are hoisted — the per-step interpreter
-  overhead that made oversubscribed workers anti-scale is off the hot
-  path.  The gradient kernels themselves are unchanged
-  (:func:`repro.core.sgns.scatter_update`, :func:`~repro.core.sgns.sigmoid`,
+  minibatches) at a time and hot-row index translation is precomputed
+  per block — the per-step interpreter overhead that made oversubscribed
+  workers anti-scale is off the hot path.  The step itself is the
+  sequential trainer's (:func:`repro.core.sgns.sgns_gradients`,
+  :func:`~repro.core.sgns.lr_at`, :func:`~repro.core.sgns.scatter_update`,
   :class:`repro.core.sampling.AliasSampler`), so single-process and
   multi-process training move parameters the same way and quality parity
   is an empirical check of staleness only (asserted in
@@ -67,12 +66,13 @@ from repro.core.pairfeed import (
     PipelinedPairFeed,
     resolve_feed_mode,
 )
-from repro.core.sampling import (
-    AliasSampler,
-    build_noise_distribution,
-    subsample_keep_probabilities,
+from repro.core.paramserver import (
+    HotRowParameterServer,
+    ServerHotSync,
+    _pin_to_cpu,
 )
-from repro.core.sgns import SGNSConfig, scatter_update, sigmoid
+from repro.core.sampling import AliasSampler, pairs_per_sequence
+from repro.core.sgns import SGNSConfig, fit_prelude, lr_at, sgns_gradients
 from repro.utils import ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("core.hogwild")
@@ -81,23 +81,8 @@ _SHARD_STRATEGIES = ("contiguous", "hbgp")
 _HOT_SYNCS = ("lock", "server")
 
 #: Pairs covered by one negative-sampling draw / hot-row translation in
-#: the worker loop (many fused minibatches share one block).
+#: the worker loop (many minibatches share one block).
 _BLOCK_PAIRS = 1 << 16
-
-
-def _pair_weights(lengths: np.ndarray, window: int) -> np.ndarray:
-    """Skip-gram pairs (one side) per sequence length, vectorized."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    return np.where(
-        lengths <= window + 1,
-        lengths * (lengths - 1) // 2,
-        window * lengths - window * (window + 1) // 2,
-    )
-
-
-def _pair_weight(length: int, window: int) -> int:
-    """Scalar convenience wrapper over :func:`_pair_weights`."""
-    return int(_pair_weights(np.asarray([length]), window)[0])
 
 
 def _assign_balanced(
@@ -165,7 +150,7 @@ def shard_sequences(
     lengths = np.fromiter(
         (len(s) for s in sequences), dtype=np.int64, count=n_seqs
     )
-    weights = _pair_weights(lengths, window)
+    weights = pairs_per_sequence(lengths, window)
     targets = np.full(n_seqs, -1, dtype=np.int64)
     loads = np.zeros(n_workers, dtype=np.float64)
 
@@ -256,17 +241,6 @@ def resolve_n_workers(
     return n
 
 
-def _pin_to_cpu(index: "int | None") -> None:
-    """Best-effort affinity pin of the calling process to one core."""
-    if index is None or not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    except OSError:  # pragma: no cover - containers may forbid it
-        pass
-
-
 class LockHotSync:
     """Hot-row reconciliation against the shared matrix under a lock.
 
@@ -312,7 +286,6 @@ class _WorkerTask:
     sync: object  # LockHotSync | ServerHotSync | None
     neg_seed: int
     total_pairs: int
-    fused_batch: int
     pin_index: "int | None"
 
 
@@ -342,7 +315,7 @@ class ParallelSGNSTrainer:
         ``"hbgp"`` (majority-partition routing; requires
         ``token_partition`` at :meth:`fit` time).
     sync_interval:
-        Fused batches between hot-replica merges (ATNS cadence).  Short
+        Batches between hot-replica merges (ATNS cadence).  Short
         intervals bound drift tighter at slightly more sync traffic.
     hot_threshold:
         Relative-frequency threshold above which a token's output row is
@@ -358,17 +331,10 @@ class ParallelSGNSTrainer:
         ``"pipelined"`` runs a producer process per worker over
         double-buffered shm blocks, ``"auto"`` pipelines only when the
         host has spare cores for the producer stages.
-    fused_batches:
-        Minibatches of ``config.batch_size`` fused into one SGD step in
-        the worker loop.  ``1`` (default) keeps the sequential trainer's
-        step granularity; larger values amortize interpreter overhead
-        per step but take proportionally fewer, bigger steps — a
-        throughput/convergence trade that only pays off when epochs span
-        many thousands of batches.
-    pin_workers:
-        Pin worker ``i`` to core ``i`` (and the parameter server to its
-        own core) via ``sched_setaffinity``.  ``None`` pins exactly when
-        the host has a core per worker; ignored where unsupported.
+
+    Workers (and the parameter server) are pinned to a core each via
+    ``sched_setaffinity`` exactly when the host has a core per worker;
+    ``pinned`` records whether that happened.
     """
 
     def __init__(
@@ -381,12 +347,9 @@ class ParallelSGNSTrainer:
         hot_threshold: float = 1e-3,
         hot_sync: str = "lock",
         pair_feed: str = "auto",
-        fused_batches: int = 1,
-        pin_workers: "bool | None" = None,
     ) -> None:
         require_positive(vocab_size, "vocab_size")
         require_positive(sync_interval, "sync_interval")
-        require_positive(fused_batches, "fused_batches")
         require(
             shard_strategy in _SHARD_STRATEGIES,
             f"shard_strategy must be one of {_SHARD_STRATEGIES},"
@@ -412,8 +375,6 @@ class ParallelSGNSTrainer:
         self.hot_threshold = hot_threshold
         self.hot_sync = hot_sync
         self.pair_feed = pair_feed
-        self.fused_batches = fused_batches
-        self.pin_workers = pin_workers
         self.w_in: np.ndarray | None = None
         self.w_out: np.ndarray | None = None
         self.loss_history: list[float] = []
@@ -442,11 +403,9 @@ class ParallelSGNSTrainer:
         ``shard_strategy="hbgp"``.
         """
         cfg = self.config
-        counts = np.asarray(counts, dtype=np.int64)
-        if len(counts) != self.vocab_size:
-            raise ValueError(
-                f"counts has length {len(counts)}, expected {self.vocab_size}"
-            )
+        counts, sampler, keep = fit_prelude(
+            cfg, self.vocab_size, counts, keep_probabilities
+        )
         if self.shard_strategy == "hbgp" and token_partition is None:
             raise ValueError(
                 "shard_strategy='hbgp' requires a token_partition array"
@@ -455,17 +414,6 @@ class ParallelSGNSTrainer:
             self.requested_workers, max(len(sequences), 1)
         )
         n_workers = self.n_workers
-        noise = build_noise_distribution(counts, cfg.noise_alpha)
-        sampler = AliasSampler(noise)
-        if keep_probabilities is None:
-            keep = subsample_keep_probabilities(counts, cfg.subsample_threshold)
-        else:
-            if len(keep_probabilities) != self.vocab_size:
-                raise ValueError(
-                    "keep_probabilities has length"
-                    f" {len(keep_probabilities)}, expected {self.vocab_size}"
-                )
-            keep = np.asarray(keep_probabilities, dtype=np.float64)
 
         shards = shard_sequences(
             sequences,
@@ -479,7 +427,7 @@ class ParallelSGNSTrainer:
         lengths = np.fromiter(
             (len(s) for s in sequences), dtype=np.int64, count=len(sequences)
         )
-        weights = _pair_weights(lengths, cfg.window)
+        weights = pairs_per_sequence(lengths, cfg.window)
         sides = 1 if cfg.directional else 2
         shard_pairs = [
             int(weights[shard].sum()) * sides * cfg.epochs for shard in shards
@@ -511,11 +459,12 @@ class ParallelSGNSTrainer:
             self.pair_feed, n_workers, fork_available
         )
         cores = os.cpu_count() or 1
-        if self.pin_workers is None:
-            pin = use_fork and cores >= n_workers and cores > 1
-        else:
-            pin = bool(self.pin_workers)
-        self.pinned = pin and hasattr(os, "sched_setaffinity")
+        self.pinned = (
+            use_fork
+            and cores >= n_workers
+            and cores > 1
+            and hasattr(os, "sched_setaffinity")
+        )
 
         shm_params = shared_memory.SharedMemory(
             create=True, size=2 * self.vocab_size * d * dtype.itemsize
@@ -563,8 +512,6 @@ class ParallelSGNSTrainer:
                 and self.n_hot
                 and ctx is not None
             ):
-                from repro.core.paramserver import HotRowParameterServer
-
                 server = HotRowParameterServer(
                     w_out,
                     hot_ids,
@@ -588,8 +535,6 @@ class ParallelSGNSTrainer:
                 if not self.n_hot:
                     sync = None
                 elif server is not None:
-                    from repro.core.paramserver import ServerHotSync
-
                     sync = ServerHotSync(server.connection(wid))
                 else:
                     sync = LockHotSync(w_out, hot_ids, lock)
@@ -600,7 +545,6 @@ class ParallelSGNSTrainer:
                         sync=sync,
                         neg_seed=int(worker_seeds[wid, 1]),
                         total_pairs=shard_pairs[wid],
-                        fused_batch=cfg.batch_size * self.fused_batches,
                         pin_index=wid if self.pinned else None,
                     )
                 )
@@ -729,26 +673,19 @@ def _worker_loop(
 
     Structure: the feed yields one epoch's materialized pairs; the loop
     walks them in *blocks* (one negative-sampling draw and one hot-row
-    translation per block) and, inside a block, in fused minibatches
-    (one SGD step each).  Hot output rows are served from a private
-    replica reconciled through ``task.sync``; everything else is
-    read/written lock-free in shared memory.
+    translation per block) and, inside a block, in minibatches of
+    ``cfg.batch_size`` (one SGD step each).  Hot output rows are served
+    from a private replica reconciled through ``task.sync``; everything
+    else is read/written lock-free in shared memory.
     """
     _pin_to_cpu(task.pin_index)
     rng = ensure_rng(task.neg_seed)
-    # Hoisted per-step state (attribute lookups off the hot path).
     dim = cfg.dim
     negs = cfg.negatives
-    lr0 = cfg.learning_rate
-    min_lr = lr0 * cfg.min_lr_fraction
-    dup = cfg.duplicate_policy
-    clip = cfg.max_step_norm
-    impl = cfg.scatter_impl
-    fused = task.fused_batch
-    block = max(fused, _BLOCK_PAIRS)
-    total = max(task.total_pairs, 1)
+    batch = cfg.batch_size
+    block = max(batch, _BLOCK_PAIRS)
+    scatter = cfg.scatter
     sync = task.sync
-    n_hot = 0 if sync is None else len(hot_row) and int((hot_row >= 0).sum())
     if sync is not None:
         base = np.array(sync.pull(), dtype=w_out.dtype, copy=True)
         replica = base.copy()
@@ -775,87 +712,46 @@ def _worker_loop(
             if sync is not None:
                 blk_hot_pos = hot_row[blk_contexts]
                 blk_hot_neg = hot_row[negatives.ravel()]
-            for s in range(0, nb, fused):
-                e = min(s + fused, nb)
+            for s in range(0, nb, batch):
+                e = min(s + batch, nb)
                 centers = blk_centers[s:e]
                 contexts = blk_contexts[s:e]
                 neg_flat = negatives[s:e].reshape(-1)
                 n_mb = e - s
-                lr = lr0 + (min_lr - lr0) * min(seen / total, 1.0)
+                lr = lr_at(cfg, seen, task.total_pairs)
 
-                w_c = w_in[centers]
                 c_pos = w_out[contexts]
-                if sync is not None:
-                    h_pos = blk_hot_pos[s:e]
-                    m_pos = h_pos >= 0
-                    if m_pos.any():
-                        c_pos[m_pos] = replica[h_pos[m_pos]]
-                pos_sig = sigmoid(np.einsum("bd,bd->b", w_c, c_pos))
-                g_pos = pos_sig - 1.0
-
                 c_neg = w_out[neg_flat]
                 if sync is not None:
+                    # Hot rows are read from (and below, written to) the
+                    # private replica, not the shared matrix.
+                    h_pos = blk_hot_pos[s:e]
                     h_neg = blk_hot_neg[s * negs : e * negs]
+                    m_pos = h_pos >= 0
                     m_neg = h_neg >= 0
-                    if m_neg.any():
-                        c_neg[m_neg] = replica[h_neg[m_neg]]
-                c_neg3 = c_neg.reshape(n_mb, negs, dim)
-                neg_sig = sigmoid(np.einsum("bd,bnd->bn", w_c, c_neg3))
-
-                grad_w = g_pos[:, None] * c_pos + np.einsum(
-                    "bn,bnd->bd", neg_sig, c_neg3
+                    c_pos[m_pos] = replica[h_pos[m_pos]]
+                    c_neg[m_neg] = replica[h_neg[m_neg]]
+                grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
+                    w_in[centers], c_pos, c_neg.reshape(n_mb, negs, dim)
                 )
-                out_grads = np.concatenate(
-                    (
-                        g_pos[:, None] * w_c,
-                        (neg_sig[..., None] * w_c[:, None, :]).reshape(
-                            -1, dim
-                        ),
-                    )
-                )
-                scatter_update(
-                    w_in, centers, grad_w, lr,
-                    duplicate_policy=dup, max_step_norm=clip, impl=impl,
-                )
+                scatter(w_in, centers, grad_w, lr)
+                # Positive and negative output rows are one combined
+                # scatter, as in the sequential trainer.
                 out_tokens = np.concatenate((contexts, neg_flat))
+                out_grads = np.concatenate(
+                    (grad_c_pos, grad_c_neg.reshape(-1, dim))
+                )
                 if sync is not None:
-                    hot_sel = np.concatenate((h_pos, h_neg))
-                    hot_mask = hot_sel >= 0
-                    if hot_mask.any():
-                        scatter_update(
-                            replica, hot_sel[hot_mask], out_grads[hot_mask],
-                            lr, duplicate_policy=dup, max_step_norm=clip,
-                            impl=impl,
-                        )
-                        cold = ~hot_mask
-                        if cold.any():
-                            scatter_update(
-                                w_out, out_tokens[cold], out_grads[cold], lr,
-                                duplicate_policy=dup, max_step_norm=clip,
-                                impl=impl,
-                            )
-                    else:
-                        scatter_update(
-                            w_out, out_tokens, out_grads, lr,
-                            duplicate_policy=dup, max_step_norm=clip,
-                            impl=impl,
-                        )
-                else:
-                    scatter_update(
-                        w_out, out_tokens, out_grads, lr,
-                        duplicate_policy=dup, max_step_norm=clip, impl=impl,
-                    )
+                    hot = np.concatenate((m_pos, m_neg))
+                    if hot.any():
+                        hot_sel = np.concatenate((h_pos, h_neg))
+                        scatter(replica, hot_sel[hot], out_grads[hot], lr)
+                        out_tokens, out_grads = out_tokens[~hot], out_grads[~hot]
+                scatter(w_out, out_tokens, out_grads, lr)
 
                 seen += n_mb
                 epoch_pairs += n_mb
-                with np.errstate(divide="ignore"):
-                    loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
-                    loss += (
-                        -np.log(np.maximum(1.0 - neg_sig, 1e-12))
-                        .sum(axis=1)
-                        .mean()
-                    )
-                epoch_loss += float(loss) * n_mb
+                epoch_loss += loss * n_mb
                 since_sync += 1
                 if sync is not None and since_sync >= sync_interval:
                     merge_replica()
@@ -865,4 +761,3 @@ def _worker_loop(
     if sync is not None:
         merge_replica()
         sync.close()
-    del n_hot

@@ -36,7 +36,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.sampling import PairGenerator
-from repro.core.sgns import SGNSConfig
+from repro.core.sgns import SGNSConfig, pair_generator
 from repro.utils import ensure_rng, get_logger, require_positive
 
 logger = get_logger("core.pairfeed")
@@ -55,19 +55,11 @@ def make_shard_generator(
     Both feeds (and the equivalence tests) construct their generator
     here, so a seed fully determines the pair stream regardless of which
     process runs it.  The parallel engines always materialize epochs
-    (that *is* the batched worker loop's input format);
-    ``cfg.precompute_pairs`` only selects the local trainer's mode.
+    (the feeds call ``materialize_pairs`` themselves — that *is* the
+    batched worker loop's input format); ``cfg.precompute_pairs`` only
+    selects how the local trainer's ``batches()`` walks the corpus.
     """
-    return PairGenerator(
-        sequences,
-        window=cfg.window,
-        directional=cfg.directional,
-        keep_probabilities=keep,
-        dynamic_window=cfg.dynamic_window,
-        seed=ensure_rng(seed),
-        precompute=True,
-        shuffle=cfg.shuffle_pairs,
-    )
+    return pair_generator(sequences, cfg, keep, ensure_rng(seed))
 
 
 class EpochPairFeed:

@@ -34,6 +34,7 @@ server handles exactly the rows where contention lives.
 
 from __future__ import annotations
 
+import os
 import traceback
 from multiprocessing.connection import wait as connection_wait
 
@@ -63,8 +64,7 @@ def _serve(
         # close them or a crashed worker's connection can never EOF.
         for conn in worker_ends:
             conn.close()
-        if pin_cpu is not None:
-            _pin_to_cpu(pin_cpu)
+        _pin_to_cpu(pin_cpu)
         block = w_out[hot_ids].copy()
         live = list(conns)
         while live:
@@ -93,11 +93,13 @@ def _serve(
         raise SystemExit(1)
 
 
-def _pin_to_cpu(index: int) -> None:
-    """Best-effort affinity pin of the calling process to one core."""
-    import os
+def _pin_to_cpu(index: "int | None") -> None:
+    """Best-effort affinity pin of the calling process to one core.
 
-    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+    ``None`` leaves the process where the scheduler put it.  Used by the
+    server process here and by the Hogwild workers.
+    """
+    if index is None or not hasattr(os, "sched_setaffinity"):
         return
     try:
         cpus = sorted(os.sched_getaffinity(0))

@@ -32,24 +32,18 @@ class AliasSampler:
     ----------
     weights:
         Non-negative, not-all-zero weights; normalized internally.
-    build:
-        ``"vectorized"`` (default) constructs the table in a handful of
-        NumPy passes; ``"loop"`` is the classic two-stack build, kept as
-        the arithmetic reference (and the fallback for distributions the
-        vectorized matcher cannot finish).  Both produce *valid* alias
-        tables for the same distribution; the tables themselves may
-        differ (alias tables are not unique).
+
+    The table is built in a handful of NumPy passes
+    (:func:`_alias_rounds`); the classic two-stack loop finishes whatever
+    columns those rounds leave behind.  Alias tables are not unique; any
+    valid one encodes the same distribution.
     """
 
-    def __init__(self, weights: np.ndarray, build: str = "vectorized") -> None:
+    def __init__(self, weights: np.ndarray) -> None:
         weights = np.asarray(weights, dtype=np.float64)
         require(weights.ndim == 1, "weights must be one-dimensional")
         require(len(weights) > 0, "weights must be non-empty")
         require(bool(np.all(weights >= 0)), "weights must be non-negative")
-        require(
-            build in ("vectorized", "loop"),
-            f"build must be 'vectorized' or 'loop', got {build!r}",
-        )
         total = float(weights.sum())
         require(total > 0, "weights must not all be zero")
 
@@ -60,8 +54,7 @@ class AliasSampler:
 
         small = np.flatnonzero(prob < 1.0)
         large = np.flatnonzero(prob >= 1.0)
-        if build == "vectorized":
-            small, large = _alias_rounds(prob, accept, alias, small, large)
+        small, large = _alias_rounds(prob, accept, alias, small, large)
         _alias_two_stack(prob, accept, alias, small, large)
 
         self._accept = accept
@@ -82,7 +75,7 @@ class AliasSampler:
 
 
 #: Bound on the vectorized matcher's rounds; distributions it cannot
-#: finish within the bound fall through to the two-stack reference loop.
+#: finish within the bound fall through to the two-stack loop.
 _ALIAS_MAX_ROUNDS = 64
 
 
@@ -104,7 +97,7 @@ def _alias_rounds(
     shrinks geometrically and the interpreter cost is O(rounds), not
     O(n).  Donations never overdraw a donor, so every finalized column
     is exact; whatever remains after the round cap (typically nothing)
-    is returned for the two-stack reference loop to finish.
+    is returned for the two-stack loop to finish.
     """
     for _ in range(_ALIAS_MAX_ROUNDS):
         if len(small) == 0 or len(large) == 0:
@@ -138,9 +131,9 @@ def _alias_two_stack(
     small: np.ndarray,
     large: np.ndarray,
 ) -> None:
-    """The classic two-stack build (Walker/Vose), used as reference and
-    as the finisher for whatever the vectorized rounds left behind.
-    Columns left over (floating-point residue) keep ``accept = 1``."""
+    """The classic two-stack build (Walker/Vose), the finisher for
+    whatever the vectorized rounds left behind.  Columns left over
+    (floating-point residue) keep ``accept = 1``."""
     small = list(small)
     large = list(large)
     while small and large:
@@ -195,6 +188,22 @@ def subsample_keep_probabilities(
         keep = np.sqrt(1.0 / ratio) * ratio + ratio
     keep[counts == 0] = 1.0
     return np.clip(keep, 0.0, 1.0)
+
+
+def pairs_per_sequence(lengths: np.ndarray, window: int) -> np.ndarray:
+    """Skip-gram pairs (one side) of sequences of the given lengths.
+
+    Closed form, without subsampling or dynamic windowing: a length-``L``
+    sequence contributes ``sum_{d=1..min(m, L-1)} (L - d)`` ordered pairs
+    per side, i.e. ``L (L - 1) / 2`` when ``L <= m + 1`` and
+    ``m L - m (m + 1) / 2`` otherwise.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.where(
+        lengths <= window + 1,
+        lengths * (lengths - 1) // 2,
+        window * lengths - window * (window + 1) // 2,
+    )
 
 
 class PairGenerator:
@@ -296,8 +305,7 @@ class PairGenerator:
     def _flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cache the corpus as one flat array + per-sequence boundaries.
 
-        Empty sequences are dropped (they contribute no pairs and would
-        corrupt the ``reduceat`` boundary bookkeeping).
+        Empty sequences are dropped (they contribute no pairs).
         """
         if self._flat is None:
             seqs = [s for s in self.sequences if len(s) > 0]
@@ -330,7 +338,9 @@ class PairGenerator:
         if self.keep_probabilities is not None:
             mask = self._rng.random(len(flat)) < self.keep_probabilities[flat]
             compact = flat[mask]
-            new_lengths = np.add.reduceat(mask.astype(np.int64), starts)
+            kept = np.zeros(len(flat) + 1, dtype=np.int64)
+            np.cumsum(mask, out=kept[1:])
+            new_lengths = kept[starts + lengths] - kept[starts]
         else:
             compact = flat
             new_lengths = lengths
@@ -429,23 +439,13 @@ class PairGenerator:
 
         A cheap upper bound used for learning-rate scheduling; the exact
         realized count varies run to run because subsampling and the
-        dynamic window are stochastic.
-
-        Closed form over the histogram of sequence lengths: a length-``L``
-        sequence contributes ``sum_{d=1..min(m, L-1)} (L - d)`` ordered
-        pairs per side, i.e. ``L (L - 1) / 2`` when ``L <= m + 1`` and
-        ``m L - m (m + 1) / 2`` otherwise.
+        dynamic window are stochastic (:func:`pairs_per_sequence`, both
+        sides unless directional).
         """
         sides = 1 if self.directional else 2
-        lengths = np.asarray([len(seq) for seq in self.sequences], dtype=np.int64)
-        if len(lengths) == 0:
-            return 0
-        hist = np.bincount(lengths)
-        length = np.arange(len(hist), dtype=np.int64)
-        m = self.window
-        per_sequence = np.where(
-            length <= m + 1,
-            length * (length - 1) // 2,
-            m * length - m * (m + 1) // 2,
+        lengths = np.fromiter(
+            (len(seq) for seq in self.sequences),
+            dtype=np.int64,
+            count=len(self.sequences),
         )
-        return int(sides * (hist * per_sequence).sum())
+        return int(sides * pairs_per_sequence(lengths, self.window).sum())

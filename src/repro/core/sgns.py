@@ -8,13 +8,16 @@ The trainer maximizes::
 with minibatched SGD over vectorized NumPy updates.  Conventions follow
 the reference word2vec implementation: input vectors initialized uniformly
 in ``[-0.5/d, 0.5/d)``, output vectors initialized to zero, and a linear
-learning-rate decay from ``lr`` down to ``min_lr_fraction * lr`` over the
-whole training run.
+learning-rate decay over the whole training run (:func:`lr_at`).
 
-This trainer is also the arithmetic ground truth for the distributed
-engine: :mod:`repro.distributed.tns` runs the same update rule with the
-parameter matrices partitioned across simulated workers, and the
-integration tests check the two reach equivalent retrieval quality.
+There is one SGNS step in this repository and it lives here.  The
+Hogwild workers (:mod:`repro.core.hogwild`), the simulated TNS/ATNS
+cluster (:mod:`repro.distributed.engine`) and the EGES baseline
+(:mod:`repro.baselines.eges`) change *where* an update runs or what the
+centre vector is, never what the step computes: they gather their own
+rows, then call the same :func:`sgns_gradients`, :func:`lr_at` and
+:func:`scatter_update` as :class:`SGNSTrainer`, and start from the same
+:func:`fit_prelude` / :func:`pair_generator`.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ class SGNSConfig:
     #: Globally shuffle materialized pairs each epoch (precompute mode
     #: only); better SGD mixing than offset-major order.
     shuffle_pairs: bool = True
-    #: Duplicate-aggregation kernel: ``"segment"`` (sort + CSR segment
-    #: sum), ``"reduceat"`` (sort + ``np.add.reduceat``) or the legacy
-    #: ``"add_at"`` (``np.unique`` + ``np.add.at``).
-    scatter_impl: str = "segment"
 
     def validate(self) -> None:
         """Raise ``ValueError`` on any inconsistent setting."""
@@ -101,16 +100,19 @@ class SGNSConfig:
             raise ValueError(
                 f"dtype must be 'float32' or 'float64', got {self.dtype!r}"
             )
-        if self.scatter_impl not in ("segment", "reduceat", "add_at"):
-            raise ValueError(
-                "scatter_impl must be 'segment', 'reduceat' or 'add_at',"
-                f" got {self.scatter_impl!r}"
-            )
 
     @property
     def param_dtype(self) -> np.dtype:
         """The parameter matrices' NumPy dtype."""
         return np.dtype(self.dtype)
+
+    def scatter(
+        self, matrix: np.ndarray, indices: np.ndarray, grads: np.ndarray, lr: float
+    ) -> None:
+        """:func:`scatter_update` under this config's duplicate policy and clip."""
+        scatter_update(
+            matrix, indices, grads, lr, self.duplicate_policy, self.max_step_norm
+        )
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -124,6 +126,104 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def sgns_gradients(
+    centers: np.ndarray, positives: np.ndarray, negatives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Eq. 3 forward/backward over already-gathered rows.
+
+    ``centers`` and ``positives`` are ``(B, d)``, ``negatives`` is
+    ``(B, n, d)``: the centre vector, its positive context's output
+    vector and its ``n`` sampled negatives' output vectors, per pair.
+    Returns the gradients of the summed negative log-likelihood with
+    respect to each input, in the same shapes, and the minibatch *mean*
+    loss.  Pure: which rows were gathered, from which matrix or replica,
+    and how the gradients are scattered back is the caller's business.
+    """
+    pos_sig = sigmoid(np.einsum("bd,bd->b", centers, positives))
+    g_pos = pos_sig - 1.0  # d(-log sigmoid(x))/dx
+    neg_sig = sigmoid(np.einsum("bd,bnd->bn", centers, negatives))
+    # d(-log sigmoid(-x))/dx is sigmoid(x) itself.
+    grad_centers = g_pos[:, None] * positives + np.einsum(
+        "bn,bnd->bd", neg_sig, negatives
+    )
+    grad_positives = g_pos[:, None] * centers
+    grad_negatives = neg_sig[..., None] * centers[:, None, :]
+    with np.errstate(divide="ignore"):
+        loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
+        loss += -np.log(np.maximum(1.0 - neg_sig, 1e-12)).sum(axis=1).mean()
+    return grad_centers, grad_positives, grad_negatives, float(loss)
+
+
+def lr_at(config, seen: int, total: int) -> float:
+    """Linear decay from ``learning_rate`` to ``min_lr_fraction`` of it.
+
+    ``seen`` of an expected ``total`` pairs have been trained; past
+    ``total`` the rate stays at its floor.  ``config`` is anything with
+    ``learning_rate`` and ``min_lr_fraction``.
+    """
+    lr = config.learning_rate
+    min_lr = lr * config.min_lr_fraction
+    return lr + (min_lr - lr) * min(seen / max(total, 1), 1.0)
+
+
+def keep_probabilities_for(
+    config: SGNSConfig, counts: np.ndarray, override: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-token subsampling keep probabilities for a fit over ``counts``.
+
+    ``override`` (one probability per token) wins over the word2vec
+    formula at ``config.subsample_threshold``.
+    """
+    if override is None:
+        return subsample_keep_probabilities(counts, config.subsample_threshold)
+    if len(override) != len(counts):
+        raise ValueError(
+            f"keep_probabilities has length {len(override)}, expected"
+            f" {len(counts)}"
+        )
+    return np.asarray(override, dtype=np.float64)
+
+
+def fit_prelude(
+    config: SGNSConfig,
+    vocab_size: int,
+    counts: np.ndarray,
+    keep_probabilities: np.ndarray | None = None,
+) -> tuple[np.ndarray, AliasSampler, np.ndarray]:
+    """What every fit derives from the corpus counts before its first step.
+
+    Returns ``(counts, sampler, keep)``: the counts as ``int64``, the
+    alias sampler over the ``noise_alpha`` noise distribution, and the
+    resolved subsampling keep probabilities.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(counts) != vocab_size:
+        raise ValueError(
+            f"counts has length {len(counts)}, expected {vocab_size}"
+        )
+    sampler = AliasSampler(build_noise_distribution(counts, config.noise_alpha))
+    return counts, sampler, keep_probabilities_for(config, counts, keep_probabilities)
+
+
+def pair_generator(
+    sequences: list[np.ndarray],
+    config: SGNSConfig,
+    keep: np.ndarray | None,
+    seed: "int | np.random.Generator | None",
+) -> PairGenerator:
+    """The :class:`PairGenerator` a config asks for over ``sequences``."""
+    return PairGenerator(
+        sequences,
+        window=config.window,
+        directional=config.directional,
+        keep_probabilities=keep,
+        dynamic_window=config.dynamic_window,
+        seed=seed,
+        precompute=config.precompute_pairs,
+        shuffle=config.shuffle_pairs,
+    )
+
+
 def scatter_update(
     matrix: np.ndarray,
     indices: np.ndarray,
@@ -131,7 +231,6 @@ def scatter_update(
     lr: float,
     duplicate_policy: str = "sum",
     max_step_norm: float | None = 0.25,
-    impl: str = "segment",
 ) -> None:
     """Apply ``matrix[indices] -= lr * grads`` with duplicate handling.
 
@@ -151,59 +250,33 @@ def scatter_update(
     Hogwild workers and the distributed simulation, so all trainers move
     parameters the same way.
 
-    ``impl`` selects the duplicate-aggregation kernel.  All sort the
-    indices once and segment-sum the gradient rows; they differ in the
-    segment-sum engine:
-
-    - ``"segment"`` (default): a CSR indicator matmul (one sparse
-      GEMM over the batch — the fastest by a wide margin);
-    - ``"reduceat"``: ``np.add.reduceat`` over the sorted rows;
-    - ``"add_at"``: the seed kernel (``np.unique`` + ``np.add.at``, an
-      unbuffered per-element ufunc loop), kept as the arithmetic
-      reference and for before/after benchmarking.
-
-    Every path works in ``matrix.dtype`` — gradients are cast, not the
-    matrix — so the float32 path never silently upcasts.
+    Duplicates are aggregated by sorting the indices once and
+    segment-summing the gradient rows with a CSR indicator matmul (one
+    sparse GEMM over the batch); ``tests/core/test_sgns.py`` holds the
+    ``np.add.at`` arithmetic reference it is checked against.  The work
+    is done in ``matrix.dtype`` — gradients are cast, not the matrix —
+    so the float32 path never silently upcasts.
     """
-    if impl not in ("segment", "reduceat", "add_at"):
-        raise ValueError(
-            f"impl must be 'segment', 'reduceat' or 'add_at', got {impl!r}"
-        )
     if len(indices) == 0:
         return
     dtype = matrix.dtype
-    counts = None
-    if impl == "add_at":
-        unique, inverse, counts = np.unique(
-            indices, return_inverse=True, return_counts=True
-        )
-        summed = np.zeros((len(unique), matrix.shape[1]), dtype=dtype)
-        np.add.at(summed, inverse, grads.astype(dtype, copy=False))
-    else:
-        order = np.argsort(indices)
-        sorted_idx = indices[order]
-        boundary = np.empty(len(sorted_idx), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        unique = sorted_idx[starts]
-        grads = np.asarray(grads, dtype=dtype)
-        if impl == "segment":
-            # Row i of the indicator selects the batch rows of unique[i];
-            # the matmul is the segment sum without gathering grads.
-            indicator = sparse.csr_matrix(
-                (np.ones(len(order), dtype=dtype), order,
-                 np.append(starts, len(order))),
-                shape=(len(starts), len(order)),
-            )
-            summed = indicator @ grads
-        else:
-            summed = np.add.reduceat(grads[order], starts, axis=0)
-        if duplicate_policy == "mean":
-            counts = np.diff(np.append(starts, len(sorted_idx)))
+    order = np.argsort(indices)
+    sorted_idx = indices[order]
+    boundary = np.empty(len(sorted_idx), dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    unique = sorted_idx[starts]
+    row_ends = np.append(starts, len(order))
+    # Row i of the indicator selects the batch rows of unique[i]; the
+    # matmul is the segment sum without gathering grads.
+    indicator = sparse.csr_matrix(
+        (np.ones(len(order), dtype=dtype), order, row_ends),
+        shape=(len(starts), len(order)),
+    )
+    step = indicator @ np.asarray(grads, dtype=dtype)
     if duplicate_policy == "mean":
-        summed /= counts[:, None].astype(dtype)
-    step = summed
+        step /= np.diff(row_ends)[:, None].astype(dtype)
     step *= dtype.type(lr)
     if max_step_norm is not None:
         norms = np.linalg.norm(step, axis=1, keepdims=True)
@@ -267,44 +340,19 @@ class SGNSTrainer:
             paper; see :func:`repro.core.sisg.kind_aware_keep`).
         """
         cfg = self.config
-        counts = np.asarray(counts, dtype=np.int64)
-        if len(counts) != self.vocab_size:
-            raise ValueError(
-                f"counts has length {len(counts)}, expected {self.vocab_size}"
-            )
-        noise = build_noise_distribution(counts, cfg.noise_alpha)
-        sampler = AliasSampler(noise)
-        if keep_probabilities is None:
-            keep = subsample_keep_probabilities(counts, cfg.subsample_threshold)
-        else:
-            if len(keep_probabilities) != self.vocab_size:
-                raise ValueError(
-                    "keep_probabilities has length"
-                    f" {len(keep_probabilities)}, expected {self.vocab_size}"
-                )
-            keep = np.asarray(keep_probabilities, dtype=np.float64)
-
-        generator = PairGenerator(
-            sequences,
-            window=cfg.window,
-            directional=cfg.directional,
-            keep_probabilities=keep,
-            dynamic_window=cfg.dynamic_window,
-            seed=self._rng,
-            precompute=cfg.precompute_pairs,
-            shuffle=cfg.shuffle_pairs,
+        _, sampler, keep = fit_prelude(
+            cfg, self.vocab_size, counts, keep_probabilities
         )
+        generator = pair_generator(sequences, cfg, keep, self._rng)
         # Learning-rate schedule over the expected total number of pairs.
-        total_pairs = max(generator.count_pairs() * cfg.epochs, 1)
-        min_lr = cfg.learning_rate * cfg.min_lr_fraction
+        total_pairs = generator.count_pairs() * cfg.epochs
         seen = 0
 
         for epoch in range(cfg.epochs):
             epoch_loss = 0.0
             epoch_pairs = 0
             for centers, contexts in generator.batches(cfg.batch_size):
-                progress = min(seen / total_pairs, 1.0)
-                lr = cfg.learning_rate + (min_lr - cfg.learning_rate) * progress
+                lr = lr_at(cfg, seen, total_pairs)
                 loss = self._update_batch(centers, contexts, sampler, lr)
                 batch = len(centers)
                 seen += batch
@@ -331,48 +379,17 @@ class SGNSTrainer:
     ) -> float:
         """One SGD step over a batch of positive pairs; returns mean loss."""
         cfg = self.config
-        w_c = self.w_in[centers]
-        c_pos = self.w_out[contexts]
-
-        pos_logit = np.einsum("bd,bd->b", w_c, c_pos)
-        pos_sig = sigmoid(pos_logit)
-        g_pos = pos_sig - 1.0  # d(-log sigmoid(x))/dx
-
         negatives = sampler.sample((len(centers), cfg.negatives), self._rng)
-        c_neg = self.w_out[negatives]
-        neg_logit = np.einsum("bd,bnd->bn", w_c, c_neg)
-        neg_sig = sigmoid(neg_logit)
-        g_neg = neg_sig  # d(-log sigmoid(-x))/dx
-
-        grad_w = g_pos[:, None] * c_pos + np.einsum("bn,bnd->bd", g_neg, c_neg)
-        grad_c_pos = g_pos[:, None] * w_c
-        grad_c_neg = g_neg[..., None] * w_c[:, None, :]
-
-        self._scatter(self.w_in, centers, grad_w, lr)
+        grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
+            self.w_in[centers], self.w_out[contexts], self.w_out[negatives]
+        )
+        cfg.scatter(self.w_in, centers, grad_w, lr)
         # Positive-context and negative rows hit the same matrix in the
         # same step; one combined scatter sorts (and clips) them once.
-        self._scatter(
+        cfg.scatter(
             self.w_out,
             np.concatenate((contexts, negatives.ravel())),
             np.concatenate((grad_c_pos, grad_c_neg.reshape(-1, cfg.dim))),
             lr,
         )
-
-        with np.errstate(divide="ignore"):
-            loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
-            loss += -np.log(np.maximum(1.0 - neg_sig, 1e-12)).sum(axis=1).mean()
-        return float(loss)
-
-    def _scatter(
-        self, matrix: np.ndarray, indices: np.ndarray, grads: np.ndarray, lr: float
-    ) -> None:
-        """Delegate to :func:`scatter_update` with this trainer's policy."""
-        scatter_update(
-            matrix,
-            indices,
-            grads,
-            lr,
-            duplicate_policy=self.config.duplicate_policy,
-            max_step_norm=self.config.max_step_norm,
-            impl=self.config.scatter_impl,
-        )
+        return loss

@@ -10,10 +10,10 @@ Faithful simulation strategy: the *algorithm* runs for real —
   own copy of their output vectors, and the copies are averaged every
   ``sync_interval`` batches (ATNS's caching/averaging strategy);
 - the update arithmetic is byte-for-byte the same as the single-machine
-  trainer (shared :func:`repro.core.sgns.scatter_update` / ``sigmoid``),
-  so any quality difference against single-machine SGNS is due to the
-  *algorithmic* approximations (local noise, replica staleness), exactly
-  as on a real cluster —
+  trainer (shared :func:`repro.core.sgns.sgns_gradients` /
+  ``scatter_update`` / ``lr_at``), so any quality difference against
+  single-machine SGNS is due to the *algorithmic* approximations
+  (local noise, replica staleness), exactly as on a real cluster —
 
 while the cluster's *time* is accounted by the
 :class:`~repro.distributed.cluster.CostModel`: compute on the worker
@@ -28,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.enrichment import EnrichedCorpus
-from repro.core.sampling import (
-    AliasSampler,
-    PairGenerator,
-    build_noise_distribution,
-    subsample_keep_probabilities,
+from repro.core.sampling import AliasSampler, build_noise_distribution
+from repro.core.sgns import (
+    SGNSConfig,
+    keep_probabilities_for,
+    lr_at,
+    pair_generator,
+    sgns_gradients,
 )
-from repro.core.sgns import SGNSConfig, scatter_update, sigmoid
 from repro.distributed.cluster import ClusterStats, CostModel, WorkerClock
 from repro.distributed.partition import TokenPartition, build_token_partition
 from repro.utils import ensure_rng, get_logger, require, require_positive, spawn_rngs
@@ -184,26 +185,9 @@ def train_distributed(
     w_in = (master_rng.random((vocab_size, dim)) - 0.5) / dim
     w_out = np.zeros((vocab_size, dim))
 
-    if keep_probabilities is None:
-        keep = subsample_keep_probabilities(counts, config.subsample_threshold)
-    else:
-        require(
-            len(keep_probabilities) == vocab_size,
-            "keep_probabilities must align with the vocabulary",
-        )
-        keep = np.asarray(keep_probabilities, dtype=np.float64)
-    generator = PairGenerator(
-        corpus.sequences,
-        window=config.window,
-        directional=config.directional,
-        keep_probabilities=keep,
-        dynamic_window=config.dynamic_window,
-        seed=master_rng,
-        precompute=config.precompute_pairs,
-        shuffle=config.shuffle_pairs,
-    )
-    total_pairs = max(generator.count_pairs() * config.epochs, 1)
-    min_lr = config.learning_rate * config.min_lr_fraction
+    keep = keep_probabilities_for(config, counts, keep_probabilities)
+    generator = pair_generator(corpus.sequences, config, keep, master_rng)
+    total_pairs = generator.count_pairs() * config.epochs
 
     owner = partition.owner
     is_shared = partition.shared
@@ -248,34 +232,16 @@ def train_distributed(
     def scatter_out(worker: _Worker, tokens: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Update output vectors (replica for Q, global otherwise)."""
         mask = is_shared[tokens]
-        if mask.any():
-            scatter_update(
-                worker.hot_replica,
-                hot_row[tokens[mask]],
-                grads[mask],
-                lr,
-                duplicate_policy=config.duplicate_policy,
-                max_step_norm=config.max_step_norm,
-                impl=config.scatter_impl,
-            )
-        rest = ~mask
-        if rest.any():
-            scatter_update(
-                w_out,
-                tokens[rest],
-                grads[rest],
-                lr,
-                duplicate_policy=config.duplicate_policy,
-                max_step_norm=config.max_step_norm,
-                impl=config.scatter_impl,
-            )
+        config.scatter(
+            worker.hot_replica, hot_row[tokens[mask]], grads[mask], lr
+        )
+        config.scatter(w_out, tokens[~mask], grads[~mask], lr)
 
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
         for centers, contexts in generator.batches(config.batch_size):
-            progress = min(seen / total_pairs, 1.0)
-            lr = config.learning_rate + (min_lr - config.learning_rate) * progress
+            lr = lr_at(config, seen, total_pairs)
 
             # A pair is processed by the owner of its *context* (TNS),
             # unless the context is replicated (hot set Q) — then the
@@ -300,34 +266,25 @@ def train_distributed(
                 b_contexts = contexts[sel]
                 n_sub = len(b_centers)
 
-                w_c = w_in[b_centers]
-                c_pos = gather_out(worker, b_contexts)
-                g_pos = sigmoid(np.einsum("bd,bd->b", w_c, c_pos)) - 1.0
-
                 negatives = worker.sample_negatives((n_sub, config.negatives))
-                c_neg_flat = gather_out(worker, negatives.ravel())
-                c_neg = c_neg_flat.reshape(n_sub, config.negatives, dim)
-                g_neg = sigmoid(np.einsum("bd,bnd->bn", w_c, c_neg))
-
-                grad_w = g_pos[:, None] * c_pos + np.einsum(
-                    "bn,bnd->bd", g_neg, c_neg
+                grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
+                    w_in[b_centers],
+                    gather_out(worker, b_contexts),
+                    gather_out(worker, negatives.ravel()).reshape(
+                        n_sub, config.negatives, dim
+                    ),
                 )
-                grad_c_pos = g_pos[:, None] * w_c
-                grad_c_neg = (g_neg[..., None] * w_c[:, None, :]).reshape(-1, dim)
-
+                # Positives and negatives are scattered (and clipped)
+                # separately here, unlike the local trainer's one
+                # combined scatter; Fig. 7 / Table III were measured so.
                 scatter_out(worker, b_contexts, grad_c_pos, lr)
-                scatter_out(worker, negatives.ravel(), grad_c_neg, lr)
+                scatter_out(
+                    worker, negatives.ravel(), grad_c_neg.reshape(-1, dim), lr
+                )
                 # The input-vector gradient is returned to (and applied
                 # by) the owner of the center, per Alg. 1 line 8.
-                scatter_update(
-                    w_in,
-                    b_centers,
-                    grad_w,
-                    lr,
-                    duplicate_policy=config.duplicate_policy,
-                    max_step_norm=config.max_step_norm,
-                    impl=config.scatter_impl,
-                )
+                config.scatter(w_in, b_centers, grad_w, lr)
+                batch_loss += loss * n_sub
 
                 # --- time accounting ---------------------------------
                 worker.clock.add_compute(
@@ -351,12 +308,6 @@ def train_distributed(
                         )
                         remote_participants.add(int(sender))
                         stats_rpc += 1
-
-                with np.errstate(divide="ignore"):
-                    batch_loss += float(
-                        -np.log(np.maximum(g_pos + 1.0, 1e-12)).sum()
-                        - np.log(np.maximum(1.0 - g_neg, 1e-12)).sum()
-                    )
 
             for wid in remote_participants:
                 workers[wid].clock.add_communication(cost_model.rpc_latency)

@@ -8,11 +8,10 @@ import pytest
 
 from repro.core.hogwild import (
     ParallelSGNSTrainer,
-    _pair_weight,
-    _pair_weights,
     resolve_n_workers,
     shard_sequences,
 )
+from repro.core.sampling import pairs_per_sequence
 from repro.core.sgns import SGNSConfig
 
 
@@ -42,12 +41,9 @@ class TestShardSequences:
             for n in rng.integers(2, 60, size=300)
         ]
         shards = shard_sequences(seqs, 4, window=5)
-        loads = [
-            sum(_pair_weight(len(seqs[i]), 5) for i in shard) for shard in shards
-        ]
-        assert max(loads) <= 1.1 * (sum(loads) / len(loads)) + max(
-            _pair_weight(len(s), 5) for s in seqs
-        )
+        weights = pairs_per_sequence([len(s) for s in seqs], 5)
+        loads = [int(weights[shard].sum()) for shard in shards]
+        assert max(loads) <= 1.1 * (sum(loads) / len(loads)) + weights.max()
 
     def test_more_workers_than_sequences(self):
         seqs = [np.arange(4, dtype=np.int64)]
@@ -85,10 +81,13 @@ class TestShardSequences:
             shard_sequences([np.arange(3)], 0)
 
     def test_vectorized_weights_match_scalar(self):
+        """The closed form against counting the window offsets one by one."""
         lengths = np.arange(0, 30, dtype=np.int64)
-        vec = _pair_weights(lengths, 5)
-        ref = [_pair_weight(int(n), 5) for n in lengths]
-        np.testing.assert_array_equal(vec, ref)
+        ref = [
+            sum(int(n) - d for d in range(1, min(5, int(n) - 1) + 1))
+            for n in lengths
+        ]
+        np.testing.assert_array_equal(pairs_per_sequence(lengths, 5), ref)
 
     def test_handles_empty_sequences(self):
         seqs = [np.empty(0, dtype=np.int64), np.arange(6, dtype=np.int64)]
@@ -217,5 +216,3 @@ class TestParallelTrainer:
             ParallelSGNSTrainer(10, pair_feed="turbo")
         with pytest.raises(ValueError):
             ParallelSGNSTrainer(10, hot_sync="udp")
-        with pytest.raises(ValueError):
-            ParallelSGNSTrainer(10, fused_batches=0)

@@ -269,19 +269,15 @@ class TestVectorizedAliasBuild:
                                    atol=1e-12)
 
     def test_matches_loop_build_distribution(self):
+        """A spiky 500-way Dirichlet draw (the shape the two-stack loop
+        was the reference for): the table encodes it exactly."""
         rng = np.random.default_rng(0)
         weights = rng.dirichlet(np.full(500, 0.1))
-        fast = AliasSampler(weights, build="vectorized")
-        slow = AliasSampler(weights, build="loop")
         np.testing.assert_allclose(
-            self.table_distribution(fast),
-            self.table_distribution(slow),
+            self.table_distribution(AliasSampler(weights)),
+            weights / weights.sum(),
             atol=1e-12,
         )
-
-    def test_rejects_unknown_build(self):
-        with pytest.raises(ValueError):
-            AliasSampler(np.ones(3), build="magic")
 
     @given(
         st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=200)

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.sgns import SGNSConfig, SGNSTrainer, scatter_update, sigmoid
+from repro.core.enrichment import build_enriched_corpus
+from repro.core.hogwild import ParallelSGNSTrainer
+from repro.core.sampling import PairGenerator
+from repro.core.sgns import (
+    SGNSConfig,
+    SGNSTrainer,
+    lr_at,
+    scatter_update,
+    sgns_gradients,
+    sigmoid,
+)
+from repro.distributed.engine import train_distributed
 
 
 class TestSigmoid:
@@ -18,6 +29,114 @@ class TestSigmoid:
 
     def test_zero(self):
         assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
+
+
+def eq3_batch_loss(centers, positives, negatives):
+    """Eq. 3 negative log-likelihood summed over the batch, written
+    without ``sigmoid``: ``-log s(x) = log(1 + e^-x)``."""
+    pos = np.einsum("bd,bd->b", centers, positives)
+    neg = np.einsum("bd,bnd->bn", centers, negatives)
+    return np.logaddexp(0.0, -pos).sum() + np.logaddexp(0.0, neg).sum()
+
+
+def central_difference(fn, x, eps=1e-6):
+    grad = np.empty_like(x)
+    flat, out = x.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + eps
+        up = fn()
+        flat[i] = keep - eps
+        down = fn()
+        flat[i] = keep
+        out[i] = (up - down) / (2 * eps)
+    return grad
+
+
+class TestSGNSGradients:
+    """The one gradient kernel every trainer calls, against the maths."""
+
+    @staticmethod
+    def gathered_batch(directional, n_negatives):
+        """Rows gathered the way a trainer gathers them: real pairs of a
+        symmetric (mirrored pairs, tokens on both sides) or directional
+        generator, out of non-trivial matrices."""
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(0, 9, size=6) for _ in range(3)]
+        centers, contexts = next(
+            PairGenerator(
+                seqs, window=2, directional=directional, dynamic_window=False,
+                seed=1, precompute=True,
+            ).batches(16)
+        )
+        w_in = rng.standard_normal((9, 4))
+        w_out = rng.standard_normal((9, 4))
+        negatives = rng.integers(0, 9, size=(len(centers), n_negatives))
+        return w_in[centers], w_out[contexts], w_out[negatives]
+
+    @pytest.mark.parametrize("n_negatives", [1, 5])
+    @pytest.mark.parametrize("directional", [False, True], ids=["symmetric", "directional"])
+    def test_matches_central_difference_of_eq3(self, directional, n_negatives):
+        rows = self.gathered_batch(directional, n_negatives)
+        assert all(r.dtype == np.float64 for r in rows)
+        *grads, loss = sgns_gradients(*rows)
+        for row, grad in zip(rows, grads):
+            assert grad.shape == row.shape
+            numeric = central_difference(lambda: eq3_batch_loss(*rows), row)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n_negatives", [1, 5])
+    def test_loss_is_the_minibatch_mean(self, n_negatives):
+        rows = self.gathered_batch(False, n_negatives)
+        loss = sgns_gradients(*rows)[3]
+        assert isinstance(loss, float)
+        assert loss == pytest.approx(
+            eq3_batch_loss(*rows) / len(rows[0]), rel=1e-12
+        )
+
+    def test_float32_rows_give_float32_gradients(self):
+        rows = [r.astype(np.float32) for r in self.gathered_batch(True, 5)]
+        *grads, _loss = sgns_gradients(*rows)
+        assert all(g.dtype == np.float32 for g in grads)
+
+
+class TestSchedule:
+    def test_linear_decay_to_the_floor_and_no_further(self):
+        cfg = SGNSConfig(learning_rate=0.1, min_lr_fraction=0.1)
+        assert lr_at(cfg, 0, 1000) == pytest.approx(0.1)
+        assert lr_at(cfg, 500, 1000) == pytest.approx(0.055)
+        assert lr_at(cfg, 1000, 1000) == pytest.approx(0.01)
+        assert lr_at(cfg, 5000, 1000) == pytest.approx(0.01)
+        assert lr_at(cfg, 0, 0) == pytest.approx(0.1)  # empty corpus
+
+
+class TestOneFitPrelude:
+    """All three SGNS fits reject a misaligned keep-probability override
+    with the same error."""
+
+    @pytest.mark.parametrize("fit", ["sequential", "hogwild", "simulation"])
+    def test_keep_length_mismatch_is_one_error(self, fit, tiny_split):
+        corpus = build_enriched_corpus(
+            tiny_split[0], with_si=False, with_user_types=False
+        )
+        n = len(corpus.vocab)
+        cfg = SGNSConfig(dim=4, epochs=1, window=1)
+        short = np.ones(n - 1)
+        message = f"keep_probabilities has length {n - 1}, expected {n}"
+        with pytest.raises(ValueError) as err:
+            if fit == "sequential":
+                SGNSTrainer(n, cfg).fit(
+                    corpus.sequences, corpus.vocab.counts, short
+                )
+            elif fit == "hogwild":
+                ParallelSGNSTrainer(n, cfg, n_workers=1).fit(
+                    corpus.sequences, corpus.vocab.counts, short
+                )
+            else:
+                train_distributed(
+                    corpus, cfg, n_workers=2, keep_probabilities=short
+                )
+        assert str(err.value) == message
 
 
 class TestScatterUpdate:
@@ -209,66 +328,82 @@ class TestTraining:
         assert np.all(trainer.w_out[3] == 0.0)
 
 
+def add_at_scatter(matrix, indices, grads, lr, duplicate_policy="sum",
+                   max_step_norm=0.25):
+    """The arithmetic reference for ``scatter_update``: the seed kernel
+    (``np.unique`` + ``np.add.at``, an unbuffered per-element ufunc
+    loop).  Lives here as the oracle; ``src/`` keeps only the CSR
+    segment-sum kernel."""
+    if len(indices) == 0:
+        return
+    dtype = matrix.dtype
+    unique, inverse, counts = np.unique(
+        indices, return_inverse=True, return_counts=True
+    )
+    step = np.zeros((len(unique), matrix.shape[1]), dtype=dtype)
+    np.add.at(step, inverse, grads.astype(dtype, copy=False))
+    if duplicate_policy == "mean":
+        step /= counts[:, None].astype(dtype)
+    step *= dtype.type(lr)
+    if max_step_norm is not None:
+        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        np.maximum(norms, max_step_norm, out=norms)
+        step *= dtype.type(max_step_norm) / norms
+    matrix[unique] -= step
+
+
+#: The kernels under test, by the name the suite has always printed for
+#: them; ``"segment"`` (sort + CSR segment sum) is the one ``src/`` ships.
+KERNELS = [pytest.param(scatter_update, id="segment")]
+
+
 class TestScatterImplementations:
-    """The three duplicate-aggregation kernels must agree, and the
-    float32 path must not silently upcast (satellite fix)."""
+    """The shipped duplicate-aggregation kernel must agree with the
+    ``np.add.at`` reference, and the float32 path must not silently
+    upcast (satellite fix)."""
 
     @staticmethod
-    def run_impl(impl, dtype, policy="sum"):
+    def run_kernel(kernel, dtype, policy="sum"):
         rng = np.random.default_rng(7)
         matrix = rng.standard_normal((50, 8)).astype(dtype)
         indices = rng.integers(0, 50, size=200)
         grads = rng.standard_normal((200, 8)).astype(dtype)
         out = matrix.copy()
-        scatter_update(
-            out, indices, grads, lr=0.1, duplicate_policy=policy, impl=impl
-        )
+        kernel(out, indices, grads, lr=0.1, duplicate_policy=policy)
         return out
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("policy", ["sum", "mean"])
     def test_segment_and_reduceat_match_add_at(self, dtype, policy):
-        ref = self.run_impl("add_at", dtype, policy)
+        ref = self.run_kernel(add_at_scatter, dtype, policy)
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        for impl in ("segment", "reduceat"):
-            np.testing.assert_allclose(
-                self.run_impl(impl, dtype, policy), ref, atol=tol, rtol=tol
-            )
+        np.testing.assert_allclose(
+            self.run_kernel(scatter_update, dtype, policy), ref,
+            atol=tol, rtol=tol,
+        )
 
-    @pytest.mark.parametrize("impl", ["segment", "reduceat", "add_at"])
-    def test_float32_matrix_stays_float32(self, impl):
-        out = self.run_impl(impl, np.float32)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_float32_matrix_stays_float32(self, kernel):
+        out = self.run_kernel(kernel, np.float32)
         assert out.dtype == np.float32
 
-    @pytest.mark.parametrize("impl", ["segment", "reduceat", "add_at"])
-    def test_empty_indices_noop(self, impl):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_indices_noop(self, kernel):
         matrix = np.ones((4, 3))
         before = matrix.copy()
-        scatter_update(
-            matrix, np.array([], dtype=np.int64), np.zeros((0, 3)), 0.1,
-            impl=impl,
-        )
+        kernel(matrix, np.array([], dtype=np.int64), np.zeros((0, 3)), 0.1)
         np.testing.assert_array_equal(matrix, before)
 
-    def test_rejects_unknown_impl(self):
-        with pytest.raises(ValueError):
-            scatter_update(
-                np.zeros((2, 2)), np.array([0]), np.ones((1, 2)), 0.1,
-                impl="magic",
-            )
-
-    @pytest.mark.parametrize("impl", ["segment", "reduceat"])
-    def test_clipping_matches_add_at(self, impl):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_clipping_matches_add_at(self, kernel):
         rng = np.random.default_rng(3)
         matrix = np.zeros((10, 4))
         indices = rng.integers(0, 10, size=40)
         grads = 100.0 * rng.standard_normal((40, 4))
         ref = matrix.copy()
         out = matrix.copy()
-        scatter_update(ref, indices, grads, 0.5, max_step_norm=0.25,
-                       impl="add_at")
-        scatter_update(out, indices, grads, 0.5, max_step_norm=0.25,
-                       impl=impl)
+        add_at_scatter(ref, indices, grads, 0.5, max_step_norm=0.25)
+        kernel(out, indices, grads, 0.5, max_step_norm=0.25)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 

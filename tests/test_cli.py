@@ -400,3 +400,25 @@ class TestWorkflow:
         )
         assert code == 0
         assert model_path.with_suffix(".npz").exists()
+
+    @pytest.mark.parametrize(
+        "engine_flags",
+        [
+            pytest.param(
+                ["--engine", "parallel", "--workers", "2",
+                 "--shard-strategy", "hbgp"],
+                id="parallel-hbgp-2w",
+            ),
+            pytest.param(["--engine", "tns", "--workers", "auto"], id="tns-auto"),
+        ],
+    )
+    def test_train_engine(self, engine_flags, dataset_path, tmp_path):
+        model_path = tmp_path / "engine_model"
+        code = main(
+            [
+                "train", str(dataset_path), str(model_path),
+                "--dim", "16", "--epochs", "1", *engine_flags,
+            ]
+        )
+        assert code == 0
+        assert model_path.with_suffix(".npz").exists()
