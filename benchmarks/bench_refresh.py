@@ -44,8 +44,11 @@ WORLD = SyntheticWorldConfig(
 N_REQUESTS = 1500
 BATCH_SIZE = 16
 K = 10
-#: Cheap warm-start continuation so one cycle stays sub-second-ish.
-TRAIN = SGNSConfig(dim=16, epochs=1, window=2, negatives=3, seed=0)
+#: Cheap warm-start continuation so one cycle stays sub-second-ish,
+#: trained in float32 like every trainer in the ``bench`` harness.
+TRAIN = SGNSConfig(
+    dim=16, epochs=1, window=2, negatives=3, seed=0, dtype="float32"
+)
 
 
 def build_setup(seed: int = 0):

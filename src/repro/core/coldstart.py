@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +35,27 @@ class VectorIndex(Protocol):
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
+def infer_cold_item_vectors(
+    model: EmbeddingModel, si_values: Sequence[Mapping[str, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 6 for many brand-new items at once: ``(vectors, known)``.
+
+    Row ``i`` sums, in ``si_values[i]``'s order, the input vectors of
+    that item's SI instances present in the vocabulary.  Where none is,
+    ``known[i]`` is ``False`` and the row stays zero: the caller decides
+    what such an item gets.
+    """
+    vectors = np.zeros((len(si_values), model.dim))
+    known = np.zeros(len(si_values), dtype=bool)
+    for row, (vector, values) in enumerate(zip(vectors, si_values)):
+        for feature, value in values.items():
+            token = si_token(feature, value)
+            if model.has_token(token):
+                vector += model.vector(token)
+                known[row] = True
+    return vectors, known
+
+
 def infer_cold_item_vector(
     model: EmbeddingModel, si_values: dict[str, int]
 ) -> np.ndarray:
@@ -43,19 +64,13 @@ def infer_cold_item_vector(
     SI instances absent from the vocabulary (values never seen in
     training) are skipped; at least one must be present.
     """
-    vector = np.zeros(model.dim)
-    found = 0
-    for feature, value in si_values.items():
-        token = si_token(feature, value)
-        if model.has_token(token):
-            vector += model.vector(token)
-            found += 1
+    vectors, known = infer_cold_item_vectors(model, [si_values])
     require(
-        found > 0,
+        bool(known[0]),
         "none of the item's SI instances are in the trained vocabulary;"
         " cannot infer a cold-start vector",
     )
-    return vector
+    return vectors[0]
 
 
 def recommend_for_cold_item(

@@ -9,9 +9,14 @@ implements that recipe:
 1. encode today's sessions **extending** yesterday's vocabulary (ids are
    stable; new items/SI values/user types get fresh ids);
 2. carry over yesterday's vectors for known tokens; initialize new item
-   tokens from their SI vectors (Eq. 6 — the cold-start recipe doubles
-   as a warm-start initializer) and everything else as word2vec does;
-3. continue SGNS training on today's corpus at a reduced learning rate.
+   tokens from their SI vectors (Eq. 6 through
+   :func:`~repro.core.coldstart.infer_cold_item_vectors` — the cold-start
+   recipe doubles as a warm-start initializer) and everything else as
+   word2vec does;
+3. continue SGNS training on today's corpus at a reduced learning rate,
+   in the config's ``dtype``: a float32 ``SGNSConfig`` warm-starts on
+   float32 matrices, as the day-0 fit does.  The returned
+   :class:`~repro.core.model.EmbeddingModel` holds float64 either way.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.coldstart import infer_cold_item_vectors
 from repro.core.enrichment import build_enriched_corpus
 from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig, SGNSTrainer
@@ -48,7 +54,8 @@ def incremental_update(
     new_dataset:
         Today's behavior data (may contain brand-new items and users).
     config:
-        SGNS settings for the continuation run.
+        SGNS settings for the continuation run; its ``dtype`` is the
+        precision the continuation trains in.
     with_si, with_user_types:
         Enrichment flags; should match how ``previous`` was trained so
         the joint space keeps its semantics.
@@ -78,35 +85,29 @@ def incremental_update(
     new_size = len(vocab)
     dim = previous.dim
 
-    w_in = np.empty((new_size, dim))
-    w_out = np.zeros((new_size, dim))
+    # The continuation trains in the configured precision: yesterday's
+    # (float64) rows and today's initial rows are cast on the way in.
+    dtype = config.param_dtype
+    w_in = np.empty((new_size, dim), dtype=dtype)
+    w_out = np.zeros((new_size, dim), dtype=dtype)
     w_in[:old_size] = previous.w_in
     w_out[:old_size] = previous.w_out
     w_in[old_size:] = (rng.random((new_size - old_size, dim)) - 0.5) / dim
 
-    # New items start from the sum of their (already trained) SI vectors —
-    # Eq. 6 as a warm-start initializer — so they enter the space near
-    # their semantic neighbourhood instead of at random.
+    # New items start where cold-start retrieval already places them:
+    # Eq. 6 over yesterday's SI vectors, summed over the features the
+    # corpus injects.  An item none of whose SI yesterday's model knows
+    # keeps its random row.
     si_initialized = 0
     if with_si:
-        for token_id in range(old_size, new_size):
-            if vocab.kind_of(token_id) is not TokenKind.ITEM:
-                continue
-            item_id = vocab.item_id_of(token_id)
-            si_values = new_dataset.items[item_id].si_values
-            vector = np.zeros(dim)
-            found = 0
-            for feature in ITEM_SI_FEATURES:
-                si_tid = vocab.get_id(f"{feature}_{si_values[feature]}")
-                if si_tid is not None and si_tid < old_size:
-                    vector += previous.w_in[si_tid]
-                    found += 1
-            if found:
-                # Eq. 6 is a *sum* over SI vectors (matching
-                # `infer_cold_item_vector`), not a mean — the warm-start
-                # initializer must land where cold-start retrieval would.
-                w_in[token_id] = vector
-                si_initialized += 1
+        token_ids = vocab.ids_of_kind(TokenKind.ITEM)
+        new = token_ids >= old_size
+        si_values = [new_dataset.item_si(int(i)) for i in vocab.item_ids()[new]]
+        vectors, known = infer_cold_item_vectors(
+            previous, [{f: si[f] for f in ITEM_SI_FEATURES} for si in si_values]
+        )
+        w_in[token_ids[new][known]] = vectors[known]
+        si_initialized = int(known.sum())
 
     continuation = replace(
         config, learning_rate=config.learning_rate * lr_decay

@@ -69,7 +69,9 @@ class SGNSConfig:
     #: Parameter/compute dtype.  ``float32`` halves memory traffic on
     #: the gather/einsum/scatter hot path (the updates are noise-bound
     #: SGD steps, far above float32 resolution); ``float64`` remains the
-    #: default for bit-compatibility with the original kernels.
+    #: default for bit-compatibility with the original kernels.  Warm
+    #: starts (:func:`~repro.core.incremental.incremental_update`, hence
+    #: every refresh cycle and stream window) train in it too.
     dtype: str = "float64"
     #: Materialize each epoch's (center, context) arrays in one
     #: vectorized pass instead of streaming the per-sequence Python loop

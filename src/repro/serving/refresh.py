@@ -102,7 +102,8 @@ class RefreshConfig:
         Token population the drift gate measures (default: item tokens,
         the population that feeds candidate tables).
     lr_decay, train_config:
-        Passed to :func:`~repro.core.incremental.incremental_update`.
+        Passed to :func:`~repro.core.incremental.incremental_update`;
+        the warm start trains in ``train_config.dtype``.
     build_kwargs:
         Extra keyword arguments for the bundle build (``n_cells``,
         ``table_coverage``, ...).

@@ -85,7 +85,8 @@ class StreamConfig:
     train_config, lr_decay:
         Passed to :func:`~repro.core.incremental.incremental_update`;
         streaming continuations are tiny, so ``epochs`` here is per
-        *window*, not per day.
+        *window*, not per day.  The window trains in
+        ``train_config.dtype``.
     drift_threshold, drift_kind:
         Quarantine a window whose post-update
         :func:`~repro.core.incremental.embedding_drift` exceeds the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sgns import SGNSTrainer
 from repro.core.sisg import SISG
 from repro.data.schema import BehaviorDataset
 from repro.data.synthetic import SyntheticWorld, SyntheticWorldConfig
@@ -25,6 +26,21 @@ TINY_CONFIG = SyntheticWorldConfig(
     brands_per_leaf=6,
     shops_per_leaf=10,
 )
+
+
+@pytest.fixture()
+def fit_dtypes(monkeypatch) -> list[tuple[str, str]]:
+    """Spy on ``SGNSTrainer.fit``: the ``(w_in, w_out)`` dtype names each
+    fit in the test trained on, in call order."""
+    seen: list[tuple[str, str]] = []
+    fit = SGNSTrainer.fit
+
+    def spy(self, *args, **kwargs):
+        seen.append((self.w_in.dtype.name, self.w_out.dtype.name))
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(SGNSTrainer, "fit", spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

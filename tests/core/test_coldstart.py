@@ -11,6 +11,7 @@ import pytest
 from repro.core.coldstart import (
     cold_user_vector,
     infer_cold_item_vector,
+    infer_cold_item_vectors,
     recommend_for_cold_item,
     recommend_for_cold_user,
 )
@@ -64,6 +65,21 @@ class TestColdItem:
         model = make_model()
         with pytest.raises(ValueError, match="cannot infer"):
             infer_cold_item_vector(model, {"brand": 99})
+
+    def test_batch_rows_are_single_answers(self):
+        """The batch entry point answers what the single call does, and
+        flags (instead of raising for) an item with no known SI."""
+        model = make_model()
+        rows = [{"brand": 1, "style": 2}, {"brand": 99}, {"style": 2, "brand": 99}]
+        vectors, known = infer_cold_item_vectors(model, rows)
+        assert known.tolist() == [True, False, True]
+        np.testing.assert_array_equal(vectors[1], [0.0, 0.0])
+        for row in (0, 2):
+            np.testing.assert_array_equal(
+                vectors[row], infer_cold_item_vector(model, rows[row])
+            )
+        vectors, known = infer_cold_item_vectors(model, [])
+        assert vectors.shape == (0, model.dim) and known.shape == (0,)
 
     def test_retrieval_points_to_si_aligned_item(self):
         model = make_model()

@@ -1,5 +1,7 @@
 """Tests for warm-start (incremental) daily retraining."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,24 @@ def day1_model(two_days):
 
 
 CONT_CFG = SGNSConfig(dim=12, epochs=1, window=4, negatives=4, seed=2)
+#: Both precisions the continuation can train in.
+DTYPES = ("float64", "float32")
+
+
+class TestPrecision:
+    """The warm start trains in ``config.dtype``; the model it returns
+    is float64 either way."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_continuation_trains_in_configured_dtype(
+        self, two_days, day1_model, fit_dtypes, dtype
+    ):
+        _day1, day2, _clones = two_days
+        updated = incremental_update(
+            day1_model, day2, replace(CONT_CFG, dtype=dtype)
+        )
+        assert fit_dtypes == [(dtype, dtype)]
+        assert updated.w_in.dtype == updated.w_out.dtype == np.float64
 
 
 class TestIncrementalUpdate:
@@ -66,17 +86,21 @@ class TestIncrementalUpdate:
             assert np.linalg.norm(vec) > 0
 
     def test_new_item_lands_near_si_twin(self, two_days, day1_model):
-        """SI warm-start: a new item must retrieve near its metadata twin."""
+        """SI warm-start: a new item must retrieve near its metadata twin,
+        in either precision."""
         _day1, day2, clones = two_days
-        updated = incremental_update(day1_model, day2, CONT_CFG)
-        index = SimilarityIndex(updated, mode="cosine")
-        hits = 0
-        for new_id, base in clones:
-            items, _ = index.topk(new_id, k=30)
-            twin_leaf = day2.leaf_of(base)
-            same_leaf = sum(day2.leaf_of(int(i)) == twin_leaf for i in items)
-            hits += same_leaf >= 5
-        assert hits >= 2
+        for dtype in DTYPES:
+            updated = incremental_update(
+                day1_model, day2, replace(CONT_CFG, dtype=dtype)
+            )
+            index = SimilarityIndex(updated, mode="cosine")
+            hits = 0
+            for new_id, base in clones:
+                items, _ = index.topk(new_id, k=30)
+                twin_leaf = day2.leaf_of(base)
+                same_leaf = sum(day2.leaf_of(int(i)) == twin_leaf for i in items)
+                hits += same_leaf >= 5
+            assert hits >= 2, dtype
 
     def test_warm_start_initializer_matches_cold_start(
         self, two_days, day1_model, monkeypatch
@@ -84,9 +108,9 @@ class TestIncrementalUpdate:
         """Regression: the SI warm start is Eq. 6's *sum*, not a mean.
 
         With training disabled, a new item's initial vector must equal
-        exactly what `infer_cold_item_vector` would answer for its SI —
-        the warm-started item enters the space where cold-start retrieval
-        already places it.
+        exactly what `infer_cold_item_vector` would answer for its SI, in
+        the continuation's precision — the warm-started item enters the
+        space where cold-start retrieval already places it.
         """
         from repro.core import incremental as incremental_module
         from repro.core.coldstart import infer_cold_item_vector
@@ -97,12 +121,17 @@ class TestIncrementalUpdate:
             lambda self, *args, **kwargs: self,
         )
         _day1, day2, clones = two_days
-        updated = incremental_update(day1_model, day2, CONT_CFG)
-        for new_id, _base in clones:
-            expected = infer_cold_item_vector(
-                day1_model, day2.items[new_id].si_values
+        for dtype in DTYPES:
+            updated = incremental_update(
+                day1_model, day2, replace(CONT_CFG, dtype=dtype)
             )
-            np.testing.assert_allclose(updated.item_vector(new_id), expected)
+            for new_id, _base in clones:
+                expected = infer_cold_item_vector(
+                    day1_model, day2.items[new_id].si_values
+                ).astype(dtype)
+                np.testing.assert_array_equal(
+                    updated.item_vector(new_id), expected, err_msg=dtype
+                )
 
     def test_previous_model_not_mutated(self, two_days, day1_model):
         _day1, day2, _clones = two_days
@@ -112,13 +141,14 @@ class TestIncrementalUpdate:
 
     def test_drift_is_bounded(self, two_days, day1_model):
         """Warm-started vectors stay close to yesterday's (the point of
-        warm starting)."""
+        warm starting), in either precision."""
         _day1, day2, _clones = two_days
-        updated = incremental_update(
-            day1_model, day2, CONT_CFG, lr_decay=0.3
-        )
-        drift = embedding_drift(day1_model, updated, kind=TokenKind.ITEM)
-        assert 0.0 <= drift < 0.5
+        for dtype in DTYPES:
+            updated = incremental_update(
+                day1_model, day2, replace(CONT_CFG, dtype=dtype), lr_decay=0.3
+            )
+            drift = embedding_drift(day1_model, updated, kind=TokenKind.ITEM)
+            assert 0.0 <= drift < 0.5, dtype
 
     def test_lr_decay_validation(self, two_days, day1_model):
         _day1, day2, _clones = two_days

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestSingleCycle:
         assert snap["gauges"]["refresh_breaker_open"] == 0.0
         assert snap["gauges"]["refresh_generation_age_s"] >= 0.0
         assert snap["info"]["refresh_last_error"] is None
+
+    def test_warm_start_trains_in_train_config_dtype(
+        self, service, day_source, fit_dtypes
+    ):
+        """The daemon hands its ``train_config`` to the warm start, whose
+        SGD then runs on float32 matrices when the config says float32."""
+        config = fast_config(train_config=replace(TRAIN, dtype="float32"))
+        assert RefreshDaemon(service, day_source, config).run_once().promoted
+        assert fit_dtypes == [("float32", "float32")]
 
     def test_status_shape(self, service, day_source):
         daemon = RefreshDaemon(service, day_source, fast_config())

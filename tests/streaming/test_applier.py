@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import item_token
+from repro.core.sgns import SGNSConfig
 from repro.core.vocab import TokenKind
 from repro.serving import build_bundle
 from repro.streaming import ClickEvent, EventLog, SyntheticEventStream
@@ -47,6 +48,26 @@ class TestGrowAndServe:
             token_id = vocab.get_id(item_token(item_id))
             assert token_id is not None
             assert vocab.kind_of(token_id) == TokenKind.ITEM
+
+    def test_window_trains_in_train_config_dtype(
+        self, live, make_applier, fit_dtypes
+    ):
+        """The applier hands its ``train_config`` to the warm start, whose
+        SGD then runs on float32 matrices when the config says float32."""
+        train, _store, service = live
+        stream = SyntheticEventStream(train, new_items_per_window=1, seed=3)
+        log = EventLog()
+        applier = make_applier(
+            service,
+            train,
+            log=log,
+            train_config=SGNSConfig(
+                dim=12, epochs=1, window=2, negatives=2, seed=0, dtype="float32"
+            ),
+        )
+        log.extend(stream.window())
+        assert all(r.applied for r in drain(applier))
+        assert fit_dtypes and set(fit_dtypes) == {("float32", "float32")}
 
     def test_window_counters_and_histogram(self, live, make_applier):
         train, _store, service = live
