@@ -44,6 +44,31 @@ def _tiebreak_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return flat.reshape(nq, kk) - np.arange(nq)[:, None] * kk
 
 
+def _id_order(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(by_id, rank)``: the columns in ascending id order, and each
+    column's place in that order (the low word of an order key)."""
+    by_id = np.argsort(ids, kind="stable")
+    rank = np.empty(len(ids), dtype=np.uint64)
+    rank[by_id] = np.arange(len(ids), dtype=np.uint64)
+    return by_id, rank
+
+
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+
+
+def _order_key(neg_scores: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """``uint64`` keys that sort like ``(neg_score, id)`` pairs.
+
+    The high word is the float32's bits mapped to an unsigned integer of
+    the same order; ``-0.0`` is folded into ``+0.0`` first, because a
+    float comparison (and so ``lexsort``) treats the two as a tie.  The
+    low word is the id's rank, so ties break by ascending id.
+    """
+    bits = (neg_scores + np.float32(0.0)).view(np.uint32)
+    bits ^= (bits >> 31) * 0x7FFFFFFF | 0x80000000
+    return bits.astype(np.uint64) << 32 | id_rank
+
+
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize rows; zero rows stay zero."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -71,6 +96,7 @@ class SimilarityIndex(ZeroCopyPickle):
         require(len(item_vids) > 0, "model contains no item tokens")
         self._item_vids = item_vids
         self._item_ids = model.vocab.item_ids()
+        self._by_id, self._id_rank = _id_order(self._item_ids)
         self._vid_row = {int(v): row for row, v in enumerate(item_vids)}
         self._item_row = {int(i): row for row, i in enumerate(self._item_ids)}
 
@@ -116,6 +142,7 @@ class SimilarityIndex(ZeroCopyPickle):
         sub.mode = self.mode
         sub._item_vids = self._item_vids[rows]
         sub._item_ids = self._item_ids[rows]
+        sub._by_id, sub._id_rank = _id_order(sub._item_ids)
         sub._vid_row = {int(v): row for row, v in enumerate(sub._item_vids)}
         sub._item_row = {int(i): row for row, i in enumerate(sub._item_ids)}
         sub._queries = self._queries[rows]
@@ -156,36 +183,66 @@ class SimilarityIndex(ZeroCopyPickle):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` most similar items to ``item_id``.
 
-        Returns ``(item_ids, scores)`` sorted by descending score.
+        Returns ``(item_ids, scores)`` sorted by descending score; the
+        one-row case of :meth:`topk_block`.
         """
-        row = self._item_row.get(int(item_id))
-        if row is None:
-            raise KeyError(f"item {item_id} is not in the index")
-        exclude = row if exclude_query else None
-        ids, scores = self._topk_scores(self._queries[row], k, exclude_row=exclude)
-        return ids, scores
+        ids, scores = self.topk_block([item_id], k, exclude_query)
+        return ids[0], scores[0]
+
+    def topk_block(
+        self, item_ids, k: int, exclude_query: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact top-``k`` of every item in ``item_ids``, one row each.
+
+        Returns ``(ids, scores)``, both ``(len(item_ids), kk)`` with ``kk``
+        the ``k`` the catalogue can supply, each row ordered by
+        ``(-score, ascending id)``.  The caller bounds the block: it
+        allocates one ``(len(item_ids), n_items)`` score matrix.
+
+        Each row is scored by its own GEMV, never one GEMM over the
+        block: a GEMM accumulates in a different order, and its scores
+        differ from the GEMV's in the last ulp.  Selection is one 2-D
+        ``argpartition`` (row for row the same pick as a 1-D call) and
+        ordering one sort of packed ``(-score, id rank)`` keys.
+        """
+        require_positive(k, "k")
+        rows = []
+        for item_id in item_ids:
+            row = self._item_row.get(int(item_id))
+            if row is None:
+                raise KeyError(f"item {item_id} is not in the index")
+            rows.append(row)
+        kk = min(k, self.n_items - (1 if exclude_query else 0))
+        if kk <= 0:
+            return np.empty((len(rows), 0), np.int64), np.empty((len(rows), 0), np.float32)
+        # Negated scores: what the selection partitions, and exactly
+        # invertible (a sign flip) back to the scores handed out.
+        neg = np.empty((len(rows), self.n_items), dtype=np.float32)
+        for out, row in zip(neg, rows):
+            np.matmul(self._candidates, self._queries[row], out=out)
+        flat = neg.ravel()
+        row_start = np.arange(0, flat.size, self.n_items)[:, None]
+        if exclude_query:
+            flat[row_start[:, 0] + rows] = -np.inf
+        np.negative(neg, out=neg)
+        top = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
+        key = _order_key(flat[row_start + top], self._id_rank[top])
+        key.sort(axis=1)
+        cols = self._by_id[key & _LOW_WORD]
+        return self._item_ids[cols], -flat[row_start + cols]
 
     def topk_by_vector(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` items for an arbitrary query vector (e.g. cold start).
 
         In cosine mode the vector is normalized before scoring.
         """
+        require_positive(k, "k")
         vector = np.asarray(vector, dtype=np.float64)
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector = vector / norm
-        return self._topk_scores(vector, k, exclude_row=None)
-
-    def _topk_scores(
-        self, query: np.ndarray, k: int, exclude_row: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        require_positive(k, "k")
-        scores = self._candidates @ query
-        if exclude_row is not None:
-            scores[exclude_row] = -np.inf
-        k = min(k, len(scores) - (1 if exclude_row is not None else 0))
-        if k <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
+        scores = self._candidates @ vector
+        k = min(k, len(scores))
         top = np.argpartition(-scores, k - 1)[:k]
         top = top[np.lexsort((self._item_ids[top], -scores[top]))]
         return self._item_ids[top], scores[top]

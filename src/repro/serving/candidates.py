@@ -12,6 +12,22 @@ needs:
   similarity is noise, not a recommendation).
 
 The table persists as a compact ``.npz`` and serves lookups in O(1).
+
+**How it is built.**  Rows go a block at a time, sized so one block's
+float32 score matrix fits ``_BLOCK_BYTES``; there is no Python loop
+per row.  :meth:`SimilarityIndex.topk_block` scores each row of the
+block with its own GEMV — the bytes a single ``topk`` call scores with.
+One GEMM over the block would be faster, but it accumulates in a
+different order and moves most scores by an ulp, which reorders near
+ties.  It then selects the ``fetch`` best with one 2-D
+``argpartition`` and orders them by ``(-score, id)`` with one sort of
+packed keys.  The filter (:func:`_kept`) reaches the per-row walk's
+answer without walking: a candidate whose shop and brand occurrence
+ranks are under their caps is kept for certain, a row whose first
+``k`` candidates are all certain keeps them, and only the remaining
+"suspect" rows iterate to the walk's fixed point.  On the bench world
+(2 000 items, ``k`` = 50, fetch 200) about a quarter of the rows are
+suspect in cosine mode.
 """
 
 from __future__ import annotations
@@ -26,6 +42,11 @@ from repro.data.schema import BehaviorDataset
 from repro.utils import ZeroCopyPickle, get_logger, require, require_positive
 
 logger = get_logger("serving.candidates")
+
+#: Bytes of one block's float32 score matrix (``rows x n_items``).  The
+#: build's transient stays this size as the catalogue grows, and no
+#: single numpy call runs long beside a live gateway.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -159,6 +180,78 @@ class CandidateTable(ZeroCopyPickle):
         return cls(data["items"], data["candidates"], data["scores"])
 
 
+def _groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices that walk a ``(rows, width)`` matrix of non-negative
+    codes row by row, each row in ``(code, position)`` order.
+
+    Returns ``(order, inverse, starts)``: the flat position of each slot
+    of that walk, the slot of each flat position, and for each slot the
+    slot its code's run starts at.
+    """
+    n_rows, width = codes.shape
+    shift = width.bit_length()
+    packed = np.sort(codes << shift | np.arange(width), axis=1)
+    base = np.arange(n_rows)[:, None] * width
+    order = ((packed & ((1 << shift) - 1)) + base).ravel()
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    slots = np.arange(width)
+    starts = np.where(np.diff(packed >> shift, axis=1, prepend=-1) != 0, slots, 0)
+    return order, inverse, (np.maximum.accumulate(starts, axis=1) + base).ravel()
+
+
+def _under_caps(groups: list, kept: np.ndarray) -> np.ndarray:
+    """Positions whose code, in every ``(groups, cap)``, has fewer than
+    ``cap`` ``kept`` positions before it in the same row."""
+    ok = np.ones(kept.size, dtype=bool)
+    for (order, inverse, starts), cap in groups:
+        in_order = kept.ravel()[order]
+        before = np.cumsum(in_order) - in_order
+        before -= before[starts]
+        ok &= (before < cap)[inverse]
+    return ok.reshape(kept.shape)
+
+
+def _kept(
+    ids: np.ndarray, scores: np.ndarray, k: int, min_score: float | None, caps: list
+) -> np.ndarray:
+    """Which of each row's ranked raw neighbours the table keeps.
+
+    ``caps`` holds ``(codes, cap)`` per capped attribute, ``codes`` the
+    attribute's dense code per item id.  The rule is sequential: walk the
+    row in rank order, stop at the first score below ``min_score`` or
+    after ``k`` keeps, and skip a candidate whose shop or brand already
+    has ``cap`` *kept* candidates (one skipped for its brand uses up no
+    slot of its shop).  It is computed without a walk.  A position whose
+    shop and brand occurrence ranks, over all earlier positions, are
+    under their caps is kept for certain: kept counts never exceed
+    occurrence counts.  A row whose first ``k`` live positions are all
+    certain keeps exactly those.  Only the other ("suspect") rows look
+    past position ``k``, and only up to their ``k``-th certain keep: they
+    iterate ``kept <- live & under_caps(kept)`` to its fixed point, which
+    is the walk's answer, since every pass settles at least one more
+    position from the left.
+    """
+    live = np.ones(ids.shape, dtype=bool) if min_score is None else ~(scores < min_score)
+    head = min(k, ids.shape[1])
+    kept = live.copy()
+    kept[:, head:] = False
+    certain = _under_caps(
+        [(_groups(codes[ids[:, :head]]), cap) for codes, cap in caps], live[:, :head]
+    )
+    suspect = np.flatnonzero((live[:, :head] & ~certain).any(axis=1))
+    live = live[suspect]
+    groups = [(_groups(codes[ids[suspect]]), cap) for codes, cap in caps]
+    # Nothing after a row's k-th certain keep can reach its first k keeps.
+    certain = live & _under_caps(groups, live)
+    live &= np.cumsum(certain, axis=1) - certain < k
+    walk = certain
+    while not np.array_equal(walk, step := live & _under_caps(groups, walk)):
+        walk = step
+    kept[suspect] = walk & (np.cumsum(walk, axis=1) <= k)
+    return kept
+
+
 def build_candidate_table(
     index: SimilarityIndex,
     dataset: BehaviorDataset,
@@ -168,7 +261,8 @@ def build_candidate_table(
     """Materialize the candidate table from a retrieval index.
 
     Fetches ``k * fetch_factor`` raw neighbours per item, applies the
-    diversity/score filters, and keeps the top ``k`` survivors.
+    diversity/score filters, and keeps the top ``k`` survivors, one
+    block of rows at a time (see the module docstring).
 
     ``items`` restricts the *rows* built (e.g. one HBGP shard's items);
     candidates are still drawn from the full index, so a sharded table
@@ -181,42 +275,29 @@ def build_candidate_table(
     else:
         item_ids = np.asarray(items, dtype=np.int64)
         require(
-            all(int(i) in index for i in item_ids),
+            bool(np.isin(item_ids, index.item_ids).all()),
             "table rows must be items of the index",
         )
     k = config.k
     fetch = min(k * config.fetch_factor, max(index.n_items - 1, 1))
-
-    shop = np.asarray([item.si_values["shop"] for item in dataset.items])
-    brand = np.asarray([item.si_values["brand"] for item in dataset.items])
+    caps = []
+    for name, cap in (("shop", config.max_per_shop), ("brand", config.max_per_brand)):
+        if cap is not None:
+            values = [item.si_values[name] for item in dataset.items]
+            caps.append((np.unique(values, return_inverse=True)[1], cap))
 
     # Pads stay NaN so "no candidate" is never confused with a real
     # zero-similarity score; `candidates >= 0` is the valid mask.
     candidates = np.full((len(item_ids), k), -1, dtype=np.int64)
     scores = np.full((len(item_ids), k), np.nan)
-    for row, item_id in enumerate(item_ids):
-        raw_items, raw_scores = index.topk(int(item_id), fetch)
-        shop_counts: dict[int, int] = {}
-        brand_counts: dict[int, int] = {}
-        kept = 0
-        for cand, score in zip(raw_items, raw_scores):
-            cand = int(cand)
-            if config.min_score is not None and score < config.min_score:
-                break  # raw lists are sorted; everything after is worse
-            s, b = int(shop[cand]), int(brand[cand])
-            if config.max_per_shop is not None:
-                if shop_counts.get(s, 0) >= config.max_per_shop:
-                    continue
-            if config.max_per_brand is not None:
-                if brand_counts.get(b, 0) >= config.max_per_brand:
-                    continue
-            shop_counts[s] = shop_counts.get(s, 0) + 1
-            brand_counts[b] = brand_counts.get(b, 0) + 1
-            candidates[row, kept] = cand
-            scores[row, kept] = score
-            kept += 1
-            if kept == k:
-                break
+    block = max(1, _BLOCK_BYTES // (4 * index.n_items))
+    for start in range(0, len(item_ids), block):
+        raw_items, raw_scores = index.topk_block(item_ids[start : start + block], fetch)
+        kept = _kept(raw_items, raw_scores, k, config.min_score, caps)
+        rows, cols = np.nonzero(kept)
+        slots = (np.cumsum(kept, axis=1) - 1)[rows, cols]
+        candidates[start + rows, slots] = raw_items[rows, cols]
+        scores[start + rows, slots] = raw_scores[rows, cols]
     logger.info(
         "candidate table: %d items x top-%d (fetch %d)",
         len(item_ids),

@@ -195,7 +195,7 @@ def build_shard_bundle(
     ``table_coverage`` fraction of the *global* index order, intersected
     with the shard, and candidates are drawn from the full catalogue: the
     union of all shard tables is the one-shard table, and only covered
-    rows ever run the per-row filter loop.
+    rows are ever scored.
 
     ``ann_precision`` selects the retrieval tier's memory mode (int8 /
     product quantization with exact re-rank of ``ann_rerank * k``);

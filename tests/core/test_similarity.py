@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import EmbeddingModel
-from repro.core.similarity import SimilarityIndex
+from repro.core.similarity import SimilarityIndex, _order_key
 from repro.core.vocab import TokenKind, Vocabulary
 
 
@@ -144,6 +144,41 @@ class TestBatch:
         index = SimilarityIndex(make_model())
         with pytest.raises(KeyError):
             index.topk(99, k=1)
+
+
+class TestTopKBlock:
+    def test_rows_are_the_single_queries(self, fitted_sisg):
+        for mode in ("cosine", "directional"):
+            index = SimilarityIndex(fitted_sisg.model, mode=mode)
+            queries = index.item_ids[::3]
+            ids, scores = index.topk_block(queries, 25)
+            assert ids.shape == scores.shape == (len(queries), 25)
+            for row, query in enumerate(queries):
+                single_ids, single_scores = index.topk(int(query), 25)
+                assert ids[row].tobytes() == single_ids.tobytes()
+                assert scores[row].tobytes() == single_scores.tobytes()
+
+    def test_order_key_sorts_like_lexsort(self):
+        """Ties, including ``-0.0`` against ``+0.0``, break by id rank."""
+        rng = np.random.default_rng(0)
+        neg = rng.choice(
+            np.array([-0.5, -0.0, 0.0, 0.25, 0.5, -np.inf], dtype=np.float32), 400
+        )
+        ranks = rng.permutation(400).astype(np.uint64)
+        key = _order_key(neg, ranks)
+        np.testing.assert_array_equal(np.argsort(key), np.lexsort((ranks, neg)))
+
+    def test_ties_break_by_id_in_a_restricted_index(self):
+        """A restricted index keeps its caller's (unsorted) row order."""
+        vocab = Vocabulary()
+        for item in range(6):
+            vocab.add(f"item_{item}", TokenKind.ITEM, item)
+        vectors = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
+        index = SimilarityIndex(EmbeddingModel(vocab, vectors, vectors))
+        sub = index.restrict(np.array([5, 1, 4, 0, 2]))
+        ids, scores = sub.topk(2, k=4)
+        np.testing.assert_array_equal(ids, [0, 1, 4, 5])
+        np.testing.assert_array_equal(scores, [1.0, 1.0, 0.0, 0.0])
 
 
 class TestOnTrainedModel:

@@ -106,13 +106,15 @@ class TestBuildBundle:
         want = build_candidate_table(index, train).subset(covered)
 
         scanned = []
-        real_topk = SimilarityIndex.topk
+        real_topk_block = SimilarityIndex.topk_block
 
-        def recording_topk(self, item_id, k, exclude_query=True):
-            scanned.append(int(item_id))
-            return real_topk(self, item_id, k, exclude_query)
+        def recording_topk_block(self, item_ids, k, exclude_query=True):
+            scanned.extend(int(i) for i in item_ids)
+            return real_topk_block(self, item_ids, k, exclude_query)
 
-        monkeypatch.setattr(store_mod.SimilarityIndex, "topk", recording_topk)
+        monkeypatch.setattr(
+            store_mod.SimilarityIndex, "topk_block", recording_topk_block
+        )
         table = build_bundle(
             model, train, n_cells=4, table_coverage=0.5, seed=0
         ).table
