@@ -180,7 +180,7 @@ class EGES:
         h, weights, views = self._aggregate(centers)
         negatives = sampler.sample((len(centers), cfg.negatives), rng)
         # The SGNS step with the aggregated H_v as the centre vector.
-        grad_h, grad_z_pos, grad_z_neg, _loss = sgns_gradients(
+        grad_h, grad_z, _loss = sgns_gradients(
             h, self._outputs[contexts], self._outputs[negatives]
         )
 
@@ -199,8 +199,8 @@ class EGES:
             self._constituents[centers].ravel(),
             grad_views.reshape(-1, d),
         )
-        scatter(self._outputs, contexts, grad_z_pos)
-        scatter(self._outputs, negatives.ravel(), grad_z_neg.reshape(-1, d))
+        scatter(self._outputs, contexts, grad_z[: len(contexts)])
+        scatter(self._outputs, negatives.ravel(), grad_z[len(contexts) :])
         scatter(self._attention, centers, grad_logits)
 
     # ------------------------------------------------------------------

@@ -163,15 +163,14 @@ def build_enriched_corpus(
             )
         seq = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         sequences.append(seq)
-        # Frequency accounting: one count per occurrence.
-        unique, occurrences = np.unique(seq, return_counts=True)
-        for token_id, occ in zip(unique, occurrences):
-            vocab.add_count(int(token_id), int(occ))
+    # Frequency accounting: one count per occurrence, in one pass.
+    tokens = np.concatenate(sequences) if sequences else np.empty(0, dtype=np.int64)
+    vocab.add_counts(np.bincount(tokens, minlength=len(vocab)))
 
     logger.info(
         "enriched corpus: %d sequences, %d tokens, vocab %d (si=%s, ut=%s)",
         len(sequences),
-        sum(len(s) for s in sequences),
+        len(tokens),
         len(vocab),
         with_si,
         with_user_types,

@@ -720,8 +720,8 @@ def _worker_loop(
                 n_mb = e - s
                 lr = lr_at(cfg, seen, task.total_pairs)
 
-                c_pos = w_out[contexts]
-                c_neg = w_out[neg_flat]
+                c_pos = np.take(w_out, contexts, axis=0)
+                c_neg = np.take(w_out, neg_flat, axis=0)
                 if sync is not None:
                     # Hot rows are read from (and below, written to) the
                     # private replica, not the shared matrix.
@@ -731,16 +731,15 @@ def _worker_loop(
                     m_neg = h_neg >= 0
                     c_pos[m_pos] = replica[h_pos[m_pos]]
                     c_neg[m_neg] = replica[h_neg[m_neg]]
-                grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
-                    w_in[centers], c_pos, c_neg.reshape(n_mb, negs, dim)
+                grad_w, out_grads, loss = sgns_gradients(
+                    np.take(w_in, centers, axis=0),
+                    c_pos,
+                    c_neg.reshape(n_mb, negs, dim),
                 )
                 scatter(w_in, centers, grad_w, lr)
                 # Positive and negative output rows are one combined
                 # scatter, as in the sequential trainer.
                 out_tokens = np.concatenate((contexts, neg_flat))
-                out_grads = np.concatenate(
-                    (grad_c_pos, grad_c_neg.reshape(-1, dim))
-                )
                 if sync is not None:
                     hot = np.concatenate((m_pos, m_neg))
                     if hot.any():

@@ -118,28 +118,48 @@ class SGNSConfig:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (dtype-preserving)."""
-    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    out = np.empty_like(x, dtype=dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Numerically stable logistic function (dtype-preserving).
+
+    Branch-free: with ``e = exp(-|x|)`` every element is ``1 / (1 + e)``
+    for ``x >= 0`` and ``e / (1 + e)`` otherwise -- the same two IEEE
+    expressions as a masked two-branch form, without its boolean
+    gathers and scatters.  ``-|x|`` is taken as ``minimum(x, -x)``, which
+    returns a NaN ``x`` itself (sign bit included), so NaNs come out as
+    the two-branch form's do.  Integer input gives float64.
+    """
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, x.dtype.type(1), e)
+    e += 1
+    out /= e
     return out
 
 
 def sgns_gradients(
     centers: np.ndarray, positives: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Eq. 3 forward/backward over already-gathered rows.
 
     ``centers`` and ``positives`` are ``(B, d)``, ``negatives`` is
     ``(B, n, d)``: the centre vector, its positive context's output
     vector and its ``n`` sampled negatives' output vectors, per pair.
-    Returns the gradients of the summed negative log-likelihood with
-    respect to each input, in the same shapes, and the minibatch *mean*
-    loss.  Pure: which rows were gathered, from which matrix or replica,
-    and how the gradients are scattered back is the caller's business.
+    Returns ``(grad_centers, grad_outputs, loss)``: the gradient of the
+    summed negative log-likelihood with respect to ``centers``, the one
+    ``(B * (1 + n), d)`` block of output-row gradients -- the positives'
+    ``B`` rows first, then the negatives' rows in ``(b, n)`` order, the
+    layout of ``concatenate((contexts, negatives.ravel()))`` -- and the
+    minibatch *mean* loss.  Pure: which rows were gathered, from which
+    matrix or replica, and how the gradients are scattered back is the
+    caller's business.
+
+    The byte rule: every floating-point sum here associates as it always
+    has (the einsum contractions are not matmuls).  The negatives' outer
+    product is written by ``einsum``, which stores ``+0.0`` where a
+    broadcast multiply gives ``-0.0``; :func:`scatter_update`'s segment
+    sum starts from ``+0.0``, so the trained matrices cannot tell.
     """
     pos_sig = sigmoid(np.einsum("bd,bd->b", centers, positives))
     g_pos = pos_sig - 1.0  # d(-log sigmoid(x))/dx
@@ -148,12 +168,18 @@ def sgns_gradients(
     grad_centers = g_pos[:, None] * positives + np.einsum(
         "bn,bnd->bd", neg_sig, negatives
     )
-    grad_positives = g_pos[:, None] * centers
-    grad_negatives = neg_sig[..., None] * centers[:, None, :]
+    b, n, d = negatives.shape
+    grad_outputs = np.empty(
+        (b * (1 + n), d), dtype=np.result_type(g_pos, neg_sig, centers)
+    )
+    np.multiply(g_pos[:, None], centers, out=grad_outputs[:b])
+    np.einsum(
+        "bn,bd->bnd", neg_sig, centers, out=grad_outputs[b:].reshape(b, n, d)
+    )
     with np.errstate(divide="ignore"):
         loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
         loss += -np.log(np.maximum(1.0 - neg_sig, 1e-12)).sum(axis=1).mean()
-    return grad_centers, grad_positives, grad_negatives, float(loss)
+    return grad_centers, grad_outputs, float(loss)
 
 
 def lr_at(config, seen: int, total: int) -> float:
@@ -281,7 +307,8 @@ def scatter_update(
         step /= np.diff(row_ends)[:, None].astype(dtype)
     step *= dtype.type(lr)
     if max_step_norm is not None:
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        # np.linalg.norm's own body for axis=1, without its wrapper.
+        norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
         np.maximum(norms, max_step_norm, out=norms)
         step *= dtype.type(max_step_norm) / norms
     matrix[unique] -= step
@@ -382,16 +409,15 @@ class SGNSTrainer:
         """One SGD step over a batch of positive pairs; returns mean loss."""
         cfg = self.config
         negatives = sampler.sample((len(centers), cfg.negatives), self._rng)
-        grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
-            self.w_in[centers], self.w_out[contexts], self.w_out[negatives]
+        grad_w, grad_out, loss = sgns_gradients(
+            np.take(self.w_in, centers, axis=0),
+            np.take(self.w_out, contexts, axis=0),
+            np.take(self.w_out, negatives, axis=0),
         )
         cfg.scatter(self.w_in, centers, grad_w, lr)
         # Positive-context and negative rows hit the same matrix in the
         # same step; one combined scatter sorts (and clips) them once.
         cfg.scatter(
-            self.w_out,
-            np.concatenate((contexts, negatives.ravel())),
-            np.concatenate((grad_c_pos, grad_c_neg.reshape(-1, cfg.dim))),
-            lr,
+            self.w_out, np.concatenate((contexts, negatives.ravel())), grad_out, lr
         )
         return loss

@@ -109,6 +109,16 @@ class Vocabulary:
         """Increment the frequency of an existing token."""
         self._counts[token_id] += count
 
+    def add_counts(self, counts: np.ndarray) -> None:
+        """Add ``counts[i]`` to the frequency of token ``i``, for every token."""
+        counts = np.asarray(counts, dtype=np.int64)
+        require(
+            len(counts) == len(self._counts),
+            f"counts has length {len(counts)}, vocabulary has"
+            f" {len(self._counts)} tokens",
+        )
+        self._counts[:] = (np.asarray(self._counts, dtype=np.int64) + counts).tolist()
+
     @property
     def counts(self) -> np.ndarray:
         """Frequencies as an int64 array aligned with token ids."""

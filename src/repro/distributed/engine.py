@@ -267,7 +267,7 @@ def train_distributed(
                 n_sub = len(b_centers)
 
                 negatives = worker.sample_negatives((n_sub, config.negatives))
-                grad_w, grad_c_pos, grad_c_neg, loss = sgns_gradients(
+                grad_w, grad_out, loss = sgns_gradients(
                     w_in[b_centers],
                     gather_out(worker, b_contexts),
                     gather_out(worker, negatives.ravel()).reshape(
@@ -277,10 +277,8 @@ def train_distributed(
                 # Positives and negatives are scattered (and clipped)
                 # separately here, unlike the local trainer's one
                 # combined scatter; Fig. 7 / Table III were measured so.
-                scatter_out(worker, b_contexts, grad_c_pos, lr)
-                scatter_out(
-                    worker, negatives.ravel(), grad_c_neg.reshape(-1, dim), lr
-                )
+                scatter_out(worker, b_contexts, grad_out[:n_sub], lr)
+                scatter_out(worker, negatives.ravel(), grad_out[n_sub:], lr)
                 # The input-vector gradient is returned to (and applied
                 # by) the owner of the center, per Alg. 1 line 8.
                 config.scatter(w_in, b_centers, grad_w, lr)

@@ -1,5 +1,7 @@
 """Unit tests for SI-enhanced sequence construction (Eq. 4)."""
 
+import numpy as np
+import pytest
 
 from repro.core.enrichment import (
     build_enriched_corpus,
@@ -126,6 +128,64 @@ class TestEnrichedStructure:
         corpus = build_enriched_corpus(ds, with_si=False, with_user_types=False)
         assert corpus.n_sequences == 2
         assert corpus.n_tokens == 5
+
+
+def loop_counts(dataset, vocab=None, **flags):
+    """Frequencies as the per-session ``np.unique`` + per-token
+    ``add_count`` loop counted them: the oracle for the one-pass count."""
+    start = np.zeros(0, dtype=np.int64) if vocab is None else vocab.counts
+    corpus = build_enriched_corpus(dataset, vocab=vocab, **flags)
+    expected = np.zeros(len(corpus.vocab), dtype=np.int64)
+    expected[: len(start)] = start
+    for seq in corpus.sequences:
+        unique, occurrences = np.unique(seq, return_counts=True)
+        for token_id, occ in zip(unique, occurrences):
+            expected[int(token_id)] += int(occ)
+    return corpus, expected
+
+
+class TestOnePassCounts:
+    """``build_enriched_corpus`` counts with one ``np.bincount``; the counts
+    equal the per-session loop's."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [dict(with_si=True, with_user_types=True), dict(with_si=False, with_user_types=False)],
+        ids=["si-ut", "plain"],
+    )
+    def test_tiny_world(self, tiny_dataset, flags):
+        corpus, expected = loop_counts(tiny_dataset, **flags)
+        np.testing.assert_array_equal(corpus.vocab.counts, expected)
+
+    def test_extended_vocabulary(self, tiny_dataset):
+        vocab = build_enriched_corpus(tiny_dataset).vocab
+        n_before = len(vocab)
+        # A second day with a brand-new item and an extra SI value.
+        items = list(tiny_dataset.items)
+        si = dict(items[0].si_values)
+        si[ITEM_SI_FEATURES[0]] = 10_000
+        items.append(ItemMeta(len(items), si))
+        sessions = [Session(0, [len(items) - 1, 3, 3]), *tiny_dataset.sessions[:50]]
+        day2 = BehaviorDataset(items, tiny_dataset.users, sessions, validate=False)
+        corpus, expected = loop_counts(day2, vocab=vocab)
+        assert len(corpus.vocab) > n_before
+        np.testing.assert_array_equal(corpus.vocab.counts, expected)
+
+    def test_empty_sessions(self):
+        ds = tiny_dataset()
+        empty = BehaviorDataset(
+            ds.items, ds.users, [Session(0, []), *ds.sessions, Session(1, [])],
+            validate=False,
+        )
+        for flags in (dict(with_user_types=True), dict(with_user_types=False)):
+            corpus, expected = loop_counts(empty, **flags)
+            np.testing.assert_array_equal(corpus.vocab.counts, expected)
+
+    def test_no_sessions(self):
+        ds = tiny_dataset()
+        corpus = build_enriched_corpus(BehaviorDataset(ds.items, ds.users, [], validate=False))
+        assert corpus.n_tokens == 0
+        assert int(corpus.vocab.counts.sum()) == 0
 
 
 class TestAgainstWorldFixture:

@@ -52,6 +52,23 @@ class TestAliasSampler:
     def test_len(self):
         assert len(AliasSampler(np.ones(9))) == 9
 
+    @pytest.mark.parametrize("shape", [(), (7,), (33, 5)], ids=["scalar", "n", "b-n"])
+    def test_draws_equal_fancy_index_expression(self, shape):
+        """The draw stream is pinned: one ``integers`` then one ``random``
+        call, then the alias-table lookup, at the SGD block shape, a flat
+        shape and the random walk's scalar shape."""
+        sampler = AliasSampler(np.random.default_rng(3).random(50) ** 3)
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, len(sampler), size=shape)
+        coin = rng.random(size=idx.shape)
+        expected = np.where(
+            coin < sampler._accept[idx], idx, sampler._alias[idx]
+        )
+        draws = sampler.sample(shape, np.random.default_rng(11))
+        assert draws.shape == expected.shape == shape
+        assert draws.dtype == expected.dtype
+        np.testing.assert_array_equal(draws, expected)
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50)
     )

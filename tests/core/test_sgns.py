@@ -79,7 +79,11 @@ class TestSGNSGradients:
     def test_matches_central_difference_of_eq3(self, directional, n_negatives):
         rows = self.gathered_batch(directional, n_negatives)
         assert all(r.dtype == np.float64 for r in rows)
-        *grads, loss = sgns_gradients(*rows)
+        grad_centers, grad_outputs, _loss = sgns_gradients(*rows)
+        b, n, d = rows[2].shape
+        assert grad_outputs.shape == (b * (1 + n), d)
+        # The output block is the positives' rows, then the negatives'.
+        grads = (grad_centers, grad_outputs[:b], grad_outputs[b:].reshape(b, n, d))
         for row, grad in zip(rows, grads):
             assert grad.shape == row.shape
             numeric = central_difference(lambda: eq3_batch_loss(*rows), row)
@@ -88,7 +92,7 @@ class TestSGNSGradients:
     @pytest.mark.parametrize("n_negatives", [1, 5])
     def test_loss_is_the_minibatch_mean(self, n_negatives):
         rows = self.gathered_batch(False, n_negatives)
-        loss = sgns_gradients(*rows)[3]
+        loss = sgns_gradients(*rows)[2]
         assert isinstance(loss, float)
         assert loss == pytest.approx(
             eq3_batch_loss(*rows) / len(rows[0]), rel=1e-12
@@ -432,3 +436,331 @@ class TestDtypeSwitch:
         assert abs(losses["float32"] - losses["float64"]) < 0.1 * abs(
             losses["float64"]
         )
+
+
+# ----------------------------------------------------------------------
+# The one SGNS step against its previous form, by bytes
+# ----------------------------------------------------------------------
+
+
+def reference_sigmoid(x):
+    """The masked two-branch logistic ``sigmoid`` replaced: boolean
+    gathers and scatters, one ``exp`` per branch.  Kept as the oracle
+    the branch-free version must match bit for bit."""
+    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+    out = np.empty_like(x, dtype=dtype)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_gradients(centers, positives, negatives):
+    """The gradient kernel as it was: ``reference_sigmoid``, separate
+    positive and negative output gradients, the negatives' outer product
+    as a broadcast multiply."""
+    pos_sig = reference_sigmoid(np.einsum("bd,bd->b", centers, positives))
+    g_pos = pos_sig - 1.0
+    neg_sig = reference_sigmoid(np.einsum("bd,bnd->bn", centers, negatives))
+    grad_centers = g_pos[:, None] * positives + np.einsum(
+        "bn,bnd->bd", neg_sig, negatives
+    )
+    grad_positives = g_pos[:, None] * centers
+    grad_negatives = neg_sig[..., None] * centers[:, None, :]
+    with np.errstate(divide="ignore"):
+        loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
+        loss += -np.log(np.maximum(1.0 - neg_sig, 1e-12)).sum(axis=1).mean()
+    return grad_centers, grad_positives, grad_negatives, float(loss)
+
+
+def reference_update_batch(self, centers, contexts, sampler, lr):
+    """``SGNSTrainer._update_batch`` as it was: fancy-index gathers,
+    ``reference_gradients`` and an ``np.concatenate`` of the output
+    gradients for the combined ``w_out`` scatter."""
+    cfg = self.config
+    negatives = sampler.sample((len(centers), cfg.negatives), self._rng)
+    grad_w, grad_c_pos, grad_c_neg, loss = reference_gradients(
+        self.w_in[centers], self.w_out[contexts], self.w_out[negatives]
+    )
+    cfg.scatter(self.w_in, centers, grad_w, lr)
+    cfg.scatter(
+        self.w_out,
+        np.concatenate((contexts, negatives.ravel())),
+        np.concatenate((grad_c_pos, grad_c_neg.reshape(-1, cfg.dim))),
+        lr,
+    )
+    return loss
+
+
+class ReferenceTrainer(SGNSTrainer):
+    _update_batch = reference_update_batch
+
+
+def bits(a):
+    """The raw bytes of ``a`` as unsigned integers (NaN payloads and
+    signed zeros included)."""
+    return a.view(np.dtype(f"u{a.dtype.itemsize}"))
+
+
+class TestSigmoidBitIdentity:
+    """``sigmoid`` == ``reference_sigmoid``, bit for bit."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_special_values_and_exp_edges(self, dtype):
+        info = np.finfo(dtype)
+        edges = [88.7, 88.72, 88.73, 103.97, 104.0, 709.7, 709.8, 745.1, 745.2]
+        values = [0.0, np.inf, np.nan, info.max, info.tiny, info.smallest_subnormal,
+                  3 * info.smallest_subnormal, *edges]
+        x = np.array(values + [-v for v in values], dtype=dtype)
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(bits(sigmoid(x)), bits(reference_sigmoid(x)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_every_length_through_the_simd_tails(self, dtype):
+        rng = np.random.default_rng(0)
+        for n in range(1, 71):
+            x = (30 * rng.standard_normal(n)).astype(dtype)
+            np.testing.assert_array_equal(bits(sigmoid(x)), bits(reference_sigmoid(x)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_strided_view_and_2d(self, dtype):
+        x = (20 * np.random.default_rng(1).standard_normal((64, 15))).astype(dtype)
+        for view in (x[:, ::3], x[::2].T, x):
+            np.testing.assert_array_equal(
+                bits(sigmoid(view)), bits(reference_sigmoid(view))
+            )
+
+    def test_integer_input_becomes_float64(self):
+        x = np.arange(-40, 41)
+        out = sigmoid(x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(bits(out), bits(reference_sigmoid(x)))
+
+
+class TestStepMatchesReference:
+    """The step rewrite (branch-free sigmoid, ``np.take`` gathers, one
+    output-gradient block written by ``einsum``) trains the same bytes as
+    ``reference_update_batch``.
+
+    Raw gradients are compared with ``np.array_equal``, not by bytes:
+    ``einsum`` writes ``+0.0`` where the broadcast multiply wrote
+    ``-0.0``.  The scatter's segment sum starts from ``+0.0`` and erases
+    the difference, so trained matrices *are* compared by bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raw_gradients(self, dtype):
+        rows = [r.astype(dtype) for r in TestSGNSGradients.gathered_batch(True, 5)]
+        rows[0][0, 1] = -0.0  # a signed zero in the centres, for the fold
+        grad_centers, grad_outputs, loss = sgns_gradients(*rows)
+        ref_centers, ref_pos, ref_neg, ref_loss = reference_gradients(*rows)
+        assert grad_outputs.dtype == ref_pos.dtype == dtype
+        np.testing.assert_array_equal(bits(grad_centers), bits(ref_centers))
+        assert np.array_equal(
+            grad_outputs, np.concatenate((ref_pos, ref_neg.reshape(-1, rows[0].shape[1])))
+        )
+        assert loss == ref_loss
+
+    def test_signed_zero_fold_is_erased_by_the_scatter(self):
+        rows = TestSGNSGradients.gathered_batch(False, 2)
+        rows[0][:, 0] = -0.0
+        _, grad_outputs, _ = sgns_gradients(*rows)
+        _, ref_pos, ref_neg, _ = reference_gradients(*rows)
+        ref_outputs = np.concatenate((ref_pos, ref_neg.reshape(-1, rows[0].shape[1])))
+        assert not np.array_equal(bits(grad_outputs), bits(ref_outputs))
+        tokens = np.random.default_rng(2).integers(0, 4, size=len(ref_outputs))
+        ours, theirs = np.ones((4, 4)), np.ones((4, 4))
+        scatter_update(ours, tokens, grad_outputs, 0.1)
+        scatter_update(theirs, tokens, ref_outputs, 0.1)
+        np.testing.assert_array_equal(bits(ours), bits(theirs))
+
+    @pytest.mark.parametrize("max_step_norm", [0.25, None], ids=["clip", "noclip"])
+    @pytest.mark.parametrize("policy", ["sum", "mean"])
+    @pytest.mark.parametrize("directional", [False, True], ids=["symmetric", "directional"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_multi_batch_fit(self, dtype, directional, policy, max_step_norm):
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=4)
+        cfg = SGNSConfig(
+            dim=8, epochs=2, window=2, batch_size=64, negatives=3, seed=9,
+            subsample_threshold=0, dtype=dtype, directional=directional,
+            duplicate_policy=policy, max_step_norm=max_step_norm,
+        )
+        ours = SGNSTrainer(30, cfg).fit(seqs, counts)
+        ref = ReferenceTrainer(30, cfg).fit(seqs, counts)
+        assert ours.pairs_trained > 10 * cfg.batch_size  # many steps
+        np.testing.assert_array_equal(bits(ours.w_in), bits(ref.w_in))
+        np.testing.assert_array_equal(bits(ours.w_out), bits(ref.w_out))
+        assert ours.loss_history == ref.loss_history
+
+    def test_incremental_update_continuation(self, fitted_sisg, tiny_split, monkeypatch):
+        from repro.core.incremental import incremental_update
+
+        previous = fitted_sisg.model
+        cfg = SGNSConfig(dim=12, epochs=1, window=4, negatives=4, seed=2, batch_size=256)
+        ours = incremental_update(previous, tiny_split[0], cfg)
+        monkeypatch.setattr(SGNSTrainer, "_update_batch", reference_update_batch)
+        ref = incremental_update(previous, tiny_split[0], cfg)
+        np.testing.assert_array_equal(bits(ours.w_in), bits(ref.w_in))
+        np.testing.assert_array_equal(bits(ours.w_out), bits(ref.w_out))
+        assert not np.array_equal(ours.w_in[: len(previous.w_in)], previous.w_in)
+
+
+class TestSeparateScattersSliceTheBlock:
+    """The simulated cluster and EGES scatter positives and negatives
+    separately: the positives' scatter gets ``grad_outputs[:B]`` and the
+    negatives' ``grad_outputs[B:]``."""
+
+    @pytest.mark.parametrize("trainer", ["simulation", "eges"])
+    def test_halves_reach_their_scatters(self, trainer, tiny_split, monkeypatch):
+        import repro.baselines.eges as eges_module
+        import repro.core.sgns as sgns_module
+        import repro.distributed.engine as engine_module
+
+        events = []
+
+        def spy_gradients(centers, positives, negatives):
+            out = sgns_gradients(centers, positives, negatives)
+            events.append(("step", len(centers), out[1]))
+            return out
+
+        def spy_scatter(matrix, indices, grads, *args, **kwargs):
+            if len(indices):
+                events.append(("scatter", len(indices), np.array(grads)))
+            scatter_update(matrix, indices, grads, *args, **kwargs)
+
+        if trainer == "simulation":
+            monkeypatch.setattr(engine_module, "sgns_gradients", spy_gradients)
+            monkeypatch.setattr(sgns_module, "scatter_update", spy_scatter)
+            corpus = build_enriched_corpus(
+                tiny_split[0], with_si=False, with_user_types=False
+            )
+            cfg = SGNSConfig(dim=4, epochs=1, window=1, batch_size=256)
+            # No replicated rows, so each half is one scatter.
+            train_distributed(corpus, cfg, n_workers=2, hot_threshold=1.0)
+            skip = 0
+        else:
+            from repro.baselines.eges import EGES, EGESConfig
+
+            monkeypatch.setattr(eges_module, "sgns_gradients", spy_gradients)
+            monkeypatch.setattr(eges_module, "scatter_update", spy_scatter)
+            EGES(EGESConfig(dim=4, epochs=1, walks_per_node=1, batch_size=256)).fit(
+                tiny_split[0]
+            )
+            skip = 1  # the constituent embeddings are scattered first
+        steps = [i for i, event in enumerate(events) if event[0] == "step"]
+        assert len(steps) > 2
+        for i in steps:
+            _, b, block = events[i]
+            positives, negatives = events[i + 1 + skip], events[i + 2 + skip]
+            assert positives[1] == b
+            assert np.array_equal(positives[2], block[:b])
+            assert negatives[1] == len(block) - b
+            assert np.array_equal(negatives[2], block[b:])
+
+
+def reference_worker_loop(task, w_in, w_out, sampler, cfg, hot_row, sync_interval, stats):
+    """The Hogwild ``_worker_loop`` as it was: fancy-index gathers,
+    ``reference_gradients`` and an ``np.concatenate`` of the output
+    gradients (CPU pinning left out)."""
+    from repro.core.hogwild import _BLOCK_PAIRS
+
+    rng = np.random.default_rng(task.neg_seed)
+    dim, negs, batch = cfg.dim, cfg.negatives, cfg.batch_size
+    block = max(batch, _BLOCK_PAIRS)
+    scatter = cfg.scatter
+    sync = task.sync
+    if sync is not None:
+        base = np.array(sync.pull(), dtype=w_out.dtype, copy=True)
+        replica = base.copy()
+        delta = np.empty_like(base)
+
+    def merge_replica():
+        np.subtract(replica, base, out=delta)
+        merged = sync.merge(delta)
+        base[:] = merged
+        replica[:] = merged
+
+    seen = since_sync = 0
+    for epoch, (epoch_centers, epoch_contexts) in enumerate(task.feed.epochs()):
+        epoch_loss, epoch_pairs, n_pairs = 0.0, 0, len(epoch_centers)
+        for bstart in range(0, n_pairs, block):
+            bend = min(bstart + block, n_pairs)
+            blk_centers = epoch_centers[bstart:bend]
+            blk_contexts = epoch_contexts[bstart:bend]
+            nb = bend - bstart
+            negatives = sampler.sample((nb, negs), rng)
+            if sync is not None:
+                blk_hot_pos = hot_row[blk_contexts]
+                blk_hot_neg = hot_row[negatives.ravel()]
+            for s in range(0, nb, batch):
+                e = min(s + batch, nb)
+                centers, contexts = blk_centers[s:e], blk_contexts[s:e]
+                neg_flat = negatives[s:e].reshape(-1)
+                n_mb = e - s
+                lr = lr_at(cfg, seen, task.total_pairs)
+                c_pos = w_out[contexts]
+                c_neg = w_out[neg_flat]
+                if sync is not None:
+                    h_pos = blk_hot_pos[s:e]
+                    h_neg = blk_hot_neg[s * negs : e * negs]
+                    m_pos, m_neg = h_pos >= 0, h_neg >= 0
+                    c_pos[m_pos] = replica[h_pos[m_pos]]
+                    c_neg[m_neg] = replica[h_neg[m_neg]]
+                grad_w, grad_c_pos, grad_c_neg, loss = reference_gradients(
+                    w_in[centers], c_pos, c_neg.reshape(n_mb, negs, dim)
+                )
+                scatter(w_in, centers, grad_w, lr)
+                out_tokens = np.concatenate((contexts, neg_flat))
+                out_grads = np.concatenate((grad_c_pos, grad_c_neg.reshape(-1, dim)))
+                if sync is not None:
+                    hot = np.concatenate((m_pos, m_neg))
+                    if hot.any():
+                        hot_sel = np.concatenate((h_pos, h_neg))
+                        scatter(replica, hot_sel[hot], out_grads[hot], lr)
+                        out_tokens, out_grads = out_tokens[~hot], out_grads[~hot]
+                scatter(w_out, out_tokens, out_grads, lr)
+                seen += n_mb
+                epoch_pairs += n_mb
+                epoch_loss += loss * n_mb
+                since_sync += 1
+                if sync is not None and since_sync >= sync_interval:
+                    merge_replica()
+                    since_sync = 0
+        stats[task.worker_id, epoch, 0] = epoch_loss / max(epoch_pairs, 1)
+        stats[task.worker_id, epoch, 1] = epoch_pairs
+    if sync is not None:
+        merge_replica()
+        sync.close()
+
+
+class TestHogwildWorkerMatchesReference:
+    """The one-worker Hogwild engine runs its worker in process; with the
+    rewritten step it trains the bytes ``reference_worker_loop`` trains,
+    with and without hot-row replicas."""
+
+    @pytest.mark.parametrize("hot_threshold", [0.035, 2.0], ids=["hot-rows", "no-hot-rows"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_worker_fit(self, dtype, hot_threshold, monkeypatch):
+        import repro.core.hogwild as hogwild_module
+
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=6)
+        cfg = SGNSConfig(
+            dim=8, epochs=2, window=2, batch_size=64, negatives=3, seed=4,
+            subsample_threshold=0, dtype=dtype,
+        )
+
+        def fit():
+            return ParallelSGNSTrainer(
+                30, cfg, n_workers=1, pair_feed="inline",
+                hot_threshold=hot_threshold, sync_interval=3,
+            ).fit(seqs, counts)
+
+        ours = fit()
+        monkeypatch.setattr(hogwild_module, "_worker_loop", reference_worker_loop)
+        ref = fit()
+        assert (0 < ours.n_hot < 30) == (hot_threshold < 1)
+        np.testing.assert_array_equal(bits(ours.w_in), bits(ref.w_in))
+        np.testing.assert_array_equal(bits(ours.w_out), bits(ref.w_out))
+        assert ours.loss_history == ref.loss_history

@@ -81,6 +81,19 @@ class TestCounts:
         vocab.add_count(1, 7)
         assert vocab.count_of(1) == 10
 
+    def test_add_counts_adds_elementwise(self):
+        vocab = make_vocab()
+        vocab.add_counts(np.array([1, 0, 4, 2]))
+        np.testing.assert_array_equal(vocab.counts, [6, 3, 14, 4])
+        assert all(type(vocab.count_of(i)) is int for i in range(4))
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_add_counts_length_mismatch_rejected(self, length):
+        vocab = make_vocab()
+        with pytest.raises(ValueError, match=f"counts has length {length}"):
+            vocab.add_counts(np.ones(length, dtype=np.int64))
+        np.testing.assert_array_equal(vocab.counts, [5, 3, 10, 2])
+
     def test_top_k_by_count(self):
         vocab = make_vocab()
         np.testing.assert_array_equal(vocab.top_k_by_count(2), [2, 0])
