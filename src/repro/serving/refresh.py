@@ -1,33 +1,20 @@
-"""The nightly refresh daemon: ingest → warm-start → build → promote.
+"""The promotion pipeline, and the nightly refresh daemon that runs it.
 
 The paper's deployment recomputes *all* embeddings daily (Sec. V); EGES
 (KDD'18) describes the same cadence — an offline build feeding an online
-swap every night.  Until now this repo's refresh loop was hand-cranked:
-:func:`~repro.core.incremental.incremental_update`,
-:func:`~repro.serving.store.build_bundle` and
-:meth:`~repro.serving.store.ModelStore.swap` existed but nothing wired
-them together, and a build that threw mid-cycle left no retry, no
-backoff and no report.
+swap every night.  Every promotion here, a nightly cycle or a stream
+window (a refresh whose day is the window), is one
+:func:`promotion_step`: warm start → drift gate → build → flip.  Every
+bundle is built before the first pointer flip, so a failure anywhere
+leaves every shard on the previous generation.
 
-:class:`RefreshDaemon` runs the cycle on a background thread with
-production-shaped robustness:
-
-- **retry with exponential backoff + jitter** — transient failures
-  (a flaky data source, an OOM-killed build) are retried up to
-  ``max_retries`` times inside one cycle;
-- **circuit breaker** — after ``failure_threshold`` *consecutive* failed
-  cycles the daemon stops attempting and keeps the old generation
-  serving (graceful degradation: a stale bundle beats a torn one) until
-  :meth:`RefreshDaemon.reset_breaker`;
-- **drift gate** — a cycle whose
-  :func:`~repro.core.incremental.embedding_drift` exceeds
-  ``drift_threshold`` aborts *before* promotion: a large day-over-day
-  drift usually means bad input data, and promoting it would churn every
-  downstream candidate list at once;
-- **never a torn promotion** — all artifacts (every shard's bundle, in
-  the sharded case) are built before the first pointer flip, so a
-  failure anywhere in the expensive half leaves every shard on the
-  previous generation.
+:class:`RefreshDaemon` runs that step on a :class:`PeriodicLoop` and
+adds what only a nightly job needs: **retry with exponential backoff +
+jitter** (up to ``max_retries`` per cycle), a **circuit breaker** (after
+``failure_threshold`` consecutive failed cycles it stops attempting and
+the old generation keeps serving until :meth:`RefreshDaemon.reset_breaker`),
+and a drift gate that fails the cycle without retrying — a large
+day-over-day drift usually means bad input data.
 
 Observability flows through the shared
 :class:`~repro.serving.metrics.ServingMetrics`: per-phase latency
@@ -36,18 +23,15 @@ histograms (``refresh_ingest`` / ``refresh_train`` / ``refresh_build`` /
 failures, retries, drift aborts), gauges (consecutive failures, breaker
 state, live-generation age) and the last error string — all of which
 surface in ``MatchingService.snapshot()`` when the daemon is constructed
-over a service.
-
-A ``fault_hook`` is called at the start of every phase so tests,
-``benchmarks/bench_refresh.py`` and the CLI can inject build failures
-and watch the daemon degrade gracefully and recover.
+over a service.  A ``fault_hook`` called at the start of every phase
+lets tests, ``benchmarks/bench_refresh.py`` and the CLI inject failures.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -72,8 +56,40 @@ PHASES: tuple[str, ...] = ("ingest", "train", "build", "promote")
 
 
 @dataclass
-class RefreshConfig:
-    """Knobs of the nightly refresh cycle.
+class PromotionConfig:
+    """The knobs of :func:`promotion_step`, shared by every promoter.
+
+    Attributes
+    ----------
+    train_config, lr_decay:
+        Passed to :func:`~repro.core.incremental.incremental_update`;
+        the warm start trains in ``train_config.dtype``.
+    drift_threshold:
+        Reject the promotion when the post-update
+        :func:`~repro.core.incremental.embedding_drift` exceeds this
+        (``None`` disables the gate; the drift is measured either way).
+    drift_kind:
+        Token population the drift is measured over (default: item
+        tokens, the population that feeds candidate tables).
+    build_kwargs:
+        Extra keyword arguments for the bundle build (``n_cells``,
+        ``table_coverage``, ``ann_precision``, ...).
+    """
+
+    train_config: SGNSConfig | None = None
+    lr_decay: float = 0.5
+    drift_threshold: float | None = None
+    drift_kind: TokenKind | None = TokenKind.ITEM
+    build_kwargs: dict = field(default_factory=dict)
+
+    def validate(self) -> None:
+        if self.drift_threshold is not None:
+            require_positive(self.drift_threshold, "drift_threshold")
+
+
+@dataclass
+class RefreshConfig(PromotionConfig):
+    """Knobs of the nightly refresh cycle (plus :class:`PromotionConfig`'s).
 
     Attributes
     ----------
@@ -94,19 +110,6 @@ class RefreshConfig:
         retries in lockstep.
     failure_threshold:
         Consecutive failed cycles that open the circuit breaker.
-    drift_threshold:
-        Abort promotion when the day-over-day
-        :func:`~repro.core.incremental.embedding_drift` exceeds this
-        (``None`` disables the gate).
-    drift_kind:
-        Token population the drift gate measures (default: item tokens,
-        the population that feeds candidate tables).
-    lr_decay, train_config:
-        Passed to :func:`~repro.core.incremental.incremental_update`;
-        the warm start trains in ``train_config.dtype``.
-    build_kwargs:
-        Extra keyword arguments for the bundle build (``n_cells``,
-        ``table_coverage``, ...).
     """
 
     interval: float = 86400.0
@@ -116,13 +119,9 @@ class RefreshConfig:
     backoff_cap: float = 60.0
     jitter: float = 0.1
     failure_threshold: int = 3
-    drift_threshold: float | None = None
-    drift_kind: TokenKind | None = TokenKind.ITEM
-    lr_decay: float = 0.5
-    train_config: SGNSConfig | None = None
-    build_kwargs: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        super().validate()
         require_positive(self.interval, "interval")
         require(self.max_retries >= 0, "max_retries must be >= 0")
         require_positive(self.backoff_base, "backoff_base")
@@ -130,8 +129,6 @@ class RefreshConfig:
         require_positive(self.backoff_cap, "backoff_cap")
         require(0.0 <= self.jitter < 1.0, "jitter must be in [0, 1)")
         require_positive(self.failure_threshold, "failure_threshold")
-        if self.drift_threshold is not None:
-            require_positive(self.drift_threshold, "drift_threshold")
 
 
 @dataclass
@@ -153,20 +150,11 @@ class RefreshReport:
 
     def as_dict(self) -> dict:
         """JSON-serializable form (used by CLI / bench reports)."""
-        return {
-            "cycle": self.cycle,
-            "promoted": self.promoted,
-            "attempts": self.attempts,
-            "drift": self.drift,
-            "versions": self.versions,
-            "phase_seconds": dict(self.phase_seconds),
-            "error": self.error,
-            "aborted_by": self.aborted_by,
-        }
+        return asdict(self)
 
 
 class DriftGateError(RuntimeError):
-    """Raised internally when the drift gate rejects a cycle."""
+    """Raised by :func:`promotion_step` when the drift gate rejects it."""
 
     def __init__(self, drift: float, threshold: float) -> None:
         super().__init__(
@@ -176,20 +164,148 @@ class DriftGateError(RuntimeError):
         self.drift = drift
 
 
+def promotion_step(
+    target,
+    previous: EmbeddingModel,
+    dataset: BehaviorDataset,
+    config: PromotionConfig,
+    rng: np.random.Generator,
+    plan: "Callable[[], tuple[object, np.ndarray, bool]]",
+    *,
+    catalogue: "BehaviorDataset | None" = None,
+    gate=None,
+    enter: "Callable[[str], None] | None" = None,
+    phase_seconds: "dict[str, float] | None" = None,
+) -> "tuple[EmbeddingModel, float, list[int] | int, dict[str, float]]":
+    """One promotion: warm start → drift gate → build → promote.
+
+    Trains ``previous`` on ``dataset``, measures the drift and raises
+    :class:`DriftGateError` when it is over ``config.drift_threshold``;
+    then builds the next generation from ``catalogue`` (default:
+    ``dataset`` — a day is both; a window trains on its own clicks and
+    builds the whole catalogue) and flips it onto ``target`` inside
+    ``gate``.  ``plan()`` runs once the gate has passed and returns the
+    ``(shards, partition, allow_moves)`` of the build and the flip.
+
+    ``enter(phase)`` runs as each of ``train`` / ``build`` / ``promote``
+    starts (raising from it fails the step), and each phase's seconds
+    land in ``phase_seconds`` as it ends, so a failed step still shows
+    how far it got.  Nothing is flipped unless every phase before the
+    flip succeeded.  Returns ``(model, drift, versions, phase_seconds)``.
+    """
+    store, _ = serving_target(target)
+    phase_seconds = {} if phase_seconds is None else phase_seconds
+
+    def start(phase: str) -> float:
+        if enter is not None:
+            enter(phase)
+        return time.perf_counter()
+
+    began = start("train")
+    updated = incremental_update(
+        previous, dataset, config=config.train_config, lr_decay=config.lr_decay, seed=rng
+    )
+    drift = embedding_drift(previous, updated, kind=config.drift_kind)
+    if config.drift_threshold is not None and drift > config.drift_threshold:
+        raise DriftGateError(drift, config.drift_threshold)
+    phase_seconds["train"] = time.perf_counter() - began
+
+    began = start("build")
+    shards, partition, allow_moves = plan()
+    built = dataset if catalogue is None else catalogue
+    artifacts = store.build_generation(
+        updated, built, shards=shards, partition=partition, **config.build_kwargs
+    )
+    phase_seconds["build"] = time.perf_counter() - began
+
+    began = start("promote")
+    versions = promote(target, *artifacts, allow_moves=allow_moves, gate=gate)
+    phase_seconds["promote"] = time.perf_counter() - began
+    return updated, drift, versions, phase_seconds
+
+
+class PeriodicLoop:
+    """Calls ``tick()`` every ``interval`` seconds on one daemon thread.
+
+    The background-thread lifecycle of the refresh daemon and the stream
+    applier.  ``stop(timeout)`` asks the loop to exit and waits up to
+    ``timeout`` for an in-flight tick.  A tick that outlives the wait
+    keeps its thread, and a later ``start()`` revives that loop (with
+    its own tick and interval) rather than spawning a second one beside
+    it: after ``start()`` exactly one loop runs.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        #: Set while the loop is asked to stop; ticks may wait on it.
+        self.stopping = threading.Event()
+        self._lock = threading.Lock()
+        self._ticked = threading.Condition()
+        self._thread: threading.Thread | None = None
+
+    @property
+    def running(self) -> bool:
+        thread = self._thread
+        return thread is not None and thread.is_alive()
+
+    def start(self, tick: Callable[[], object], interval: float) -> bool:
+        """Run the loop; ``False`` when one was already running."""
+        with self._lock:
+            self.stopping.clear()
+            if self._thread is not None:
+                return False
+            self._thread = threading.Thread(
+                target=self._run, args=(tick, interval), name=self.name, daemon=True
+            )
+            self._thread.start()
+            return True
+
+    def stop(self, timeout: float) -> None:
+        self.stopping.set()
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=timeout)
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait_until` caller to re-check its condition."""
+        with self._ticked:
+            self._ticked.notify_all()
+
+    def wait_until(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Block until ``done()`` (True) or ``timeout`` seconds (False)."""
+        deadline = time.monotonic() + timeout
+        with self._ticked:
+            while not done():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._ticked.wait(remaining)
+            return True
+
+    def _run(self, tick: Callable[[], object], interval: float) -> None:
+        while True:
+            # Decided under the lock, so `start` either sees this thread
+            # gone or has revived it before it checks.
+            with self._lock:
+                if self.stopping.is_set():
+                    self._thread = None
+                    return
+            began = time.perf_counter()
+            try:
+                tick()
+            except Exception:  # noqa: BLE001 - the loop must survive
+                logger.exception("%s tick raised unexpectedly", self.name)
+            self.stopping.wait(max(interval - (time.perf_counter() - began), 0.0))
+
+
 class RefreshDaemon:
     """Runs the nightly refresh cycle against a store or a live service.
 
     Parameters
     ----------
     target:
-        What to refresh: a :class:`~repro.serving.store.ModelStore`, a
-        :class:`~repro.serving.sharding.ShardedModelStore`, or a service
-        wrapping either (anything with ``.recommend`` and ``.store``).
-        Passing the *service* is preferred — swaps then go through
-        :meth:`MatchingService.swap_shard` so an attached worker pool
-        stays in sync, and refresh metrics land on the service's own
-        :class:`ServingMetrics` (one ``snapshot()`` shows both sides).
-        See :func:`~repro.serving.sharding.serving_target`.
+        A store, or (preferred) a service wrapping one: see
+        :func:`~repro.serving.sharding.serving_target`.
     dataset_source:
         ``dataset_source(cycle) -> BehaviorDataset`` — hands the daemon
         "today's" behavior data each cycle (cycle numbers start at 1).
@@ -202,12 +318,10 @@ class RefreshDaemon:
         phase; raising from it fails the attempt.  The injection point
         for tests and benchmarks.
     promote_gate:
-        Optional wrapper the promote phase runs inside:
-        ``promote_gate(flip)`` must call ``flip()`` exactly once and
-        return its result.  The network gateway passes its
-        :meth:`~repro.serving.gateway.RecommendGateway.swap_gate` here so
-        a promotion waits for in-flight coalesced batches and never
-        tears a request mid-swap.
+        Optional ``promote_gate(flip)`` wrapper the flip runs inside (it
+        calls ``flip()`` once and returns its result): the gateway's
+        :meth:`~repro.serving.gateway.RecommendGateway.swap_gate`, so a
+        promotion never tears an in-flight coalesced batch.
     seed:
         Randomness for warm-start initialization and backoff jitter.
     """
@@ -233,9 +347,7 @@ class RefreshDaemon:
         self._model = freshest_model(self._store.snapshot())
 
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._cycle_done = threading.Condition()
+        self._loop = PeriodicLoop("refresh-daemon")
         self._cycles = 0
         self._consecutive_failures = 0
         self._breaker_open = False
@@ -283,7 +395,7 @@ class RefreshDaemon:
         with self._lock:
             history = [report.as_dict() for report in self._history]
             state = {
-                "running": self._thread is not None and self._thread.is_alive(),
+                "running": self._loop.running,
                 "cycles": self._cycles,
                 "consecutive_failures": self._consecutive_failures,
                 "breaker_open": self._breaker_open,
@@ -312,18 +424,13 @@ class RefreshDaemon:
             breaker_open = self._breaker_open
             if breaker_open:
                 report = RefreshReport(
-                    cycle=cycle,
-                    promoted=False,
-                    attempts=0,
-                    aborted_by="circuit_breaker",
-                    error=self._last_error,
+                    cycle, False, 0, error=self._last_error, aborted_by="circuit_breaker"
                 )
                 self._history.append(report)
         if breaker_open:
             self._metrics.incr("refresh_cycles")
             self._metrics.incr("refresh_skipped")
-            with self._cycle_done:
-                self._cycle_done.notify_all()
+            self._loop.notify()
             return report
 
         self._metrics.incr("refresh_cycles")
@@ -347,9 +454,8 @@ class RefreshDaemon:
                     )
             failures = self._consecutive_failures
             breaker = self._breaker_open
-            self._last_drift = (
-                report.drift if report.drift is not None else self._last_drift
-            )
+            if report.drift is not None:
+                self._last_drift = report.drift
             self._history.append(report)
         self._metrics.set_gauge("refresh_consecutive_failures", float(failures))
         self._metrics.set_gauge("refresh_breaker_open", float(breaker))
@@ -358,8 +464,7 @@ class RefreshDaemon:
             self._metrics.incr("refresh_promotions")
         else:
             self._metrics.incr("refresh_failures")
-        with self._cycle_done:
-            self._cycle_done.notify_all()
+        self._loop.notify()
         return report
 
     def _attempt_with_retries(self, cycle: int) -> RefreshReport:
@@ -375,115 +480,56 @@ class RefreshDaemon:
                 self._metrics.incr("refresh_drift_aborts")
                 logger.warning("cycle %d: %s", cycle, exc)
                 return RefreshReport(
-                    cycle=cycle,
-                    promoted=False,
-                    attempts=attempts,
-                    drift=exc.drift,
-                    error=str(exc),
-                    aborted_by="drift_gate",
+                    cycle, False, attempts, exc.drift, error=str(exc), aborted_by="drift_gate"
                 )
             except Exception as exc:  # noqa: BLE001 - isolate any failure
-                logger.exception(
-                    "cycle %d attempt %d failed", cycle, attempts
-                )
+                logger.exception("cycle %d attempt %d failed", cycle, attempts)
                 if attempts > self._config.max_retries:
-                    return RefreshReport(
-                        cycle=cycle,
-                        promoted=False,
-                        attempts=attempts,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    error = f"{type(exc).__name__}: {exc}"
+                    return RefreshReport(cycle, False, attempts, error=error)
                 self._metrics.incr("refresh_retries")
+                config = self._config
                 delay = min(
-                    self._config.backoff_cap,
-                    self._config.backoff_base
-                    * self._config.backoff_factor ** (attempts - 1),
+                    config.backoff_cap,
+                    config.backoff_base * config.backoff_factor ** (attempts - 1),
                 )
-                if self._config.jitter:
-                    delay *= 1.0 + self._config.jitter * float(
-                        self._rng.uniform(-1.0, 1.0)
-                    )
+                if config.jitter:
+                    delay *= 1.0 + config.jitter * float(self._rng.uniform(-1.0, 1.0))
                 logger.info(
                     "cycle %d: retrying in %.2fs (attempt %d/%d)",
-                    cycle,
-                    delay,
-                    attempts + 1,
-                    self._config.max_retries + 1,
+                    cycle, delay, attempts + 1, config.max_retries + 1,
                 )
-                if self._stop.wait(delay):
-                    return RefreshReport(
-                        cycle=cycle,
-                        promoted=False,
-                        attempts=attempts,
-                        error="daemon stopped mid-retry",
-                    )
+                if self._loop.stopping.wait(delay):
+                    error = "daemon stopped mid-retry"
+                    return RefreshReport(cycle, False, attempts, error=error)
                 continue
-            return RefreshReport(
-                cycle=cycle,
-                promoted=True,
-                attempts=attempts,
-                drift=drift,
-                versions=versions,
-                phase_seconds=phase_seconds,
-            )
+            return RefreshReport(cycle, True, attempts, drift, versions, phase_seconds)
 
     def _run_phases(
         self, cycle: int, attempt: int
-    ) -> "tuple[float | None, list[int] | int, dict[str, float]]":
-        """One attempt: ingest → train (+drift gate) → build → promote."""
+    ) -> "tuple[float, list[int] | int, dict[str, float]]":
+        """One attempt: ingest, then :func:`promotion_step` on the day."""
         phase_seconds: dict[str, float] = {}
 
-        def enter(phase: str) -> float:
+        def enter(phase: str) -> None:
             if self._fault_hook is not None:
                 self._fault_hook(phase, attempt)
-            return time.perf_counter()
 
-        start = enter("ingest")
-        dataset = self._dataset_source(cycle)
-        phase_seconds["ingest"] = time.perf_counter() - start
-        self._metrics.observe("refresh_ingest", phase_seconds["ingest"])
-
-        start = enter("train")
-        previous = self._model
-        updated = incremental_update(
-            previous,
-            dataset,
-            config=self._config.train_config,
-            lr_decay=self._config.lr_decay,
-            seed=self._rng,
-        )
-        drift: float | None = None
-        if self._config.drift_threshold is not None:
-            drift = embedding_drift(
-                previous, updated, kind=self._config.drift_kind
+        try:
+            enter("ingest")
+            start = time.perf_counter()
+            dataset = self._dataset_source(cycle)
+            phase_seconds["ingest"] = time.perf_counter() - start
+            self._model, drift, versions, _ = promotion_step(
+                self._target, self._model, dataset, self._config, self._rng,
+                lambda: (None, self._extend_partition(dataset), False),
+                gate=self._promote_gate, enter=enter, phase_seconds=phase_seconds,
             )
-            if drift > self._config.drift_threshold:
-                raise DriftGateError(drift, self._config.drift_threshold)
-        phase_seconds["train"] = time.perf_counter() - start
-        self._metrics.observe("refresh_train", phase_seconds["train"])
-
-        start = enter("build")
-        # Every bundle is built before `promote` flips the first one, so
-        # a failure here can never tear a promotion.
-        artifacts = self._store.build_generation(
-            updated,
-            dataset,
-            partition=self._extend_partition(dataset),
-            **self._config.build_kwargs,
-        )
-        phase_seconds["build"] = time.perf_counter() - start
-        self._metrics.observe("refresh_build", phase_seconds["build"])
-
-        start = enter("promote")
-        versions = promote(self._target, *artifacts, gate=self._promote_gate)
-        self._model = updated
-        phase_seconds["promote"] = time.perf_counter() - start
-        self._metrics.observe("refresh_promote", phase_seconds["promote"])
+        finally:
+            for phase, seconds in phase_seconds.items():
+                self._metrics.observe(f"refresh_{phase}", seconds)
         logger.info(
-            "cycle %d promoted generation %s (drift=%s)",
-            cycle,
-            versions,
-            f"{drift:.4f}" if drift is not None else "n/a",
+            "cycle %d promoted generation %s (drift=%.4f)", cycle, versions, drift
         )
         return drift, versions, phase_seconds
 
@@ -500,39 +546,18 @@ class RefreshDaemon:
 
     def start(self) -> None:
         """Start the refresh loop on a daemon thread (idempotent)."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="refresh-daemon", daemon=True
+        if self._loop.start(self.run_once, self._config.interval):
+            logger.info(
+                "refresh daemon started (interval %.1fs)", self._config.interval
             )
-            self._thread.start()
-        logger.info(
-            "refresh daemon started (interval %.1fs)", self._config.interval
-        )
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop the loop; waits for an in-flight cycle to finish."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout)
-        self._thread = None
+        self._loop.stop(timeout)
 
     def wait_for_cycles(self, n: int, timeout: float = 30.0) -> bool:
         """Block until ``n`` total cycles have completed (True) or timeout."""
-        deadline = time.monotonic() + timeout
-        with self._cycle_done:
-            while True:
-                with self._lock:
-                    done = len(self._history)
-                if done >= n:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cycle_done.wait(remaining)
+        return self._loop.wait_until(lambda: len(self.history) >= n, timeout)
 
     def __enter__(self) -> "RefreshDaemon":
         self.start()
@@ -540,18 +565,6 @@ class RefreshDaemon:
 
     def __exit__(self, *_exc) -> None:
         self.stop()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            cycle_start = time.perf_counter()
-            try:
-                self.run_once()
-            except Exception:  # noqa: BLE001 - the loop must survive
-                logger.exception("refresh cycle raised unexpectedly")
-            elapsed = time.perf_counter() - cycle_start
-            sleep = max(self._config.interval - elapsed, 0.0)
-            if self._stop.wait(sleep):
-                break
 
 
 def bootstrap_day_source(

@@ -1,52 +1,50 @@
 """The stream applier: micro-batch windows -> live serving mutations.
 
-Per window the applier runs a miniature of the nightly refresh cycle,
+A window is a refresh whose day is the window: the applier runs the
+nightly cycle's :func:`~repro.serving.refresh.promotion_step` on it,
 scoped to what the window touched:
 
 1. **grow** — events for never-seen items (they arrive carrying their
    Table-I side information) extend the item catalogue; the window's
-   clicks are sessionized and fed through
-   :func:`~repro.core.incremental.incremental_update`, which grows the
-   :class:`~repro.core.vocab.Vocabulary` online and materializes Eq. 6
-   cold-item vectors as the warm-start initializer for the new tokens;
-2. **gate** — :func:`~repro.core.incremental.embedding_drift` between
-   the pre- and post-window model is checked against a threshold; a bad
-   window (poisoned events, a runaway update) is *quarantined*: the
-   cursor advances past it but nothing touches the store;
-3. **build + promote** — serving artifacts are rebuilt and hot-swapped
-   under the caller's ``promote_gate`` (the gateway's writer-priority
-   swap gate), so in-flight requests never observe a torn bundle.
-   Sharded stores rebuild **only the touched shards** (the shards owning
+   clicks are sessionized and warm-started on, which grows the
+   vocabulary online and places new items at their Eq. 6 cold vectors;
+2. **gate** — a window over the drift threshold (poisoned events, a
+   runaway update) is *quarantined*: the cursor advances past it but
+   nothing touches the store;
+3. **build + promote** — under the caller's ``promote_gate``.  Sharded
+   stores rebuild **only the touched shards** (the owners of
    clicked/new/moved items); newly hot items are re-routed across HBGP
    shards incrementally — individual moves, never a full re-partition.
 
-Coexistence with the nightly :class:`~repro.serving.refresh.RefreshDaemon`
-is first-class: before every window the applier compares the store's
-generation against the one it last produced.  A mismatch means a full
-nightly promote landed underneath it, so it **resyncs** — re-seeds its
-model from the live generation, drops accumulated stream state (the
-nightly generation owns everything up to now: "nightly wins"), and
-resets its log cursor to the head.
+The window's catalogue growth, sessions and click counts become the
+applier's state only after the flip, so a window that fails anywhere
+leaves them untouched.
+
+Coexistence with the nightly :class:`~repro.serving.refresh.RefreshDaemon`:
+before every window the applier compares the store's generation against
+the one it last produced.  A mismatch means a nightly promote landed
+underneath it, so it **resyncs** — re-seeds its model from the live
+generation, drops accumulated stream state ("nightly wins"), and resets
+its log cursor to the head.
 
 Delivery from the :class:`~repro.streaming.events.EventLog` is
-at-least-once; idempotence comes from an ``applied_through`` watermark:
-a replayed window (same ``[start, end)`` range) at or below the
-watermark commits the cursor and does nothing else, so deltas are never
-double-applied.
+at-least-once; a replayed window (same ``[start, end)`` range) at or
+below the ``applied_through`` watermark commits the cursor and does
+nothing else, so deltas are never double-applied.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.incremental import embedding_drift, incremental_update
+# bench/trace.py wraps this module's bindings of these four names; the
+# applier calls them through `promotion_step`.
+from repro.core.incremental import embedding_drift, incremental_update  # noqa: F401
 from repro.core.model import EmbeddingModel
-from repro.core.sgns import SGNSConfig
-from repro.core.vocab import TokenKind
 from repro.data.schema import (
     AGE_BUCKETS,
     GENDERS,
@@ -56,9 +54,14 @@ from repro.data.schema import (
     UserMeta,
 )
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import freshest_model, promote, serving_target
-# bench/trace.py wraps this module's bindings of the two builders.
+from repro.serving.refresh import (
+    DriftGateError,
+    PeriodicLoop,
+    PromotionConfig,
+    promotion_step,
+)
 from repro.serving.sharding import build_shard_bundle  # noqa: F401
+from repro.serving.sharding import freshest_model, serving_target
 from repro.serving.store import build_bundle  # noqa: F401
 from repro.streaming.events import EventLog
 from repro.streaming.window import EventWindow, MicroBatchWindower, sessionize
@@ -73,8 +76,14 @@ MAX_USER_GROWTH = 100_000
 
 
 @dataclass
-class StreamConfig:
-    """Knobs of the micro-batch apply loop.
+class StreamConfig(PromotionConfig):
+    """Knobs of the micro-batch apply loop (plus
+    :class:`~repro.serving.refresh.PromotionConfig`'s).
+
+    Streaming continuations are tiny, so ``train_config.epochs`` is per
+    *window*, not per day.  A window over ``drift_threshold`` is
+    quarantined: unlike a nightly cycle it still advances the cursor —
+    the stream must not wedge on one poisoned batch.
 
     Attributes
     ----------
@@ -82,50 +91,28 @@ class StreamConfig:
         Maximum events per micro-batch window.
     max_session_len:
         Split per-user click runs at this length when sessionizing.
-    train_config, lr_decay:
-        Passed to :func:`~repro.core.incremental.incremental_update`;
-        streaming continuations are tiny, so ``epochs`` here is per
-        *window*, not per day.  The window trains in
-        ``train_config.dtype``.
-    drift_threshold, drift_kind:
-        Quarantine a window whose post-update
-        :func:`~repro.core.incremental.embedding_drift` exceeds the
-        threshold (``None`` disables the gate).  Unlike the nightly
-        daemon's gate, a quarantined window still advances the cursor —
-        the stream must not wedge on one poisoned batch.
     rebalance_ratio, max_moves:
         Incremental hot-item re-routing for sharded stores: when the
         hottest shard carries more than ``rebalance_ratio`` times the
         mean streamed click load, up to ``max_moves`` of its hottest
         items move to the coldest shard (``rebalance_ratio=None``
         disables moves).
-    build_kwargs:
-        Extra keyword arguments for the bundle builds (``n_cells``,
-        ``table_coverage``, ``ann_precision``, ...).
     cursor:
         Name of this applier's replay cursor in the event log.
     """
 
     window_events: int = 512
     max_session_len: int = 40
-    train_config: "SGNSConfig | None" = None
-    lr_decay: float = 0.5
-    drift_threshold: "float | None" = None
-    drift_kind: "TokenKind | None" = TokenKind.ITEM
     rebalance_ratio: "float | None" = None
     max_moves: int = 8
-    build_kwargs: dict = field(default_factory=dict)
     cursor: str = "stream-applier"
 
     def validate(self) -> None:
+        super().validate()
         require_positive(self.window_events, "window_events")
         require_positive(self.max_session_len, "max_session_len")
-        if self.drift_threshold is not None:
-            require_positive(self.drift_threshold, "drift_threshold")
         if self.rebalance_ratio is not None:
-            require(
-                self.rebalance_ratio > 1.0, "rebalance_ratio must be > 1"
-            )
+            require(self.rebalance_ratio > 1.0, "rebalance_ratio must be > 1")
         require(self.max_moves >= 0, "max_moves must be >= 0")
 
 
@@ -147,26 +134,11 @@ class WindowReport:
     moves: list = field(default_factory=list)
     versions: "list[int] | int | None" = None
     apply_s: float = 0.0
+    phase_seconds: dict = field(default_factory=dict)
     error: "str | None" = None
 
     def as_dict(self) -> dict:
-        return {
-            "window_id": self.window_id,
-            "start": self.start,
-            "end": self.end,
-            "n_events": self.n_events,
-            "n_sessions": self.n_sessions,
-            "new_items": list(self.new_items),
-            "applied": self.applied,
-            "duplicate": self.duplicate,
-            "quarantined": self.quarantined,
-            "resynced": self.resynced,
-            "drift": self.drift,
-            "moves": [list(m) for m in self.moves],
-            "versions": self.versions,
-            "apply_s": self.apply_s,
-            "error": self.error,
-        }
+        return {**asdict(self), "moves": [list(m) for m in self.moves]}
 
 
 def _synthetic_user(user_id: int) -> UserMeta:
@@ -185,11 +157,8 @@ class StreamApplier:
     Parameters
     ----------
     target:
-        What to mutate: a :class:`~repro.serving.store.ModelStore`, a
-        :class:`~repro.serving.sharding.ShardedModelStore`, or a service
-        wrapping either — same contract as the refresh daemon.  Pass the
-        *service* where one exists so sharded swaps keep an attached
-        worker pool in sync.
+        A store, or (preferred) a service wrapping one — the refresh
+        daemon's contract: :func:`~repro.serving.sharding.serving_target`.
     log:
         The shared :class:`~repro.streaming.events.EventLog`.
     dataset:
@@ -223,11 +192,9 @@ class StreamApplier:
         self._promote_gate = promote_gate
         self._rng = ensure_rng(seed)
 
-        self._base_items = list(dataset.items)
-        self._base_users = list(dataset.users)
+        self._items = list(dataset.items)
+        self._users = list(dataset.users)
         self._base_sessions = list(dataset.sessions)
-        self._items = list(self._base_items)
-        self._users = list(self._base_users)
         self._sessions = list(self._base_sessions)
         self._stream_clicks = np.zeros(len(self._items), dtype=np.int64)
 
@@ -241,19 +208,15 @@ class StreamApplier:
 
         self._apply_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._thread: "threading.Thread | None" = None
-        self._stop = threading.Event()
-        self._window_done = threading.Condition()
+        self._loop = PeriodicLoop("stream-applier")
         self._ticks = 0
         self._history: list[WindowReport] = []
 
         self._metrics.set_gauge(
-            "stream_lag_events",
-            lambda: float(self._log.lag(self._config.cursor)),
+            "stream_lag_events", lambda: float(self._log.lag(self._config.cursor))
         )
         self._metrics.set_gauge(
-            "stream_staleness_s",
-            lambda: time.monotonic() - self._last_apply_monotonic,
+            "stream_staleness_s", lambda: time.monotonic() - self._last_apply_monotonic
         )
 
     # ------------------------------------------------------------------
@@ -269,12 +232,8 @@ class StreamApplier:
     def dataset(self) -> BehaviorDataset:
         """The cumulative catalogue + sessions the applier has built up."""
         with self._state_lock:
-            return BehaviorDataset(
-                list(self._items),
-                list(self._users),
-                list(self._sessions),
-                validate=False,
-            )
+            items, users, sessions = self._items, self._users, self._sessions
+        return BehaviorDataset(list(items), list(users), list(sessions), validate=False)
 
     @property
     def catalogue_size(self) -> int:
@@ -314,10 +273,8 @@ class StreamApplier:
         self._expected = self._store.version
         self._metrics.incr("stream_resyncs")
         logger.info(
-            "external promote detected (now %s); stream resynced to"
-            " offset %d",
-            self._expected,
-            head,
+            "external promote detected (now %s); stream resynced to offset %d",
+            self._expected, head,
         )
         return True
 
@@ -341,8 +298,7 @@ class StreamApplier:
             report.resynced = resynced or report.resynced
         with self._state_lock:
             self._history.append(report)
-        with self._window_done:
-            self._window_done.notify_all()
+        self._loop.notify()
         return report
 
     def run_pending(self, max_windows: "int | None" = None) -> list[WindowReport]:
@@ -356,12 +312,7 @@ class StreamApplier:
         return reports
 
     def _apply_window(self, window: EventWindow) -> WindowReport:
-        report = WindowReport(
-            window_id=window.window_id,
-            start=window.start,
-            end=window.end,
-            n_events=window.n_events,
-        )
+        report = WindowReport(window.window_id, window.start, window.end, window.n_events)
         # At-least-once replay guard: a window at or below the watermark
         # was already applied in full; committing the cursor is the only
         # thing the lost commit needed.
@@ -382,10 +333,7 @@ class StreamApplier:
             self._metrics.incr("stream_quarantined_windows")
             self._metrics.set_info("stream_last_error", report.error)
             logger.warning(
-                "window [%d, %d) quarantined: %s",
-                window.start,
-                window.end,
-                report.error,
+                "window [%d, %d) quarantined: %s", window.start, window.end, report.error
             )
         report.apply_s = time.perf_counter() - start_time
         if report.applied:
@@ -393,67 +341,44 @@ class StreamApplier:
         return report
 
     def _apply_live(self, window: EventWindow, report: WindowReport) -> None:
-        sessions = sessionize(window.events, max_len=self._config.max_session_len)
+        events = window.events
+        clicked = np.fromiter((e.item_id for e in events), np.int64, len(events))
+        require(clicked.min(initial=0) >= 0, "window carries a negative item id")
+        sessions = sessionize(events, max_len=self._config.max_session_len)
         report.n_sessions = len(sessions)
-        cand_items, cand_users, new_items = self._extend_catalogue(window)
-        report.new_items = new_items
+        items, users, report.new_items = self._extend_catalogue(window)
+        all_sessions = self._sessions + sessions
+        clicks = np.bincount(clicked, minlength=len(items))
+        clicks[: len(self._stream_clicks)] += self._stream_clicks
 
-        window_dataset = BehaviorDataset(
-            cand_items, cand_users, sessions, validate=False
-        )
-        previous = self._model
-        updated = incremental_update(
-            previous,
-            window_dataset,
-            config=self._config.train_config,
-            lr_decay=self._config.lr_decay,
-            seed=self._rng,
-        )
-        drift = embedding_drift(previous, updated, kind=self._config.drift_kind)
-        report.drift = drift
-        self._metrics.set_gauge("stream_last_drift", drift)
-        if (
-            self._config.drift_threshold is not None
-            and drift > self._config.drift_threshold
-        ):
-            raise RuntimeError(
-                f"window drift {drift:.4f} exceeds threshold"
-                f" {self._config.drift_threshold:.4f}"
+        def plan() -> "tuple[set[int], np.ndarray, bool]":
+            assignment, report.moves = self._plan_partition(clicks)
+            if report.moves:
+                self._metrics.incr("stream_moves", len(report.moves))
+            touched = self._touched_shards(clicked, assignment, report.moves)
+            return touched, assignment, bool(report.moves)
+
+        try:
+            model, report.drift, versions, _ = promotion_step(
+                self._target, self._model,
+                BehaviorDataset(items, users, sessions, validate=False),
+                self._config, self._rng, plan,
+                catalogue=BehaviorDataset(items, users, all_sessions, validate=False),
+                gate=self._promote_gate, phase_seconds=report.phase_seconds,
             )
+        except DriftGateError as exc:
+            report.drift = exc.drift
+            raise
+        finally:
+            if report.drift is not None:
+                self._metrics.set_gauge("stream_last_drift", report.drift)
 
-        # The gate passed: commit catalogue growth and session state.
+        # Flipped: only now does the window's state become the applier's.
         with self._state_lock:
-            self._items = cand_items
-            self._users = cand_users
-            self._sessions = self._sessions + sessions
-            clicks = np.zeros(len(cand_items), dtype=np.int64)
-            clicks[: len(self._stream_clicks)] = self._stream_clicks
-            for event in window.events:
-                clicks[event.item_id] += 1
+            self._items, self._users = items, users
+            self._sessions = all_sessions
             self._stream_clicks = clicks
-        dataset = BehaviorDataset(
-            self._items, self._users, self._sessions, validate=False
-        )
-
-        assignment, report.moves = self._plan_partition()
-        if report.moves:
-            self._metrics.incr("stream_moves", len(report.moves))
-        # Every bundle is built before `promote` flips the first one.
-        artifacts = self._store.build_generation(
-            updated,
-            dataset,
-            shards=self._touched_shards(window, assignment, report.moves),
-            partition=assignment,
-            **self._config.build_kwargs,
-        )
-        versions = promote(
-            self._target,
-            *artifacts,
-            allow_moves=bool(report.moves),
-            gate=self._promote_gate,
-        )
-
-        self._model = updated
+        self._model = model
         self._expected = versions
         self._applied_through = window.end
         self._windower.commit(window)
@@ -467,13 +392,8 @@ class StreamApplier:
         logger.info(
             "window [%d, %d): %d events, %d sessions, %d new items,"
             " drift %.4f -> versions %s",
-            window.start,
-            window.end,
-            window.n_events,
-            len(sessions),
-            len(report.new_items),
-            drift,
-            versions,
+            window.start, window.end, window.n_events, len(sessions),
+            len(report.new_items), report.drift, versions,
         )
 
     def _extend_catalogue(
@@ -482,8 +402,8 @@ class StreamApplier:
         """Candidate catalogue copies including the window's new entities.
 
         Returned as *candidates* — committed to the applier's state only
-        after the drift gate passes, so a quarantined window can never
-        poison the catalogue either.
+        after the window's generation is flipped, so a window that fails
+        anywhere can never poison the catalogue either.
         """
         n_items = len(self._items)
         described: dict[int, dict] = {}
@@ -526,37 +446,33 @@ class StreamApplier:
     # ------------------------------------------------------------------
 
     def _touched_shards(
-        self, window: EventWindow, assignment: np.ndarray, moves: list
+        self, clicked: np.ndarray, assignment: np.ndarray, moves: list
     ) -> set[int]:
         """The shards one window rebuilds: the owners of its clicked and
         new items, and both ends of every move."""
-        touched = {
-            int(assignment[event.item_id])
-            for event in window.events
-            if 0 <= event.item_id < len(assignment)
-        }
-        touched.update(
-            int(shard) for shard in assignment[len(self._store.item_partition):]
+        owners = np.concatenate(
+            [assignment[clicked], assignment[len(self._store.item_partition):]]
         )
-        for _item, src, dst in moves:
-            touched.update((src, dst))
-        return touched
+        ends = [shard for _item, src, dst in moves for shard in (src, dst)]
+        return set(np.unique(owners).tolist()) | set(ends)
 
     def _plan_partition(
-        self,
+        self, clicks: np.ndarray
     ) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
         """Extend the item -> shard map; re-route streamed hot items.
 
-        New items land on the lightest shard (by item count).  When the
-        hottest shard's *streamed* click load exceeds ``rebalance_ratio``
-        times the mean, up to ``max_moves`` of its hottest items move to
-        the coldest shard — individual moves against the live map, never
-        a full re-partition.  A move is taken only if it lowers the
-        hottest shard's load (no oscillation).
+        ``clicks`` is the streamed click count of every item, the
+        window's included.  New items land on the lightest shard (by
+        item count).  When the hottest shard's *streamed* click load
+        exceeds ``rebalance_ratio`` times the mean, up to ``max_moves``
+        of its hottest items move to the coldest shard — individual
+        moves against the live map, never a full re-partition.  A move
+        is taken only if it lowers the hottest shard's load (no
+        oscillation).
         """
         old = self._store.item_partition
         n_shards = self._store.n_shards
-        n_items = len(self._items)
+        n_items = len(clicks)
         assignment = np.empty(n_items, dtype=np.int64)
         assignment[: len(old)] = old
         loads = np.bincount(old, minlength=n_shards)
@@ -568,9 +484,7 @@ class StreamApplier:
         moves: list[tuple[int, int, int]] = []
         if self._config.rebalance_ratio is None or n_shards < 2:
             return assignment, moves
-        clicks = self._stream_clicks
-        hot = np.zeros(n_shards, dtype=np.float64)
-        np.add.at(hot, assignment[: len(clicks)], clicks.astype(np.float64))
+        hot = np.bincount(assignment, weights=clicks, minlength=n_shards)
         while len(moves) < self._config.max_moves:
             total = float(hot.sum())
             if total <= 0:
@@ -608,38 +522,16 @@ class StreamApplier:
         hook the CLI uses to synthesize live traffic.
         """
         require_positive(interval, "interval")
-        with self._state_lock:
-            if self._thread is not None and self._thread.is_alive():
-                return self
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop,
-                args=(interval, event_source),
-                name="stream-applier",
-                daemon=True,
-            )
-            self._thread.start()
-        logger.info("stream applier started (every %.2fs)", interval)
+        if self._loop.start(lambda: self._tick(event_source), interval):
+            logger.info("stream applier started (every %.2fs)", interval)
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout)
-        self._thread = None
+        self._loop.stop(timeout)
 
     def wait_for_windows(self, n: int, timeout: float = 30.0) -> bool:
         """Block until ``n`` windows have *applied* (True) or timeout."""
-        deadline = time.monotonic() + timeout
-        with self._window_done:
-            while True:
-                if self.windows_applied >= n:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._window_done.wait(remaining)
+        return self._loop.wait_until(lambda: self.windows_applied >= n, timeout)
 
     def __enter__(self) -> "StreamApplier":
         return self
@@ -647,18 +539,10 @@ class StreamApplier:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-    def _loop(self, interval: float, event_source) -> None:
-        while not self._stop.is_set():
-            tick_start = time.perf_counter()
-            try:
-                if event_source is not None:
-                    events = event_source(self._ticks)
-                    if events:
-                        self._log.extend(events)
-                self._ticks += 1
-                self.run_pending()
-            except Exception:  # noqa: BLE001 - the loop must survive
-                logger.exception("stream tick raised unexpectedly")
-            elapsed = time.perf_counter() - tick_start
-            if self._stop.wait(max(interval - elapsed, 0.0)):
-                break
+    def _tick(self, event_source) -> None:
+        if event_source is not None:
+            events = event_source(self._ticks)
+            if events:
+                self._log.extend(events)
+        self._ticks += 1
+        self.run_pending()

@@ -205,10 +205,15 @@ class TestBuildFailureNeverReachesTheFlip:
             target, log, train,
             StreamConfig(train_config=TRAIN, build_kwargs=BUILD),
         )
-        log.extend([ClickEvent(0, item) for item in range(6)])  # both shards
+        listing = ClickEvent(0, train.n_items, si_values=dict(train.items[0].si_values))
+        log.extend([ClickEvent(0, item) for item in range(6)] + [listing])  # both shards
         (report,) = applier.run_pending()
         assert report.quarantined and "build exploded" in report.error
+        assert report.new_items == [train.n_items]
         assert store.version == before
+        # The window failed after its drift gate: none of it was committed.
+        assert applier.catalogue_size == train.n_items
+        assert applier.dataset.n_sessions == train.n_sessions
         log.extend([ClickEvent(1, item) for item in range(6)])
         (report,) = applier.run_pending()
         assert report.applied

@@ -1,5 +1,6 @@
 """Tests for the nightly refresh daemon: retries, breaker, drift gate."""
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -87,6 +88,8 @@ class TestSingleCycle:
         assert set(report.phase_seconds) == {
             "ingest", "train", "build", "promote"
         }
+        # No drift gate is set, yet the step measured the drift.
+        assert report.drift is not None and report.drift >= 0.0
         # The expensive work happens outside the swap.
         assert report.phase_seconds["promote"] < report.phase_seconds["build"]
 
@@ -254,6 +257,67 @@ class TestBackgroundThread:
         daemon.start()
         daemon.start()
         daemon.stop()
+
+    def test_restart_after_a_timed_out_stop_runs_one_loop(self, service, day_source):
+        """Regression: ``stop(timeout)`` forgot a thread whose cycle outlived
+        the join, so the next ``start()`` ran a second loop beside it."""
+        entered, release = threading.Event(), threading.Event()
+        cyclers: list[int] = []
+
+        def blocking_source(cycle):
+            cyclers.append(threading.get_ident())
+            entered.set()
+            if cycle == 1:
+                release.wait(30.0)
+            return day_source(cycle)
+
+        daemon = RefreshDaemon(service, blocking_source, fast_config(interval=0.01))
+        daemon.start()
+        assert entered.wait(30.0)
+        daemon.stop(timeout=0.05)  # cycle 1 is still blocked: the join times out
+        daemon.start()
+        release.set()
+        assert daemon.wait_for_cycles(5, timeout=60.0)
+        daemon.stop()
+        assert not daemon.status()["running"]
+        assert len(set(cyclers)) == 1  # one loop thread ran every cycle
+
+
+class TestPeriodicLoop:
+    def test_start_stop_races_never_run_two_loops(self):
+        """Stress: 200 ``start`` / ``stop(timeout=0)`` rounds under a short
+        switch interval; no two ticks ever overlap, and one loop is left."""
+        loop = refresh_module.PeriodicLoop("loop-under-test")
+        guard = threading.Lock()
+        ticking: set[int] = set()
+        overlaps: list[set[int]] = []
+
+        def tick() -> None:
+            me = threading.get_ident()
+            with guard:
+                ticking.add(me)
+                if len(ticking) > 1:
+                    overlaps.append(set(ticking))
+            time.sleep(0.0005)
+            with guard:
+                ticking.discard(me)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(200):
+                loop.start(tick, 0.0)
+                loop.stop(timeout=0.0)
+            loop.start(tick, 0.0)
+            time.sleep(0.05)
+            alive = [t for t in threading.enumerate() if t.name == loop.name]
+            assert loop.running
+        finally:
+            sys.setswitchinterval(interval)
+            loop.stop(timeout=5.0)
+        assert not overlaps
+        assert len(alive) == 1
+        assert not loop.running
 
 
 class TestShardedRefresh:

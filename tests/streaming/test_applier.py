@@ -1,5 +1,6 @@
 """Tests for the stream applier: grow, gate, promote, reconcile."""
 
+import threading
 import time
 
 import numpy as np
@@ -75,7 +76,8 @@ class TestGrowAndServe:
         log = EventLog()
         applier = make_applier(service, train, log=log)
         log.extend(stream.window())
-        drain(applier)
+        (report,) = drain(applier)
+        assert set(report.phase_seconds) == {"train", "build", "promote"}
         metrics = service.metrics
         assert metrics.counter("stream_windows_applied") == 1
         assert metrics.counter("stream_new_items") == len(stream.new_item_ids)
@@ -213,6 +215,38 @@ class TestSharded:
         assert report.applied
         assert store.versions == [1, 0]  # shard 1 untouched
 
+    def test_window_item_ids_match_the_per_event_loops(
+        self, sharded_live, make_applier
+    ):
+        """One item-id array per window gives the click counts and the
+        touched-shard set the per-event loops gave (kept here as the
+        reference)."""
+        train, store, service = sharded_live
+        stream = SyntheticEventStream(train, new_items_per_window=2, seed=8)
+        log = EventLog()
+        applier = make_applier(service, train, log=log)
+        reference = np.zeros(train.n_items, dtype=np.int64)
+        for _ in range(3):
+            events = stream.window()
+            log.extend(events)
+            assert all(r.applied for r in drain(applier))
+            grown = np.zeros(applier.catalogue_size, dtype=np.int64)
+            grown[: len(reference)] = reference
+            for event in events:
+                grown[event.item_id] += 1
+            reference = grown
+        np.testing.assert_array_equal(applier._stream_clicks, reference)
+
+        live = np.asarray(store.item_partition)
+        rng = np.random.default_rng(0)
+        for n_new in (0, 2):
+            assignment = np.concatenate([live, np.ones(n_new, dtype=np.int64)])
+            clicked = rng.choice(np.flatnonzero(live == 0), size=5)
+            expected = {int(assignment[item]) for item in clicked}
+            expected.update(int(shard) for shard in assignment[len(live):])
+            assert applier._touched_shards(clicked, assignment, []) == expected
+        service.close()
+
     def test_new_items_land_on_lightest_shard(self, sharded_live, make_applier):
         train, store, service = sharded_live
         stream = SyntheticEventStream(train, new_items_per_window=2, seed=6)
@@ -289,6 +323,33 @@ class TestBackgroundLoop:
         applier = make_applier(service, train)
         with applier.start(0.02):  # no events ever arrive
             assert not applier.wait_for_windows(1, timeout=0.1)
+
+    def test_restart_after_a_timed_out_stop_runs_one_loop(self, live, make_applier):
+        """Regression: ``stop(timeout)`` forgot a thread whose tick outlived
+        the join, so the next ``start()`` ran a second loop beside it."""
+        train, _store, service = live
+        entered, release = threading.Event(), threading.Event()
+        tickers: list[int] = []
+
+        def blocking_source(tick):
+            tickers.append(threading.get_ident())
+            entered.set()
+            if tick == 0:
+                release.wait(30.0)
+            return []
+
+        applier = make_applier(service, train)
+        applier.start(0.01, event_source=blocking_source)
+        assert entered.wait(30.0)
+        applier.stop(timeout=0.05)  # tick 0 is still blocked: the join times out
+        applier.start(0.01, event_source=blocking_source)
+        release.set()
+        deadline = time.monotonic() + 30.0
+        while len(tickers) < 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        applier.stop()
+        assert len(tickers) >= 6
+        assert len(set(tickers)) == 1  # one loop thread ran every tick
 
 
 class TestConfigValidation:
