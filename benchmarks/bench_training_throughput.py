@@ -17,7 +17,10 @@ one SGNS step; see :mod:`repro.core.sgns`).  One JSON report
 - ``parallel`` / ``tns`` — pairs/sec of
   :class:`repro.core.hogwild.ParallelSGNSTrainer` at 1/2/4/8 workers
   under both hot-row sync paths (lock merge vs the parameter-server
-  process), with speedup vs ``sequential``.  Contract, on a box with
+  process), with speedup vs ``sequential``, and per worker the seconds
+  of each worker-loop phase (``repro.core.hogwild.PHASES``) and the
+  share of its output rows served from the hot replica — the base of
+  the 1-worker "vs sequential" ratio.  Contract, on a box with
   >= 4 cores: 4-worker pairs/sec strictly above 1-worker (no
   anti-scaling).
 - ``sharding`` — wall-clock of the vectorized ``shard_sequences`` on a
@@ -31,8 +34,10 @@ one SGNS step; see :mod:`repro.core.sgns`).  One JSON report
   2-vCPU host, 4 time-sliced workers trail sequential by 4-7% run to run
   (2 workers: 1-3.5%).
 
-Runs under pytest (``pytest benchmarks/bench_training_throughput.py``),
-standalone (``python benchmarks/bench_training_throughput.py``), in CI
+A full run reports each timed entry as the median-throughput run of
+``TIMED_REPEATS`` (the other runs' pairs/sec are kept alongside).  Runs under
+pytest (``pytest benchmarks/bench_training_throughput.py``), standalone
+(``python benchmarks/bench_training_throughput.py``), in CI
 smoke mode (``--smoke``: smaller corpus, asserts the parity floor but
 not the timing contracts — wall-clock on shared CI runners is noise),
 or in CI scaling-smoke mode (``--scaling-smoke``: 1-vs-2-worker
@@ -41,6 +46,7 @@ be slower than 1 by more than 10%).
 """
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -79,6 +85,8 @@ MIN_TWO_WORKER_RATIO = 0.9
 MAX_SHARD_US_PER_SEQ = 10.0
 
 WORKER_COUNTS = (1, 2, 4, 8)
+#: Timed runs per configuration in a full run (smoke modes run once).
+TIMED_REPEATS = 3
 #: Workers of the parity models: at most one per core.
 PARITY_WORKERS = min(4, os.cpu_count() or 1)
 ENGINES = {"parallel": "lock", "tns": "server"}
@@ -114,16 +122,30 @@ def train_config(epochs: int) -> SGNSConfig:
     )
 
 
-def run_sequential(corpus, epochs: int) -> dict:
-    trainer = SGNSTrainer(len(corpus.vocab), train_config(epochs))
-    start = time.perf_counter()
-    trainer.fit(corpus.sequences, corpus.vocab.counts)
-    elapsed = time.perf_counter() - start
-    return {
-        "seconds": round(elapsed, 3),
-        "pairs": trainer.pairs_trained,
-        "pairs_per_sec": round(trainer.pairs_trained / elapsed, 1),
-    }
+def median_run(measure, repeats: int) -> dict:
+    """The median-throughput entry of ``repeats`` calls of ``measure``."""
+    runs = sorted(
+        (measure() for _ in range(repeats)), key=lambda r: r["pairs_per_sec"]
+    )
+    best = runs[len(runs) // 2]
+    if repeats > 1:
+        best["pairs_per_sec_runs"] = [r["pairs_per_sec"] for r in runs]
+    return best
+
+
+def run_sequential(corpus, epochs: int, repeats: int = 1) -> dict:
+    def measure() -> dict:
+        trainer = SGNSTrainer(len(corpus.vocab), train_config(epochs))
+        start = time.perf_counter()
+        trainer.fit(corpus.sequences, corpus.vocab.counts)
+        elapsed = time.perf_counter() - start
+        return {
+            "seconds": round(elapsed, 3),
+            "pairs": trainer.pairs_trained,
+            "pairs_per_sec": round(trainer.pairs_trained / elapsed, 1),
+        }
+
+    return median_run(measure, repeats)
 
 
 def run_engine_scaling(
@@ -132,10 +154,12 @@ def run_engine_scaling(
     sequential_pairs_per_sec: float,
     hot_sync: str,
     worker_counts=WORKER_COUNTS,
+    repeats: int = 1,
 ) -> dict:
-    """Wall-clock pairs/sec of one engine across worker counts."""
-    out = {"hot_sync": hot_sync, "workers": {}}
-    for n_workers in worker_counts:
+    """Wall-clock pairs/sec of one engine across worker counts, with
+    each worker's phase seconds and hot share of output rows."""
+
+    def measure(n_workers: int) -> dict:
         cfg = train_config(epochs)
         trainer = ParallelSGNSTrainer(
             len(corpus.vocab), cfg, n_workers=n_workers, hot_sync=hot_sync
@@ -144,7 +168,7 @@ def run_engine_scaling(
         trainer.fit(corpus.sequences, corpus.vocab.counts)
         elapsed = time.perf_counter() - start
         pps = trainer.pairs_trained / elapsed
-        out["workers"][str(n_workers)] = {
+        return {
             "seconds": round(elapsed, 3),
             "pairs": trainer.pairs_trained,
             "pairs_per_sec": round(pps, 1),
@@ -153,7 +177,21 @@ def run_engine_scaling(
             "shard_sizes": trainer.shard_sizes,
             "feed_mode": trainer.feed_mode,
             "pinned": trainer.pinned,
+            "worker_seconds": [round(r.seconds, 3) for r in trainer.worker_reports],
+            "worker_phase_seconds": [
+                {name: round(sec, 3) for name, sec in r.phase_seconds.items()}
+                for r in trainer.worker_reports
+            ],
+            "hot_share_of_output_rows": [
+                round(r.hot_share, 4) for r in trainer.worker_reports
+            ],
         }
+
+    out = {"hot_sync": hot_sync, "workers": {}}
+    for n_workers in worker_counts:
+        out["workers"][str(n_workers)] = median_run(
+            functools.partial(measure, n_workers), repeats
+        )
     return out
 
 
@@ -224,11 +262,13 @@ def run_parity(dataset, epochs: int) -> dict:
 def run(smoke: bool = False) -> dict:
     n_sessions = 1200 if smoke else 4000
     epochs = 2
+    repeats = 1 if smoke else TIMED_REPEATS
     worker_counts = (1, 2) if smoke else WORKER_COUNTS
     dataset, corpus = build_corpus(n_sessions)
-    sequential = run_sequential(corpus, epochs)
+    sequential = run_sequential(corpus, epochs, repeats)
     report = {
         "mode": "smoke" if smoke else "full",
+        "repeats": repeats,
         "host": host_context(),
         "corpus": {
             "sessions": n_sessions,
@@ -247,8 +287,9 @@ def run(smoke: bool = False) -> dict:
     for engine, hot_sync in ENGINES.items():
         report[engine] = run_engine_scaling(
             corpus, epochs, sequential["pairs_per_sec"], hot_sync,
-            worker_counts,
+            worker_counts, repeats,
         )
+    report["host"]["loadavg_after"] = host_context()["loadavg"]
     return report
 
 

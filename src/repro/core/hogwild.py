@@ -43,6 +43,20 @@ The worker hot path is built for scaling, not just correctness:
   multi-process training move parameters the same way and quality parity
   is an empirical check of staleness only (asserted in
   ``benchmarks/bench_training_throughput.py``).
+- **Hot rows by position**: hot rows are most of a step's output rows
+  (57.6 % on the ``hogwild`` benchmark's day-0 corpus, seed 1: 4.0 M
+  pairs, 178 hot rows), so the step handles them by integer position,
+  not by boolean mask (:class:`repro.core.sgns.HotRowSplit`).  The
+  output tokens (contexts, then negatives) are gathered once with
+  ``np.take`` and the hot positions overwritten from the replica; the
+  one output-gradient block is split with ``np.take`` at the hot and
+  cold positions.  The scatters get the mask form's arguments in the
+  mask form's order, so the trained bytes are unchanged.
+- **Per-phase accounting**: each worker times its phases
+  (:data:`PHASES`: feed wait, negative sampling, hot-row translation,
+  gather, forward/backward, scatter, hot sync) per batch or per block
+  into the shared stats block; :attr:`WorkerReport.phase_seconds` and
+  the ``fit`` log line report them.
 
 Worker processes are started with the ``fork`` method: the read-only
 state (sequences, alias table, config) is inherited copy-on-write and
@@ -53,8 +67,10 @@ identical results, no speedup.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -72,7 +88,13 @@ from repro.core.paramserver import (
     _pin_to_cpu,
 )
 from repro.core.sampling import AliasSampler, pairs_per_sequence
-from repro.core.sgns import SGNSConfig, fit_prelude, lr_at, sgns_gradients
+from repro.core.sgns import (
+    HotRowSplit,
+    SGNSConfig,
+    fit_prelude,
+    lr_at,
+    sgns_gradients,
+)
 from repro.utils import ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("core.hogwild")
@@ -83,6 +105,16 @@ _HOT_SYNCS = ("lock", "server")
 #: Pairs covered by one negative-sampling draw / hot-row translation in
 #: the worker loop (many minibatches share one block).
 _BLOCK_PAIRS = 1 << 16
+
+#: The worker loop's phases, timed per batch or per block: waiting on the
+#: pair feed, negative sampling, hot-row translation (and the split of a
+#: step's output rows), row gathers, the Eq. 3 forward/backward, the
+#: scatters, and hot-replica pulls and merges.
+PHASES = ("feed", "sample", "translate", "gather", "step", "scatter", "sync")
+
+#: One worker's slots in the shared accounting block: the phase seconds,
+#: then its wall seconds and the output rows it served from the replica.
+_ACCOUNT_SLOTS = len(PHASES) + 2
 
 
 def _assign_balanced(
@@ -275,6 +307,12 @@ class WorkerReport:
     worker_id: int
     pairs: int
     losses: list[float]
+    #: Seconds spent in each of :data:`PHASES`.
+    phase_seconds: dict[str, float]
+    #: The worker loop's wall time; the phases sum to no more.
+    seconds: float
+    #: Share of the output rows of its steps served from the hot replica.
+    hot_share: float
 
 
 @dataclass
@@ -287,6 +325,8 @@ class _WorkerTask:
     neg_seed: int
     total_pairs: int
     pin_index: "int | None"
+    #: This worker's ``_ACCOUNT_SLOTS`` row of the shared accounting block.
+    account: np.ndarray
 
 
 class ParallelSGNSTrainer:
@@ -466,15 +506,19 @@ class ParallelSGNSTrainer:
             and hasattr(os, "sched_setaffinity")
         )
 
-        shm_params = shared_memory.SharedMemory(
-            create=True, size=2 * self.vocab_size * d * dtype.itemsize
-        )
-        shm_stats = shared_memory.SharedMemory(
-            create=True, size=n_workers * cfg.epochs * 2 * 8
-        )
+        # Both segments are created inside the ``try``: if the second
+        # create fails, the first is still unlinked.
+        shm_params = shm_stats = None
         feeds: list = []
         server = None
         try:
+            shm_params = shared_memory.SharedMemory(
+                create=True, size=2 * self.vocab_size * d * dtype.itemsize
+            )
+            shm_stats = shared_memory.SharedMemory(
+                create=True,
+                size=n_workers * (cfg.epochs * 2 + _ACCOUNT_SLOTS) * 8,
+            )
             w_in = np.ndarray(
                 (self.vocab_size, d), dtype=dtype, buffer=shm_params.buf
             )
@@ -495,7 +539,12 @@ class ParallelSGNSTrainer:
                 (n_workers, cfg.epochs, 2), dtype=np.float64,
                 buffer=shm_stats.buf,
             )
+            account = np.ndarray(
+                (n_workers, _ACCOUNT_SLOTS), dtype=np.float64,
+                buffer=shm_stats.buf, offset=stats.nbytes,
+            )
             stats[:] = 0.0
+            account[:] = 0.0
 
             ctx = (
                 multiprocessing.get_context("fork") if fork_available else None
@@ -546,6 +595,7 @@ class ParallelSGNSTrainer:
                         neg_seed=int(worker_seeds[wid, 1]),
                         total_pairs=shard_pairs[wid],
                         pin_index=wid if self.pinned else None,
+                        account=account[wid],
                     )
                 )
 
@@ -592,6 +642,7 @@ class ParallelSGNSTrainer:
             self.w_in = np.array(w_in)
             self.w_out = np.array(w_out)
             report = np.array(stats)
+            accounts = np.array(account)
         finally:
             for feed in feeds:
                 feed.close()
@@ -600,16 +651,23 @@ class ParallelSGNSTrainer:
                     server.join(timeout=5.0)
                 except RuntimeError as exc:  # pragma: no cover - abnormal
                     logger.warning("parameter server cleanup: %s", exc)
-            shm_params.close()
-            shm_params.unlink()
-            shm_stats.close()
-            shm_stats.unlink()
+            for shm in (shm_params, shm_stats):
+                if shm is not None:
+                    shm.close()
+                    shm.unlink()
 
+        phase_seconds = accounts[:, : len(PHASES)]
+        wall, hot_rows = accounts[:, len(PHASES) :].T
+        # Every pair's step has 1 positive and ``negatives`` output rows.
+        out_rows = report[:, :, 1].sum(axis=1) * (1 + cfg.negatives)
         self.worker_reports = [
             WorkerReport(
                 worker_id=wid,
                 pairs=int(report[wid, :, 1].sum()),
                 losses=[float(x) for x in report[wid, :, 0]],
+                phase_seconds=dict(zip(PHASES, phase_seconds[wid].tolist())),
+                seconds=float(wall[wid]),
+                hot_share=float(hot_rows[wid] / max(out_rows[wid], 1.0)),
             )
             for wid in range(n_workers)
         ]
@@ -625,15 +683,20 @@ class ParallelSGNSTrainer:
             )
             self.loss_history.append(loss)
         logger.info(
-            "%s fit: %d workers (%s feed%s), %d pairs, %d hot rows,"
-            " final loss %.4f",
+            "%s fit: %d workers (%s feed%s), %d pairs, %d hot rows"
+            " (%.1f%% of output rows), final loss %.4f; worker seconds %s",
             "tns" if self.hot_sync_used == "server" else "hogwild",
             n_workers,
             self.feed_mode,
             ", pinned" if self.pinned else "",
             self.pairs_trained,
             self.n_hot,
+            100 * hot_rows.sum() / max(out_rows.sum(), 1.0),
             self.loss_history[-1] if self.loss_history else float("nan"),
+            " ".join(
+                f"{name} {sec:.2f}"
+                for name, sec in zip(PHASES, phase_seconds.sum(axis=0))
+            ),
         )
         return self
 
@@ -674,11 +737,20 @@ def _worker_loop(
     Structure: the feed yields one epoch's materialized pairs; the loop
     walks them in *blocks* (one negative-sampling draw and one hot-row
     translation per block) and, inside a block, in minibatches of
-    ``cfg.batch_size`` (one SGD step each).  Hot output rows are served
-    from a private replica reconciled through ``task.sync``; everything
-    else is read/written lock-free in shared memory.
+    ``cfg.batch_size`` (one SGD step each).  A step's output tokens
+    (contexts, then negatives) are gathered once; a :class:`HotRowSplit`
+    of their translated rows serves the hot ones from a private replica
+    reconciled through ``task.sync`` and splits the output gradients
+    between replica and shared matrix by position.  Everything else is
+    read/written lock-free in shared memory.  The seconds of each phase
+    (:data:`PHASES`), the wall time and the count of output rows served
+    from the replica are accumulated per batch or block and written to
+    ``task.account`` at the end.
     """
+    clock = time.perf_counter
+    started = clock()
     _pin_to_cpu(task.pin_index)
+    spent = dict.fromkeys(PHASES, 0.0)
     rng = ensure_rng(task.neg_seed)
     dim = cfg.dim
     negs = cfg.negatives
@@ -686,20 +758,33 @@ def _worker_loop(
     block = max(batch, _BLOCK_PAIRS)
     scatter = cfg.scatter
     sync = task.sync
+    hot_rows = 0
+    replica = None  # no hot rows: every slot translates to -1
     if sync is not None:
+        tick = clock()
         base = np.array(sync.pull(), dtype=w_out.dtype, copy=True)
         replica = base.copy()
         delta = np.empty_like(base)
+        spent["sync"] += clock() - tick
 
     def merge_replica() -> None:
+        tick = clock()
         np.subtract(replica, base, out=delta)
         merged = sync.merge(delta)
         base[:] = merged
         replica[:] = merged
+        spent["sync"] += clock() - tick
 
     seen = 0
     since_sync = 0
-    for epoch, (epoch_centers, epoch_contexts) in enumerate(task.feed.epochs()):
+    epochs = iter(task.feed.epochs())
+    for epoch in itertools.count():
+        tick = clock()
+        pairs = next(epochs, None)
+        spent["feed"] += clock() - tick
+        if pairs is None:
+            break
+        epoch_centers, epoch_contexts = pairs
         epoch_loss = 0.0
         epoch_pairs = 0
         n_pairs = len(epoch_centers)
@@ -708,45 +793,44 @@ def _worker_loop(
             blk_centers = epoch_centers[bstart:bend]
             blk_contexts = epoch_contexts[bstart:bend]
             nb = bend - bstart
+            tick = clock()
             negatives = sampler.sample((nb, negs), rng)
-            if sync is not None:
-                blk_hot_pos = hot_row[blk_contexts]
-                blk_hot_neg = hot_row[negatives.ravel()]
+            tock = clock()
+            spent["sample"] += tock - tick
+            blk_hot_pos = hot_row[blk_contexts]
+            blk_hot_neg = hot_row[negatives.ravel()]
+            spent["translate"] += clock() - tock
             for s in range(0, nb, batch):
                 e = min(s + batch, nb)
-                centers = blk_centers[s:e]
-                contexts = blk_contexts[s:e]
-                neg_flat = negatives[s:e].reshape(-1)
                 n_mb = e - s
+                centers = blk_centers[s:e]
                 lr = lr_at(cfg, seen, task.total_pairs)
-
-                c_pos = np.take(w_out, contexts, axis=0)
-                c_neg = np.take(w_out, neg_flat, axis=0)
-                if sync is not None:
-                    # Hot rows are read from (and below, written to) the
-                    # private replica, not the shared matrix.
-                    h_pos = blk_hot_pos[s:e]
-                    h_neg = blk_hot_neg[s * negs : e * negs]
-                    m_pos = h_pos >= 0
-                    m_neg = h_neg >= 0
-                    c_pos[m_pos] = replica[h_pos[m_pos]]
-                    c_neg[m_neg] = replica[h_neg[m_neg]]
-                grad_w, out_grads, loss = sgns_gradients(
-                    np.take(w_in, centers, axis=0),
-                    c_pos,
-                    c_neg.reshape(n_mb, negs, dim),
+                t0 = clock()
+                split = HotRowSplit(
+                    np.concatenate(
+                        (blk_hot_pos[s:e], blk_hot_neg[s * negs : e * negs])
+                    )
                 )
+                t1 = clock()
+                # Positives then negatives: the layout of the gradient
+                # block, so one gather and one combined scatter serve both.
+                out_tokens = np.concatenate(
+                    (blk_contexts[s:e], negatives[s:e].reshape(-1))
+                )
+                c_out = split.gather(w_out, replica, out_tokens)
+                c_in = np.take(w_in, centers, axis=0)
+                t2 = clock()
+                grad_w, out_grads, loss = sgns_gradients(
+                    c_in, c_out[:n_mb], c_out[n_mb:].reshape(n_mb, negs, dim)
+                )
+                t3 = clock()
                 scatter(w_in, centers, grad_w, lr)
-                # Positive and negative output rows are one combined
-                # scatter, as in the sequential trainer.
-                out_tokens = np.concatenate((contexts, neg_flat))
-                if sync is not None:
-                    hot = np.concatenate((m_pos, m_neg))
-                    if hot.any():
-                        hot_sel = np.concatenate((h_pos, h_neg))
-                        scatter(replica, hot_sel[hot], out_grads[hot], lr)
-                        out_tokens, out_grads = out_tokens[~hot], out_grads[~hot]
-                scatter(w_out, out_tokens, out_grads, lr)
+                split.scatter(scatter, w_out, replica, out_tokens, out_grads, lr)
+                spent["translate"] += t1 - t0
+                spent["gather"] += t2 - t1
+                spent["step"] += t3 - t2
+                spent["scatter"] += clock() - t3
+                hot_rows += len(split.hot)
 
                 seen += n_mb
                 epoch_pairs += n_mb
@@ -760,3 +844,5 @@ def _worker_loop(
     if sync is not None:
         merge_replica()
         sync.close()
+    task.account[: len(PHASES)] = [spent[name] for name in PHASES]
+    task.account[len(PHASES) :] = (clock() - started, hot_rows)

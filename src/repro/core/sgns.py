@@ -314,6 +314,55 @@ def scatter_update(
     matrix[unique] -= step
 
 
+class HotRowSplit:
+    """Which of a step's output rows live in a hot-row replica, by position.
+
+    ``slots`` holds, per output token of a step, the token's row in the
+    worker's replica of the hot set (ATNS, Sec. III-A), or ``-1`` for a
+    row that lives in the shared matrix.  The split is kept as integer
+    positions, not a boolean mask, so :meth:`gather` and :meth:`scatter`
+    move rows with ``np.take`` instead of masked copies; element order is
+    the mask form's, so the trained bytes are too.  Used by the Hogwild
+    worker and the simulated ATNS cluster.
+    """
+
+    __slots__ = ("hot", "cold", "hot_slots")
+
+    def __init__(self, slots: np.ndarray) -> None:
+        is_hot = slots >= 0
+        #: Positions of replica rows, and their replica row ids.
+        self.hot = np.flatnonzero(is_hot)
+        self.hot_slots = np.take(slots, self.hot)
+        #: Positions of shared-matrix rows; ``None`` when every row is.
+        self.cold = np.flatnonzero(~is_hot) if len(self.hot) else None
+
+    def gather(
+        self, matrix: np.ndarray, replica: np.ndarray, tokens: np.ndarray
+    ) -> np.ndarray:
+        """The rows of ``tokens`` as the worker sees them (replica for hot)."""
+        rows = np.take(matrix, tokens, axis=0)
+        if len(self.hot):
+            rows[self.hot] = np.take(replica, self.hot_slots, axis=0)
+        return rows
+
+    def scatter(
+        self,
+        scatter,
+        matrix: np.ndarray,
+        replica: np.ndarray,
+        tokens: np.ndarray,
+        grads: np.ndarray,
+        lr: float,
+    ) -> None:
+        """``scatter`` the hot rows' gradients into ``replica``, the rest
+        into ``matrix`` (``scatter`` is :meth:`SGNSConfig.scatter`)."""
+        if len(self.hot):
+            scatter(replica, self.hot_slots, np.take(grads, self.hot, axis=0), lr)
+            tokens = np.take(tokens, self.cold)
+            grads = np.take(grads, self.cold, axis=0)
+        scatter(matrix, tokens, grads, lr)
+
+
 class SGNSTrainer:
     """Trains input/output embeddings over an encoded corpus.
 

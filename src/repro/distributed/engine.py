@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.enrichment import EnrichedCorpus
 from repro.core.sampling import AliasSampler, build_noise_distribution
 from repro.core.sgns import (
+    HotRowSplit,
     SGNSConfig,
     keep_probabilities_for,
     lr_at,
@@ -221,22 +222,6 @@ def train_distributed(
         sync_rounds += 1
         sync_seconds += cost_model.sync_seconds(len(shared_ids), dim, n_workers)
 
-    def gather_out(worker: _Worker, tokens: np.ndarray) -> np.ndarray:
-        """Read output vectors as the worker sees them (replica for Q)."""
-        rows = w_out[tokens].copy()
-        mask = is_shared[tokens]
-        if mask.any():
-            rows[mask] = worker.hot_replica[hot_row[tokens[mask]]]
-        return rows
-
-    def scatter_out(worker: _Worker, tokens: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        """Update output vectors (replica for Q, global otherwise)."""
-        mask = is_shared[tokens]
-        config.scatter(
-            worker.hot_replica, hot_row[tokens[mask]], grads[mask], lr
-        )
-        config.scatter(w_out, tokens[~mask], grads[~mask], lr)
-
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
@@ -266,19 +251,32 @@ def train_distributed(
                 b_contexts = contexts[sel]
                 n_sub = len(b_centers)
 
-                negatives = worker.sample_negatives((n_sub, config.negatives))
+                negatives = worker.sample_negatives(
+                    (n_sub, config.negatives)
+                ).ravel()
+                # Output rows of Q are read from and written to the
+                # worker's replica, every other row the global matrix.
+                replica = worker.hot_replica
+                pos_split = HotRowSplit(hot_row[b_contexts])
+                neg_split = HotRowSplit(hot_row[negatives])
                 grad_w, grad_out, loss = sgns_gradients(
                     w_in[b_centers],
-                    gather_out(worker, b_contexts),
-                    gather_out(worker, negatives.ravel()).reshape(
+                    pos_split.gather(w_out, replica, b_contexts),
+                    neg_split.gather(w_out, replica, negatives).reshape(
                         n_sub, config.negatives, dim
                     ),
                 )
                 # Positives and negatives are scattered (and clipped)
                 # separately here, unlike the local trainer's one
                 # combined scatter; Fig. 7 / Table III were measured so.
-                scatter_out(worker, b_contexts, grad_out[:n_sub], lr)
-                scatter_out(worker, negatives.ravel(), grad_out[n_sub:], lr)
+                pos_split.scatter(
+                    config.scatter, w_out, replica, b_contexts,
+                    grad_out[:n_sub], lr,
+                )
+                neg_split.scatter(
+                    config.scatter, w_out, replica, negatives,
+                    grad_out[n_sub:], lr,
+                )
                 # The input-vector gradient is returned to (and applied
                 # by) the owner of the center, per Alg. 1 line 8.
                 config.scatter(w_in, b_centers, grad_w, lr)

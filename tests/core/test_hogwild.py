@@ -2,11 +2,14 @@
 
 import logging
 import os
+import types
 
 import numpy as np
 import pytest
 
+import repro.core.hogwild as hogwild_module
 from repro.core.hogwild import (
+    PHASES,
     ParallelSGNSTrainer,
     resolve_n_workers,
     shard_sequences,
@@ -216,3 +219,76 @@ class TestParallelTrainer:
             ParallelSGNSTrainer(10, pair_feed="turbo")
         with pytest.raises(ValueError):
             ParallelSGNSTrainer(10, hot_sync="udp")
+
+
+def hot_fit(hot_sync, n_workers=2):
+    """A fit whose hottest output rows are replicated per worker."""
+    seqs, counts = forward_chain_corpus(n_seqs=400, seed=2)
+    cfg = SGNSConfig(dim=8, epochs=2, window=2, dtype="float32", seed=7)
+    trainer = ParallelSGNSTrainer(
+        30, cfg, n_workers=n_workers, hot_threshold=0.035, sync_interval=3,
+        hot_sync=hot_sync, pair_feed="inline",
+    ).fit(seqs, counts)
+    hot_ids = np.flatnonzero(counts / counts.sum() >= 0.035)
+    assert 0 < trainer.n_hot == len(hot_ids) < 30
+    return trainer, hot_ids
+
+
+class TestWorkerAccounting:
+    def test_every_phase_timed_within_the_wall_time(self):
+        trainer, _ = hot_fit("lock")
+        assert len(trainer.worker_reports) == 2
+        for report in trainer.worker_reports:
+            assert set(report.phase_seconds) == set(PHASES)
+            assert all(sec > 0 for sec in report.phase_seconds.values())
+            assert sum(report.phase_seconds.values()) <= report.seconds
+            assert 0 < report.hot_share < 1
+
+    def test_no_hot_rows_no_hot_share(self):
+        seqs, counts = forward_chain_corpus(n_seqs=100)
+        trainer = ParallelSGNSTrainer(
+            30, SGNSConfig(dim=4, epochs=1, window=2, seed=0), n_workers=1,
+            hot_threshold=2.0,
+        ).fit(seqs, counts)
+        (report,) = trainer.worker_reports
+        assert report.hot_share == 0.0
+        assert report.phase_seconds["sync"] == 0.0
+        assert report.phase_seconds["step"] > 0
+
+
+class TestHotRowsReachTheSharedMatrix:
+    """``w_out`` starts at zero and its hot rows move only through
+    replica merges, so a dropped merge leaves them at zero."""
+
+    @pytest.mark.parametrize("hot_sync", ["lock", "server"])
+    def test_hot_rows_trained(self, hot_sync):
+        trainer, hot_ids = hot_fit(hot_sync)
+        assert trainer.hot_sync_used == hot_sync
+        rows = trainer.w_out[hot_ids]
+        assert np.all(np.isfinite(rows))
+        assert np.all(np.any(rows != 0, axis=1))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestSharedMemoryCleanup:
+    def test_failed_second_segment_leaks_nothing(self, monkeypatch):
+        real = hogwild_module.shared_memory.SharedMemory
+        creates = []
+
+        def failing_second_create(*args, **kwargs):
+            if kwargs.get("create"):
+                creates.append(1)
+                if len(creates) == 2:
+                    raise OSError("no space left for the stats block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            hogwild_module,
+            "shared_memory",
+            types.SimpleNamespace(SharedMemory=failing_second_create),
+        )
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(OSError, match="stats block"):
+            hot_fit("lock", n_workers=1)
+        assert len(creates) == 2
+        assert set(os.listdir("/dev/shm")) - before == set()

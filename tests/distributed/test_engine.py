@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.enrichment import build_enriched_corpus
 from repro.core.model import EmbeddingModel
-from repro.core.sgns import SGNSConfig, SGNSTrainer
+from repro.core.sgns import HotRowSplit, SGNSConfig, SGNSTrainer
 from repro.core.similarity import SimilarityIndex
 from repro.distributed.cluster import CostModel
+import repro.distributed.engine as engine_module
 from repro.distributed.engine import train_distributed
 from repro.distributed.partition import build_token_partition
 from repro.eval.hitrate import evaluate_hitrate
@@ -171,3 +172,78 @@ class TestQualityParity:
         ).hit_rates[10]
 
         assert dist_hr >= 0.7 * local_hr
+
+
+class MaskHotRowSplit:
+    """``train_distributed``'s ``gather_out`` / ``scatter_out`` as they
+    were: boolean masks over ``slots >= 0`` (``is_shared[tokens]``),
+    behind :class:`HotRowSplit`'s interface so it can stand in for it."""
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def gather(self, matrix, replica, tokens):
+        rows = matrix[tokens].copy()
+        mask = self.slots >= 0
+        if mask.any():
+            rows[mask] = replica[self.slots[mask]]
+        return rows
+
+    def scatter(self, scatter, matrix, replica, tokens, grads, lr):
+        mask = self.slots >= 0
+        scatter(replica, self.slots[mask], grads[mask], lr)
+        scatter(matrix, tokens[~mask], grads[~mask], lr)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestHotRowSplitMatchesMasks:
+    """The split by position moves the bytes the mask form moved."""
+
+    @pytest.mark.parametrize("share", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gather_and_scatter(self, share, dtype):
+        rng = np.random.default_rng(3)
+        vocab, n_hot, dim, n = 40, 6, 4, 300
+        cfg = SGNSConfig(dim=dim, dtype=dtype)
+        hot_row = np.full(vocab, -1)
+        hot_row[:n_hot] = np.arange(n_hot)
+        tokens = np.where(
+            rng.random(n) < share,
+            rng.integers(0, n_hot, n),
+            rng.integers(n_hot, vocab, n),
+        )
+        grads = rng.standard_normal((n, dim)).astype(dtype)
+        matrix = rng.standard_normal((vocab, dim)).astype(dtype)
+        replica = rng.standard_normal((n_hot, dim)).astype(dtype)
+        results = []
+        for split_class in (HotRowSplit, MaskHotRowSplit):
+            split = split_class(hot_row[tokens])
+            m, r = matrix.copy(), replica.copy()
+            rows = split.gather(m, r, tokens)
+            split.scatter(cfg.scatter, m, r, tokens, grads, 0.1)
+            results.append((rows, m, r))
+        for ours, ref in zip(*results):
+            np.testing.assert_array_equal(bits(ours), bits(ref))
+
+
+class TestTrainDistributedMatchesMaskForm:
+    """``train_distributed`` with the position split trains the bytes
+    its mask form (``MaskHotRowSplit``) trains."""
+
+    @pytest.mark.parametrize("hot_threshold", [0.002, 1.0], ids=["hot-rows", "no-hot-rows"])
+    def test_bytes(self, rich_corpus, hot_threshold, monkeypatch):
+        def fit():
+            return train_distributed(
+                rich_corpus, SMALL_CFG, n_workers=3, hot_threshold=hot_threshold
+            )
+
+        ours = fit()
+        monkeypatch.setattr(engine_module, "HotRowSplit", MaskHotRowSplit)
+        ref = fit()
+        np.testing.assert_array_equal(bits(ours.w_in), bits(ref.w_in))
+        np.testing.assert_array_equal(bits(ours.w_out), bits(ref.w_out))
+        assert ours.loss_history == ref.loss_history
+        assert ours.stats == ref.stats
