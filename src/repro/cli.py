@@ -99,8 +99,9 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         default="local",
         choices=["local", "parallel", "tns", "distributed"],
         help="local single-process trainer, the shared-memory Hogwild"
-        " engine (parallel), the same engine with a parameter-server"
-        " process for hot rows (tns), or the simulated TNS/ATNS engine",
+        " engine (parallel), the same engine with hot-row replicas synced"
+        " through a parameter-server process (tns), or the simulated"
+        " TNS/ATNS engine",
     )
     p.add_argument(
         "--workers",

@@ -18,14 +18,22 @@ Three of the paper's ideas carry over directly:
   mirroring the paper's insight that partition-local traffic minimizes
   cross-worker parameter conflicts — here, conflicts are racy lost
   updates instead of RPCs.
-- **ATNS hot-token replication**: the hottest tokens (SI hubs, user
-  types) appear in *every* shard, so their output rows would be the
-  contended cache lines.  Each worker keeps a private replica of those
-  rows and merges accumulated deltas every ``sync_interval`` batches —
-  either into the shared matrix under a lock (``hot_sync="lock"``, pure
-  Hogwild) or through a dedicated parameter-server process over pipes
-  (``hot_sync="server"``, the paper's actual TNS architecture; see
-  :mod:`repro.core.paramserver`).
+- **ATNS hot-token replication, behind the parameter server only**:
+  the hottest tokens (SI hubs, user types) appear in *every* shard.
+  ATNS gives each worker a private replica of their output rows and
+  merges accumulated deltas every ``sync_interval`` batches — through a
+  dedicated parameter-server process over pipes (``hot_sync="server"``,
+  the paper's TNS architecture; see :mod:`repro.core.paramserver`), or
+  into the shared matrix under a lock (``hot_sync="lock"``).  The
+  replicas save *network* traffic across machines; in one address space
+  they only add a slot translation, a gather overwrite, a second scatter
+  and periodic merges for most of a step's output rows.  On a 2-vCPU
+  host (the ``bench_training_throughput`` corpus, float32) 2 Hogwild
+  workers ran at 1 268 k pairs/s with replicas and 1 754 k without, at
+  the same HR@10 within its binomial σ.  So the Hogwild engine
+  (``hot_sync="lock"``) trains every row lock-free in the shared matrix
+  by default, as Hogwild SGD does (Recht et al., 2011), and replicas are
+  opt-in there through an explicit ``hot_threshold``.
 
 The worker hot path is built for scaling, not just correctness:
 
@@ -34,24 +42,29 @@ The worker hot path is built for scaling, not just correctness:
   double-buffered shared-memory pair blocks, so SGD never stalls at an
   epoch boundary waiting for Python-level pair generation.
 - **Batched worker loop**: negatives are drawn one *block* (many
-  minibatches) at a time and hot-row index translation is precomputed
-  per block — the per-step interpreter overhead that made oversubscribed
-  workers anti-scale is off the hot path.  The step itself is the
+  minibatches) at a time and hot-row index translation (when there are
+  replicas) is precomputed per block — the per-step interpreter
+  overhead that made oversubscribed workers anti-scale is off the hot
+  path.  The step itself is the
   sequential trainer's (:func:`repro.core.sgns.sgns_gradients`,
   :func:`~repro.core.sgns.lr_at`, :func:`~repro.core.sgns.scatter_update`,
   :class:`repro.core.sampling.AliasSampler`), so single-process and
   multi-process training move parameters the same way and quality parity
   is an empirical check of staleness only (asserted in
   ``benchmarks/bench_training_throughput.py``).
-- **Hot rows by position**: hot rows are most of a step's output rows
-  (57.6 % on the ``hogwild`` benchmark's day-0 corpus, seed 1: 4.0 M
-  pairs, 178 hot rows), so the step handles them by integer position,
-  not by boolean mask (:class:`repro.core.sgns.HotRowSplit`).  The
-  output tokens (contexts, then negatives) are gathered once with
-  ``np.take`` and the hot positions overwritten from the replica; the
-  one output-gradient block is split with ``np.take`` at the hot and
-  cold positions.  The scatters get the mask form's arguments in the
-  mask form's order, so the trained bytes are unchanged.
+- **Hot rows by position**: with replicas on, hot rows are most of a
+  step's output rows (57.6 % on the ``hogwild`` benchmark's day-0
+  corpus at ATNS's ``1e-3`` threshold, seed 1: 4.0 M pairs, 178 hot
+  rows), so the step handles them by integer position, not by boolean
+  mask (:class:`repro.core.sgns.HotRowSplit`).  The output tokens
+  (contexts, then negatives) are gathered once with ``np.take`` and the
+  hot positions overwritten from the replica; the one output-gradient
+  block is split with ``np.take`` at the hot and cold positions.  The
+  scatters get the mask form's arguments in the mask form's order, so
+  the trained bytes are unchanged.  A worker without a replica skips
+  the translation and shares one all-cold split (:data:`_ALL_COLD`):
+  its gather is one ``np.take`` and its scatter one combined ``w_out``
+  scatter.
 - **Per-phase accounting**: each worker times its phases
   (:data:`PHASES`: feed wait, negative sampling, hot-row translation,
   gather, forward/backward, scatter, hot sync) per batch or per block
@@ -115,6 +128,12 @@ PHASES = ("feed", "sample", "translate", "gather", "step", "scatter", "sync")
 #: One worker's slots in the shared accounting block: the phase seconds,
 #: then its wall seconds and the output rows it served from the replica.
 _ACCOUNT_SLOTS = len(PHASES) + 2
+
+#: ATNS's hot-set threshold, the default behind the parameter server.
+_SERVER_HOT_THRESHOLD = 1e-3
+
+#: The split of a worker without a replica: every output row is cold.
+_ALL_COLD = HotRowSplit(np.empty(0, dtype=np.int64))
 
 
 def _assign_balanced(
@@ -359,8 +378,13 @@ class ParallelSGNSTrainer:
         intervals bound drift tighter at slightly more sync traffic.
     hot_threshold:
         Relative-frequency threshold above which a token's output row is
-        replicated per worker.  ``>= 1.0`` disables replication (pure
-        Hogwild on every row).
+        replicated per worker; ``>= 1.0`` disables replication (pure
+        Hogwild on every row).  ``None`` resolves per ``hot_sync``:
+        ``1.0`` under ``"lock"`` (no replicas: in one address space they
+        cost throughput and buy no HR@10, measured in the module
+        docstring) and ATNS's ``1e-3`` under ``"server"``, whose process
+        exists only to serve hot rows.  An explicit value wins in both
+        modes.
     hot_sync:
         ``"lock"`` merges replicas into shared memory under a lock (the
         Hogwild engine); ``"server"`` exchanges deltas with a dedicated
@@ -384,7 +408,7 @@ class ParallelSGNSTrainer:
         n_workers: "int | str" = 4,
         shard_strategy: str = "contiguous",
         sync_interval: int = 8,
-        hot_threshold: float = 1e-3,
+        hot_threshold: "float | None" = None,
         hot_sync: str = "lock",
         pair_feed: str = "auto",
     ) -> None:
@@ -399,6 +423,8 @@ class ParallelSGNSTrainer:
             hot_sync in _HOT_SYNCS,
             f"hot_sync must be one of {_HOT_SYNCS}, got {hot_sync!r}",
         )
+        if hot_threshold is None:
+            hot_threshold = 1.0 if hot_sync == "lock" else _SERVER_HOT_THRESHOLD
         require(hot_threshold > 0, "hot_threshold must be positive")
         resolve_feed_mode(pair_feed, 1, True)  # validates the mode name
         self.config = config or SGNSConfig()
@@ -741,11 +767,13 @@ def _worker_loop(
     (contexts, then negatives) are gathered once; a :class:`HotRowSplit`
     of their translated rows serves the hot ones from a private replica
     reconciled through ``task.sync`` and splits the output gradients
-    between replica and shared matrix by position.  Everything else is
-    read/written lock-free in shared memory.  The seconds of each phase
-    (:data:`PHASES`), the wall time and the count of output rows served
-    from the replica are accumulated per batch or block and written to
-    ``task.account`` at the end.
+    between replica and shared matrix by position.  Without a replica
+    (``task.sync is None``) nothing is translated and every step shares
+    :data:`_ALL_COLD`.  Everything else is read/written lock-free in
+    shared memory.  The seconds of each phase (:data:`PHASES`), the wall
+    time and the count of output rows served from the replica are
+    accumulated per batch or block and written to ``task.account`` at
+    the end.
     """
     clock = time.perf_counter
     started = clock()
@@ -797,21 +825,25 @@ def _worker_loop(
             negatives = sampler.sample((nb, negs), rng)
             tock = clock()
             spent["sample"] += tock - tick
-            blk_hot_pos = hot_row[blk_contexts]
-            blk_hot_neg = hot_row[negatives.ravel()]
-            spent["translate"] += clock() - tock
+            if sync is not None:
+                blk_hot_pos = hot_row[blk_contexts]
+                blk_hot_neg = hot_row[negatives.ravel()]
+                spent["translate"] += clock() - tock
             for s in range(0, nb, batch):
                 e = min(s + batch, nb)
                 n_mb = e - s
                 centers = blk_centers[s:e]
                 lr = lr_at(cfg, seen, task.total_pairs)
-                t0 = clock()
-                split = HotRowSplit(
-                    np.concatenate(
-                        (blk_hot_pos[s:e], blk_hot_neg[s * negs : e * negs])
-                    )
-                )
                 t1 = clock()
+                split = _ALL_COLD
+                if sync is not None:
+                    split = HotRowSplit(
+                        np.concatenate(
+                            (blk_hot_pos[s:e], blk_hot_neg[s * negs : e * negs])
+                        )
+                    )
+                    t0, t1 = t1, clock()
+                    spent["translate"] += t1 - t0
                 # Positives then negatives: the layout of the gradient
                 # block, so one gather and one combined scatter serve both.
                 out_tokens = np.concatenate(
@@ -826,7 +858,6 @@ def _worker_loop(
                 t3 = clock()
                 scatter(w_in, centers, grad_w, lr)
                 split.scatter(scatter, w_out, replica, out_tokens, out_grads, lr)
-                spent["translate"] += t1 - t0
                 spent["gather"] += t2 - t1
                 spent["step"] += t3 - t2
                 spent["scatter"] += clock() - t3

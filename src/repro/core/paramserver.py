@@ -4,7 +4,8 @@ The paper's TNS architecture (Section III) keeps parameters on their
 owning workers and moves gradients over the network; ATNS then takes the
 *hottest* tokens out of that traffic by replicating their output rows
 per worker and reconciling periodically.  The shared-memory Hogwild
-engine (:mod:`repro.core.hogwild`) reconciles those replicas under a
+engine (:mod:`repro.core.hogwild`) keeps no replicas by default; given
+an explicit ``hot_threshold`` it reconciles them under a
 ``multiprocessing.Lock`` — fine up to a handful of workers, but every
 merge serializes on one lock and dirties the same cache lines from
 every core.  Past ~8 workers the paper's actual answer is a parameter

@@ -88,10 +88,12 @@ class SISGConfig:
         ``directional`` flag is overridden by this config's.
     engine:
         ``"local"`` (single-process trainer), ``"parallel"`` (the
-        shared-memory Hogwild engine of :mod:`repro.core.hogwild`),
-        ``"tns"`` (the same engine with hot-row deltas exchanged
-        through a dedicated parameter-server process — the paper's
-        TNS architecture, see :mod:`repro.core.paramserver`) or
+        shared-memory Hogwild engine of :mod:`repro.core.hogwild`,
+        every row trained lock-free in the shared matrix), ``"tns"``
+        (the same engine with ATNS's hot rows replicated per worker
+        and their deltas exchanged through a dedicated
+        parameter-server process — the paper's TNS architecture, see
+        :mod:`repro.core.paramserver`) or
         ``"distributed"`` (the simulated multi-worker TNS/ATNS engine
         of Section III).
     n_workers:
@@ -334,7 +336,7 @@ class SISG:
 
         Item tokens inherit their item's partition; SI and user-type
         tokens stay unowned (``-1``) — they are hubs shared by every
-        shard, exactly the rows the Hogwild engine replicates.
+        shard, exactly the rows ATNS replicates.
         """
         from repro.graph.hbgp import HBGPConfig, hbgp_partition
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -31,6 +32,10 @@ from repro.utils import require, require_positive
 
 #: Sentinel distinguishing "key absent" from a cached ``None``.
 _MISS = object()
+
+_MASK64 = (1 << 64) - 1
+#: Fixed seed of the sketch's row multipliers: counts are reproducible.
+_MULTIPLIER_SEED = 0x5EED
 
 
 class FrequencySketch:
@@ -49,9 +54,9 @@ class FrequencySketch:
     ) -> None:
         require_positive(width, "width")
         require_positive(depth, "depth")
-        # Round up to a power of two so the row index is a mask.
+        # Round up to a power of two so a row index is the top bits of a
+        # 64-bit product.
         self._width = 1 << (width - 1).bit_length()
-        self._mask = self._width - 1
         self._table = np.zeros((depth, self._width), dtype=np.uint8)
         self._cap = 15
         self._ops = 0
@@ -59,15 +64,24 @@ class FrequencySketch:
             sample_size if sample_size is not None else 8 * self._width
         )
         require_positive(self._sample_size, "sample_size")
-        # Distinct odd multipliers decorrelate the rows (Knuth-style
-        # multiplicative hashing over Python's builtin hash).
-        self._seeds = [0x9E3779B1 + 2 * i + 1 for i in range(depth)]
+        # Multiply-shift hashing: each row takes the *high* bits of the key
+        # hash times its own odd 64-bit multiplier, so rows are
+        # independent (the low bits of a product by an odd number would
+        # be a bijection of the key's low bits: one row, ``depth`` times).
+        self._shift = 64 - (self._width.bit_length() - 1)
+        self._multipliers = [
+            int(m) | 1
+            for m in np.random.default_rng(_MULTIPLIER_SEED).integers(
+                1, 2**63, size=depth, dtype=np.uint64
+            )
+        ]
 
     def _rows(self, key: Hashable) -> list[int]:
-        h = hash(key)
-        return [
-            ((h ^ (h >> 17)) * seed) & self._mask for seed in self._seeds
-        ]
+        # ``repr`` is a canonical encoding of the cache's keys (tuples of
+        # ints and strings) and ``crc32`` is unsalted, so a key lands in
+        # the same counters in every process, whatever PYTHONHASHSEED is.
+        h = zlib.crc32(repr(key).encode())
+        return [((h * m) & _MASK64) >> self._shift for m in self._multipliers]
 
     def add(self, key: Hashable) -> None:
         """Record one access of ``key``."""

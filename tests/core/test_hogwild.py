@@ -256,6 +256,92 @@ class TestWorkerAccounting:
         assert report.phase_seconds["step"] > 0
 
 
+def zipf_corpus(n_tokens=1500, n_seqs=400, seed=0):
+    """Sequences over a heavy-tailed vocabulary: a few tokens clear
+    ATNS's ``1e-3`` relative frequency, the tail does not."""
+    rng = np.random.default_rng(seed)
+    seqs = [
+        np.minimum(rng.zipf(1.3, size=int(rng.integers(3, 8))), n_tokens) - 1
+        for _ in range(n_seqs)
+    ]
+    counts = np.bincount(np.concatenate(seqs), minlength=n_tokens)
+    return seqs, counts
+
+
+class TestReplicaFreeDefault:
+    """Replicas live behind the parameter server only, unless asked for."""
+
+    def test_lock_default_has_no_hot_rows(self):
+        seqs, counts = zipf_corpus()
+        cfg = SGNSConfig(dim=4, epochs=1, window=2, seed=0)
+        trainer = ParallelSGNSTrainer(1500, cfg, n_workers=2, hot_sync="lock")
+        assert trainer.hot_threshold == 1.0
+        trainer.fit(seqs, counts)
+        assert trainer.n_hot == 0
+        assert len(trainer.worker_reports) == 2
+        assert all(r.hot_share == 0.0 for r in trainer.worker_reports)
+
+    def test_server_default_is_the_atns_hot_set(self, monkeypatch):
+        served = []
+        real = hogwild_module.HotRowParameterServer
+
+        def spy(w_out, hot_ids, *args, **kwargs):
+            served.append(np.array(hot_ids))
+            return real(w_out, hot_ids, *args, **kwargs)
+
+        monkeypatch.setattr(hogwild_module, "HotRowParameterServer", spy)
+        seqs, counts = zipf_corpus()
+        cfg = SGNSConfig(dim=4, epochs=1, window=2, seed=0)
+        trainer = ParallelSGNSTrainer(
+            1500, cfg, n_workers=2, hot_sync="server"
+        ).fit(seqs, counts)
+        expected = np.flatnonzero(counts / counts.sum() >= 1e-3)
+        assert 0 < len(expected) < 1500
+        assert trainer.n_hot == len(expected)
+        if trainer.hot_sync_used == "server":
+            (hot_ids,) = served
+            np.testing.assert_array_equal(hot_ids, expected)
+
+    @pytest.mark.parametrize(
+        "hot_sync, threshold, hot",
+        [("lock", 1e-3, True), ("server", 2.0, False)],
+    )
+    def test_explicit_threshold_wins(self, hot_sync, threshold, hot):
+        seqs, counts = zipf_corpus()
+        cfg = SGNSConfig(dim=4, epochs=1, window=2, seed=0)
+        trainer = ParallelSGNSTrainer(
+            1500, cfg, n_workers=1, hot_sync=hot_sync, hot_threshold=threshold
+        )
+        assert trainer.hot_threshold == threshold
+        trainer.fit(seqs, counts)
+        assert (trainer.n_hot > 0) == hot
+
+    @pytest.mark.parametrize("threshold, splits", [(None, False), (0.035, True)])
+    def test_no_split_per_step_without_replicas(
+        self, threshold, splits, monkeypatch
+    ):
+        """A count guard: the one in-process worker builds a
+        ``HotRowSplit`` per step only when it holds a replica."""
+        built = []
+
+        class CountingSplit(hogwild_module.HotRowSplit):
+            __slots__ = ()
+
+            def __init__(self, slots):
+                built.append(len(slots))
+                super().__init__(slots)
+
+        monkeypatch.setattr(hogwild_module, "HotRowSplit", CountingSplit)
+        seqs, counts = forward_chain_corpus(n_seqs=200)
+        cfg = SGNSConfig(dim=4, epochs=1, window=2, batch_size=32, seed=0)
+        trainer = ParallelSGNSTrainer(
+            30, cfg, n_workers=1, hot_threshold=threshold, pair_feed="inline"
+        ).fit(seqs, counts)
+        assert trainer.pairs_trained > 32
+        assert bool(built) == splits
+        assert (trainer.worker_reports[0].phase_seconds["translate"] > 0) == splits
+
+
 class TestHotRowsReachTheSharedMatrix:
     """``w_out`` starts at zero and its hot rows move only through
     replica merges, so a dropped merge leaves them at zero."""

@@ -118,8 +118,10 @@ class TestTnsEngineParity:
             far = np.mean([cos(i, i + 14) for i in range(5, 15)])
             return near - far
 
+        # Both engines replicate ATNS's hot set: only the sync path differs.
         lock = ParallelSGNSTrainer(
-            30, cfg, n_workers=2, sync_interval=4, hot_sync="lock"
+            30, cfg, n_workers=2, sync_interval=4, hot_sync="lock",
+            hot_threshold=1e-3,
         ).fit(seqs, counts)
         tns = ParallelSGNSTrainer(
             30, cfg, n_workers=2, sync_interval=4, hot_sync="server"

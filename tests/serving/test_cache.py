@@ -238,6 +238,22 @@ class TestFrequencySketch:
         estimate = sketch.estimate("old-hot")
         assert 4 <= estimate <= 6  # halved (collisions may add a little)
 
+    def test_rows_collide_independently(self):
+        """Two keys sharing a counter in row 0 share one in row 1 at about
+        1/width, not always: the rows are four estimates, not one."""
+        from repro.serving.cache import FrequencySketch
+
+        sketch = FrequencySketch(width=64, depth=4)
+        rows = [sketch._rows(("all", (0, 1), 10, ("item", i))) for i in range(1000)]
+        pairs = both = 0
+        for i, a in enumerate(rows):
+            for b in rows[i + 1 :]:
+                if a[0] == b[0]:
+                    pairs += 1
+                    both += a[1] == b[1]
+        assert pairs > 5_000
+        assert both / pairs < 2 / 64
+
     def test_invalid_params_rejected(self):
         from repro.serving.cache import FrequencySketch
 
