@@ -263,8 +263,7 @@ class IVFIndex(ZeroCopyPickle):
 
         ``resident`` is what must stay hot for ranking; for quantized
         precisions the full-precision matrix is only touched for the
-        exact re-rank rows and is reported as ``rerank_vectors`` (it can
-        live behind an mmap and stay cold).
+        exact re-rank rows and is reported as ``rerank_vectors``.
         """
         out = {
             "precision": self.precision,

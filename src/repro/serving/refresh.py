@@ -67,10 +67,8 @@ class PromotionConfig:
     drift_threshold:
         Reject the promotion when the post-update
         :func:`~repro.core.incremental.embedding_drift` exceeds this
-        (``None`` disables the gate; the drift is measured either way).
-    drift_kind:
-        Token population the drift is measured over (default: item
-        tokens, the population that feeds candidate tables).
+        (``None`` disables the gate; the drift is measured either way,
+        over item tokens, the population that feeds candidate tables).
     build_kwargs:
         Extra keyword arguments for the bundle build (``n_cells``,
         ``table_coverage``, ``ann_precision``, ...).
@@ -79,7 +77,6 @@ class PromotionConfig:
     train_config: SGNSConfig | None = None
     lr_decay: float = 0.5
     drift_threshold: float | None = None
-    drift_kind: TokenKind | None = TokenKind.ITEM
     build_kwargs: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -205,7 +202,7 @@ def promotion_step(
     updated = incremental_update(
         previous, dataset, config=config.train_config, lr_decay=config.lr_decay, seed=rng
     )
-    drift = embedding_drift(previous, updated, kind=config.drift_kind)
+    drift = embedding_drift(previous, updated, kind=TokenKind.ITEM)
     if config.drift_threshold is not None and drift > config.drift_threshold:
         raise DriftGateError(drift, config.drift_threshold)
     phase_seconds["train"] = time.perf_counter() - began

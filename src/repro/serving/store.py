@@ -98,12 +98,8 @@ _SHARED_ATTRS = (
 )
 
 
-def share_bundle(
-    bundle: ModelBundle,
-    backend: str = "shm",
-    directory: "str | None" = None,
-) -> ModelBundle:
-    """Move the bundle's big arrays into zero-copy segments.
+def share_bundle(bundle: ModelBundle) -> ModelBundle:
+    """Move the bundle's big arrays into shared-memory segments.
 
     After this, pickling the bundle (worker-pool swaps, spawn-start
     workers) ships segment *names*; every process maps the same physical
@@ -118,22 +114,17 @@ def share_bundle(
         obj = getattr(bundle, field_name)
         if obj is None:
             continue
-        handles.extend(
-            share_object(
-                obj,
-                attrs,
-                backend=backend,
-                directory=directory,
-                registry=registry,
-            )
-        )
+        handles.extend(share_object(obj, attrs, registry=registry))
     logger.info(
-        "shared bundle: %d segments, %.1f MiB (backend=%s)",
+        "shared bundle: %d segments, %.1f MiB",
         len(handles),
         sum(h.nbytes for h in handles) / 2**20,
-        backend,
     )
     return replace(bundle, segments=tuple(handles))
+
+
+#: Items kept in a shard's popularity-fallback list.
+_POPULAR_LIST_SIZE = 1000
 
 
 def popularity_ranking(
@@ -168,15 +159,12 @@ def build_shard_bundle(
     table_config: CandidateTableConfig | None = None,
     n_cells: int | None = None,
     n_probe: int = 4,
-    max_popular: int | None = 1000,
     table_coverage: float = 1.0,
     seed: "int | np.random.Generator | None" = 0,
     index: SimilarityIndex | None = None,
     ann_precision: str = "float32",
     ann_rerank: int = 4,
     share_memory: bool = False,
-    share_backend: str = "shm",
-    share_dir: "str | None" = None,
 ) -> ModelBundle:
     """Materialize the serving artifacts of the items one shard owns.
 
@@ -239,8 +227,8 @@ def build_shard_bundle(
     # ordering by score alone.
     popular_items, popular_scores = popularity_ranking(dataset)
     mask = np.isin(popular_items, owned)
-    popular_items = popular_items[mask][:max_popular]
-    popular_scores = popular_scores[mask][:max_popular]
+    popular_items = popular_items[mask][:_POPULAR_LIST_SIZE]
+    popular_scores = popular_scores[mask][:_POPULAR_LIST_SIZE]
 
     bundle = ModelBundle(
         version=0,
@@ -252,7 +240,7 @@ def build_shard_bundle(
         popular_scores=popular_scores,
     )
     if share_memory:
-        bundle = share_bundle(bundle, backend=share_backend, directory=share_dir)
+        bundle = share_bundle(bundle)
     return bundle
 
 

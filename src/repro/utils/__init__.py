@@ -16,10 +16,8 @@ from repro.utils.validation import (
     require_type,
 )
 from repro.utils.shm import (
-    MappedArray,
     SharedArray,
     ZeroCopyPickle,
-    share_array,
     share_object,
 )
 
@@ -32,9 +30,7 @@ __all__ = [
     "require_positive",
     "require_in_range",
     "require_type",
-    "MappedArray",
     "SharedArray",
     "ZeroCopyPickle",
-    "share_array",
     "share_object",
 ]

@@ -1,4 +1,4 @@
-"""Zero-copy numpy arrays: shared-memory and mmap-backed segments.
+"""Zero-copy numpy arrays in POSIX shared-memory segments.
 
 The serving stack hands large read-only arrays (candidate matrices,
 quantization codes, candidate tables) to shard worker processes and
@@ -12,35 +12,21 @@ place:
   physical pages instead of copying.  The creating process owns the
   segment and unlinks it on :meth:`~SharedArray.release` (or GC); POSIX
   keeps the pages alive for every process still mapping them, so a
-  retirement can never tear an in-flight request.
-- :class:`MappedArray` — a ``.npy`` file opened with ``mmap_mode="r"``.
-  Pickles as a path.  Pages are faulted in on access only, which is what
-  makes the quantized tier's *exact re-rank* cheap: the float matrix
-  lives on disk and only the re-ranked rows ever become resident.
+  retirement can never tear an in-flight request.  A handle exposes
+  ``.array`` (a read-only view), ``.nbytes`` and an idempotent
+  ``.release()``.
 - :class:`ZeroCopyPickle` — a mixin that makes any object whose big
   arrays were moved into segments (via :func:`share_object`) pickle the
   *handles* instead of the bytes.
-
-Both handle kinds expose ``.array`` (a read-only view), ``.nbytes`` and
-an idempotent ``.release()``.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-import uuid
 import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
-
-from repro.utils.logger import get_logger
-from repro.utils.validation import require
-
-logger = get_logger("utils.shm")
-
-BACKENDS = ("shm", "mmap")
 
 
 def _close_segment(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
@@ -64,14 +50,6 @@ def _close_segment(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
         pass
 
 
-def _unlink_file(path: str, creator_pid: int) -> None:
-    if os.getpid() == creator_pid:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-
-
 class SharedArray:
     """A read-only numpy array in a POSIX shared-memory segment.
 
@@ -81,8 +59,6 @@ class SharedArray:
     contract, and a stray write would otherwise corrupt every attached
     process at once.
     """
-
-    kind = "shm"
 
     def __init__(
         self,
@@ -194,85 +170,6 @@ def _attach_shared(
     return SharedArray(name, shape, dtype, _creator_pid=creator_pid)
 
 
-class MappedArray:
-    """A read-only numpy array mmapped from a ``.npy`` file.
-
-    Unlike :class:`SharedArray`, pages become resident only when
-    touched — the right home for the quantized tier's full-precision
-    matrix, which is read for the top ``r*k`` re-rank rows per query and
-    nothing else.  ``release()`` deletes the file (creator only);
-    existing mappings keep their pages, late attaches fail loudly.
-    """
-
-    kind = "mmap"
-
-    def __init__(self, path: str, _creator_pid: int = -1) -> None:
-        self.path = str(path)
-        self._creator_pid = _creator_pid
-        self._view: "np.ndarray | None" = None
-        self._finalizer: "weakref.finalize | None" = None
-        if _creator_pid == os.getpid():
-            self._finalizer = weakref.finalize(
-                self, _unlink_file, self.path, _creator_pid
-            )
-
-    @classmethod
-    def create(
-        cls, array: np.ndarray, directory: "str | None" = None
-    ) -> "MappedArray":
-        """Spill ``array`` to ``<directory>/<uuid>.npy`` and map it."""
-        directory = directory or tempfile.gettempdir()
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"segment-{uuid.uuid4().hex}.npy")
-        np.save(path, np.ascontiguousarray(array))
-        handle = cls(path, _creator_pid=os.getpid())
-        handle._view = np.load(path, mmap_mode="r")
-        return handle
-
-    @property
-    def array(self) -> np.ndarray:
-        if self._view is None:
-            self._view = np.load(self.path, mmap_mode="r")
-        return self._view
-
-    @property
-    def name(self) -> str:
-        return self.path
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.array.nbytes)
-
-    @property
-    def released(self) -> bool:
-        return self._finalizer is not None and not self._finalizer.alive
-
-    def release(self) -> None:
-        """Delete the backing file (creator only); idempotent."""
-        if self._finalizer is not None:
-            self._finalizer()
-        else:
-            self._view = None
-
-    def __reduce__(self):
-        return (MappedArray, (self.path, self._creator_pid))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MappedArray({self.path!r})"
-
-
-def share_array(
-    array: np.ndarray,
-    backend: str = "shm",
-    directory: "str | None" = None,
-) -> "SharedArray | MappedArray":
-    """Move one array into a zero-copy segment; returns the handle."""
-    require(backend in BACKENDS, f"backend must be one of {BACKENDS}")
-    if backend == "shm":
-        return SharedArray.create(array)
-    return MappedArray.create(array, directory=directory)
-
-
 class ZeroCopyPickle:
     """Pickle big arrays as segment handles instead of bytes.
 
@@ -305,11 +202,9 @@ class ZeroCopyPickle:
 def share_object(
     obj: object,
     attrs: "tuple[str, ...] | list[str]",
-    backend: str = "shm",
-    directory: "str | None" = None,
     registry: "dict[int, object] | None" = None,
 ) -> list:
-    """Move ``obj``'s named array attributes into zero-copy segments.
+    """Move ``obj``'s named array attributes into shared-memory segments.
 
     Mutates ``obj`` in place: each attribute becomes a read-only view
     into its segment, and ``obj._shared`` records the handles so
@@ -327,9 +222,7 @@ def share_object(
     created = []
     for attr in attrs:
         array = getattr(obj, attr, None)
-        if not isinstance(array, np.ndarray) or isinstance(
-            array, np.memmap
-        ):
+        if not isinstance(array, np.ndarray):
             continue
         handle = registry.get(id(array))
         if handle is None:
@@ -338,10 +231,10 @@ def share_object(
             # array as a segment view; re-sharing must reuse that handle,
             # not copy the bytes again.
             prior = shared.get(attr)
-            if prior is not None and getattr(prior, "_view", None) is array:
+            if prior is not None and prior._view is array:
                 handle = prior
         if handle is None:
-            handle = share_array(array, backend=backend, directory=directory)
+            handle = SharedArray.create(array)
             created.append(handle)
         registry[id(array)] = handle
         # Re-sharing the segment view itself must not copy again either.

@@ -1,4 +1,4 @@
-"""Tests for zero-copy shared-memory / mmap array handles."""
+"""Tests for zero-copy shared-memory array handles."""
 
 import multiprocessing
 import os
@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.utils.shm import (
-    MappedArray,
-    SharedArray,
-    ZeroCopyPickle,
-    share_array,
-    share_object,
-)
+from repro.utils.shm import SharedArray, ZeroCopyPickle, share_object
 
 
 @pytest.fixture
@@ -142,23 +136,6 @@ class TestSharedArray:
             handle.release()
 
 
-class TestMappedArray:
-    def test_round_trip(self, payload, tmp_path):
-        handle = MappedArray.create(payload, directory=str(tmp_path))
-        clone = pickle.loads(pickle.dumps(handle))
-        np.testing.assert_array_equal(clone.array, payload)
-        assert not np.asarray(clone.array).flags.writeable
-
-    def test_release_deletes_file(self, payload, tmp_path):
-        handle = MappedArray.create(payload, directory=str(tmp_path))
-        path = handle.path
-        assert os.path.exists(path)
-        handle.release()
-        handle.release()
-        assert handle.released
-        assert not os.path.exists(path)
-
-
 class _Carrier(ZeroCopyPickle):
     def __init__(self, left, right, tag):
         self.left = left
@@ -167,10 +144,6 @@ class _Carrier(ZeroCopyPickle):
 
 
 class TestShareObject:
-    def test_backend_validation(self, payload):
-        with pytest.raises(ValueError):
-            share_array(payload, backend="tmpfs")
-
     def test_aliased_attributes_share_one_segment(self, payload):
         obj = _Carrier(payload, payload, tag="x")
         created = share_object(obj, ("left", "right", "tag"))
