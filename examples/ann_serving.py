@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import SISG, SyntheticWorld, SyntheticWorldConfig
 from repro.core.ann import IVFIndex
-from repro.serving.candidates import CandidateTableConfig, build_candidate_table
+from repro.serving.candidates import build_candidate_table
 from repro.utils.logger import configure_basic_logging
 
 
@@ -49,10 +49,9 @@ def main() -> None:
         print(f"{probes:>6d}  {recall:>9.3f}  {us:>9.0f}")
     print(f"{'exact':>6s}  {1.0:>9.3f}  {exact_us:>9.0f}")
 
-    table = build_candidate_table(
-        index, dataset, CandidateTableConfig(k=30, max_per_shop=5)
-    )
+    table = build_candidate_table(index, k=30)
     items, scores = table.topk(0, 5)
+    assert items.tolist() == index.topk(0, 5)[0].tolist()  # the index's top-k
     print(f"\ncandidate table: {len(table)} items x top-{table.k}")
     print(f"item 0 -> {items.tolist()} (scores {np.round(scores, 3).tolist()})")
 

@@ -22,7 +22,7 @@ from repro.core.similarity import SimilarityIndex
 from repro.core.sisg import SISG
 from repro.core.vocab import TokenKind
 from repro.data.schema import BehaviorDataset, ItemMeta
-from repro.serving.candidates import CandidateTableConfig, build_candidate_table
+from repro.serving.candidates import build_candidate_table
 from repro.utils.logger import configure_basic_logging
 
 
@@ -41,7 +41,7 @@ def main() -> None:
         world.items, users, world.generate_sessions(users, 1500), validate=False
     )
     sisg = SISG.sisg_f(dim=24, epochs=3, window=3, negatives=5, seed=1).fit(day1)
-    table = build_candidate_table(sisg.index, day1, CandidateTableConfig(k=20))
+    table = build_candidate_table(sisg.index, k=20)
     print(f"day 1: trained on {day1.n_sessions} sessions,"
           f" exported {len(table)}-item candidate table")
 
@@ -69,8 +69,8 @@ def main() -> None:
     print(f"day 2: vocab {len(sisg.model.vocab)} -> {len(updated.vocab)},"
           f" item embedding drift {drift:.3f}")
 
-    index = SimilarityIndex(updated, mode="cosine")
-    table2 = build_candidate_table(index, day2, CandidateTableConfig(k=20))
+    # The update inherits day 1's similarity (cosine for SISG-F).
+    table2 = build_candidate_table(SimilarityIndex(updated), k=20)
     for new_id in new_ids:
         candidates, _ = table2.topk(new_id, 5)
         leaves = [day2.leaf_of(int(c)) for c in candidates]

@@ -46,7 +46,7 @@ def main() -> None:
         print(f"compute imbalance    : {stats.compute_imbalance:.2f}")
         print(f"hot-set sync rounds  : {stats.sync_rounds}")
 
-        index = SimilarityIndex(model, mode="cosine")
+        index = SimilarityIndex(model)
         items, _ = index.topk(0, k=5)
         print(f"sanity retrieval for item 0: {items.tolist()}")
 

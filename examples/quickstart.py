@@ -58,7 +58,7 @@ def main() -> None:
         path = Path(tmp) / "sisg_model"
         model.model.save(path)
         reloaded = EmbeddingModel.load(path)
-        index = SimilarityIndex(reloaded, mode="directional")
+        index = SimilarityIndex(reloaded)  # the file records "directional"
         again, _ = index.topk(query, k=10)
         assert list(again) == list(items)
         print("\nmodel save/load round-trip OK")

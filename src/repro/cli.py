@@ -124,7 +124,6 @@ def _add_evaluate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("evaluate", help="HR@K next-item evaluation")
     p.add_argument("dataset", help="dataset .npz bundle (full sessions)")
     p.add_argument("model", help="model path prefix (from `sisg train`)")
-    p.add_argument("--directional", action="store_true")
     p.add_argument("--ks", type=int, nargs="+", default=[1, 10, 20, 100, 200])
 
 
@@ -133,7 +132,6 @@ def _add_recommend(sub: argparse._SubParsersAction) -> None:
     p.add_argument("model", help="model path prefix")
     p.add_argument("item", type=int)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--directional", action="store_true")
 
 
 def _add_partition(sub: argparse._SubParsersAction) -> None:
@@ -505,12 +503,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_index(args: argparse.Namespace):
-    """The exact similarity index over the saved model at ``args.model``."""
+    """The exact similarity index over the saved model at ``args.model``,
+    scoring with the similarity the model was trained for."""
     from repro.core.model import EmbeddingModel
     from repro.core.similarity import SimilarityIndex
 
-    mode = "directional" if args.directional else "cosine"
-    return SimilarityIndex(EmbeddingModel.load(args.model), mode=mode)
+    return SimilarityIndex(EmbeddingModel.load(args.model))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

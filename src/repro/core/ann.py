@@ -28,6 +28,7 @@ from repro.core.quantize import (
 from repro.core.similarity import (
     SimilarityIndex,
     _normalize_rows,
+    _select_topk,
     _tiebreak_order,
 )
 from repro.utils import (
@@ -62,34 +63,6 @@ def _blocked_matmul(queries: np.ndarray, base_t: np.ndarray) -> np.ndarray:
     block = np.zeros((padded, queries.shape[1]), dtype=queries.dtype)
     block[:m] = queries
     return (block @ base_t)[:m]
-
-
-def _select_topk(
-    scores: np.ndarray, ids: np.ndarray, kk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``kk`` columns per row ordered by ``(-score, id)`` under ties.
-
-    ``argpartition`` alone cuts a tie group straddling the ``kk``
-    boundary arbitrarily, so which tied candidates survive would depend
-    on how many rows the call happened to score — sharded and unsharded
-    retrieval would then disagree on tie-heavy catalogues even though
-    both sort their *output* by ``(-score, id)``.  Rows whose boundary
-    score recurs outside the selection are re-selected exactly; all
-    other rows keep the cheap partition result.  ``ids`` aligns with the
-    score columns, either one row (``(n,)``) or per query (``(q, n)``).
-    """
-    top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-    top_scores = np.take_along_axis(scores, top, axis=1)
-    boundary = top_scores.min(axis=1)
-    n_at_least = (scores >= boundary[:, None]).sum(axis=1)
-    for q in np.flatnonzero(n_at_least > kk):
-        pool = np.flatnonzero(scores[q] >= boundary[q])
-        row_ids = ids[q] if ids.ndim == 2 else ids
-        order = np.lexsort((row_ids[pool], -scores[q, pool]))
-        chosen = pool[order[:kk]]
-        top[q] = chosen
-        top_scores[q] = scores[q, chosen]
-    return top, top_scores
 
 
 def kmeans(

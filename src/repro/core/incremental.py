@@ -69,7 +69,7 @@ def incremental_update(
     -------
     EmbeddingModel
         A new model over the *extended* vocabulary; token ids of
-        yesterday's vocabulary are preserved.
+        yesterday's vocabulary are preserved, and so is its similarity.
     """
     config = config or SGNSConfig()
     config.validate()
@@ -123,7 +123,7 @@ def incremental_update(
         new_size,
         si_initialized,
     )
-    return EmbeddingModel(vocab, trainer.w_in, trainer.w_out)
+    return EmbeddingModel(vocab, trainer.w_in, trainer.w_out, previous.similarity)
 
 
 def embedding_drift(

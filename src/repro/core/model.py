@@ -2,9 +2,10 @@
 
 An :class:`EmbeddingModel` bundles a vocabulary with the input and output
 embedding matrices produced by a trainer (single-machine SGNS, the
-distributed engine, or EGES after projection into token space).  Models
-round-trip through ``save``/``load`` as an ``.npz`` (matrices) plus a
-``.vocab.json`` (vocabulary) pair.
+distributed engine, or EGES after projection into token space), and
+records which similarity the trainer meant the vectors to be scored
+with.  Models round-trip through ``save``/``load`` as an ``.npz``
+(matrices and similarity) plus a ``.vocab.json`` (vocabulary) pair.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 from repro.core.vocab import TokenKind, Vocabulary
 from repro.utils import ZeroCopyPickle, require
 
+#: How item pairs are scored (see :mod:`repro.core.similarity`).
+SIMILARITIES = ("cosine", "directional")
+
 
 class EmbeddingModel(ZeroCopyPickle):
     """Vocabulary + input/output embeddings in one joint semantic space.
@@ -28,9 +32,19 @@ class EmbeddingModel(ZeroCopyPickle):
     w_in, w_out:
         Input (``v``) and output (``v'``) embedding matrices of shape
         ``(len(vocab), dim)``.
+    similarity:
+        ``"directional"`` for a model trained on forward-only pairs,
+        whose items are scored ``v_i . v'_j``; ``"cosine"`` otherwise.
+        Every index built over the model reads it.
     """
 
-    def __init__(self, vocab: Vocabulary, w_in: np.ndarray, w_out: np.ndarray) -> None:
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        w_in: np.ndarray,
+        w_out: np.ndarray,
+        similarity: str = "cosine",
+    ) -> None:
         w_in = np.asarray(w_in, dtype=np.float64)
         w_out = np.asarray(w_out, dtype=np.float64)
         require(w_in.ndim == 2, "w_in must be 2-dimensional")
@@ -39,7 +53,12 @@ class EmbeddingModel(ZeroCopyPickle):
             w_in.shape[0] == len(vocab),
             f"matrix rows ({w_in.shape[0]}) must match vocab size ({len(vocab)})",
         )
+        require(
+            similarity in SIMILARITIES,
+            f"similarity must be one of {SIMILARITIES}, got {similarity!r}",
+        )
         self.vocab = vocab
+        self.similarity = similarity
         self.w_in = w_in
         self.w_out = w_out
 
@@ -81,16 +100,21 @@ class EmbeddingModel(ZeroCopyPickle):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savez_compressed(
-            path.with_suffix(".npz"), w_in=self.w_in, w_out=self.w_out
+            path.with_suffix(".npz"),
+            w_in=self.w_in,
+            w_out=self.w_out,
+            similarity=self.similarity,
         )
         with path.with_suffix(".vocab.json").open("w") as handle:
             json.dump(self.vocab.to_dict(), handle)
 
     @classmethod
     def load(cls, path: "str | Path") -> "EmbeddingModel":
-        """Inverse of :meth:`save`."""
+        """Inverse of :meth:`save`; a file saved without a similarity
+        loads as cosine."""
         path = Path(path)
         arrays = np.load(path.with_suffix(".npz"))
         with path.with_suffix(".vocab.json").open() as handle:
             vocab = Vocabulary.from_dict(json.load(handle))
-        return cls(vocab, arrays["w_in"], arrays["w_out"])
+        similarity = str(arrays["similarity"]) if "similarity" in arrays else "cosine"
+        return cls(vocab, arrays["w_in"], arrays["w_out"], similarity)

@@ -14,19 +14,22 @@ Two scoring modes, matching Section II-C of the paper:
   strongly with item popularity, and raw inner products would rank hot
   items above the true forward neighbours.
 
+The mode is the model's (:attr:`EmbeddingModel.similarity`, set by the
+trainer), so every index over one model scores alike.
+
 The index pre-extracts the item rows of the embedding matrices so queries
-are dense matrix products followed by an ``argpartition`` top-K.
+are dense matrix products followed by an ``argpartition`` top-K whose cut
+breaks ties by ascending id (:func:`_select_topk`): ``topk(i, k)`` is
+always the first ``k`` of ``topk(i, K)`` for ``K > k``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.model import EmbeddingModel
+from repro.core.model import SIMILARITIES, EmbeddingModel
 from repro.core.vocab import TokenKind
 from repro.utils import ZeroCopyPickle, require, require_positive
-
-_MODES = ("cosine", "directional")
 
 
 def _tiebreak_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -42,6 +45,35 @@ def _tiebreak_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
         (ids.ravel(), -scores.ravel(), np.repeat(np.arange(nq), kk))
     )
     return flat.reshape(nq, kk) - np.arange(nq)[:, None] * kk
+
+
+def _select_topk(
+    scores: np.ndarray, ids: np.ndarray, kk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``kk`` columns per row, ties at the cut broken by ascending id.
+
+    ``argpartition`` alone cuts a tie group straddling the ``kk``
+    boundary arbitrarily, so which tied candidates survive would depend
+    on the call: ``topk(i, k)`` would not be a prefix of ``topk(i, K)``,
+    and sharded and unsharded retrieval would disagree on tie-heavy
+    catalogues even though both sort their *output* by ``(-score, id)``.
+    Rows whose boundary score recurs outside the selection are
+    re-selected exactly; all other rows keep the cheap partition result.
+    ``ids`` aligns with the score columns, either one row (``(n,)``) or
+    per query (``(q, n)``).  Returns ``(columns, scores)``, unordered.
+    """
+    top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
+    top_scores = np.take_along_axis(scores, top, axis=1)
+    boundary = top_scores.min(axis=1)
+    n_at_least = (scores >= boundary[:, None]).sum(axis=1)
+    for q in np.flatnonzero(n_at_least > kk):
+        pool = np.flatnonzero(scores[q] >= boundary[q])
+        row_ids = ids[q] if ids.ndim == 2 else ids
+        order = np.lexsort((row_ids[pool], -scores[q, pool]))
+        chosen = pool[order[:kk]]
+        top[q] = chosen
+        top_scores[q] = scores[q, chosen]
+    return top, top_scores
 
 
 def _id_order(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,11 +116,15 @@ class SimilarityIndex(ZeroCopyPickle):
     model:
         A trained :class:`~repro.core.model.EmbeddingModel`.
     mode:
-        ``"cosine"`` or ``"directional"`` (see module docstring).
+        ``"cosine"`` or ``"directional"`` (see module docstring); by
+        default the model's own :attr:`~EmbeddingModel.similarity`.
     """
 
-    def __init__(self, model: EmbeddingModel, mode: str = "cosine") -> None:
-        require(mode in _MODES, f"mode must be one of {_MODES}, got {mode!r}")
+    def __init__(self, model: EmbeddingModel, mode: str | None = None) -> None:
+        mode = model.similarity if mode is None else mode
+        require(
+            mode in SIMILARITIES, f"mode must be one of {SIMILARITIES}, got {mode!r}"
+        )
         self.model = model
         self.mode = mode
 
@@ -201,9 +237,9 @@ class SimilarityIndex(ZeroCopyPickle):
 
         Each row is scored by its own GEMV, never one GEMM over the
         block: a GEMM accumulates in a different order, and its scores
-        differ from the GEMV's in the last ulp.  Selection is one 2-D
-        ``argpartition`` (row for row the same pick as a 1-D call) and
-        ordering one sort of packed ``(-score, id rank)`` keys.
+        differ from the GEMV's in the last ulp.  Selection is
+        :func:`_select_topk` and ordering one sort of packed
+        ``(-score, id rank)`` keys.
         """
         require_positive(k, "k")
         rows = []
@@ -215,21 +251,16 @@ class SimilarityIndex(ZeroCopyPickle):
         kk = min(k, self.n_items - (1 if exclude_query else 0))
         if kk <= 0:
             return np.empty((len(rows), 0), np.int64), np.empty((len(rows), 0), np.float32)
-        # Negated scores: what the selection partitions, and exactly
-        # invertible (a sign flip) back to the scores handed out.
-        neg = np.empty((len(rows), self.n_items), dtype=np.float32)
-        for out, row in zip(neg, rows):
+        scores = np.empty((len(rows), self.n_items), dtype=np.float32)
+        for out, row in zip(scores, rows):
             np.matmul(self._candidates, self._queries[row], out=out)
-        flat = neg.ravel()
-        row_start = np.arange(0, flat.size, self.n_items)[:, None]
         if exclude_query:
-            flat[row_start[:, 0] + rows] = -np.inf
-        np.negative(neg, out=neg)
-        top = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
-        key = _order_key(flat[row_start + top], self._id_rank[top])
+            scores[np.arange(len(rows)), rows] = -np.inf
+        top, top_scores = _select_topk(scores, self._item_ids, kk)
+        key = _order_key(-top_scores, self._id_rank[top])
         key.sort(axis=1)
         cols = self._by_id[key & _LOW_WORD]
-        return self._item_ids[cols], -flat[row_start + cols]
+        return self._item_ids[cols], np.take_along_axis(scores, cols, axis=1)
 
     def topk_by_vector(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` items for an arbitrary query vector (e.g. cold start).
@@ -242,10 +273,11 @@ class SimilarityIndex(ZeroCopyPickle):
         if norm > 0:
             vector = vector / norm
         scores = self._candidates @ vector
-        k = min(k, len(scores))
-        top = np.argpartition(-scores, k - 1)[:k]
-        top = top[np.lexsort((self._item_ids[top], -scores[top]))]
-        return self._item_ids[top], scores[top]
+        top, top_scores = _select_topk(
+            scores[None, :], self._item_ids, min(k, len(scores))
+        )
+        order = np.lexsort((self._item_ids[top[0]], -top_scores[0]))
+        return self._item_ids[top[0, order]], top_scores[0, order]
 
     def topk_batch(
         self, item_ids: np.ndarray, k: int, exclude_query: bool = True
@@ -265,8 +297,7 @@ class SimilarityIndex(ZeroCopyPickle):
             scores[np.arange(len(rows)), rows] = -np.inf
         avail = scores.shape[1] - (1 if exclude_query else 0)
         kk = min(k, avail)
-        top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-        row_scores = np.take_along_axis(scores, top, axis=1)
+        top, row_scores = _select_topk(scores, self._item_ids, kk)
         order = _tiebreak_order(self._item_ids[top], row_scores)
         top = np.take_along_axis(top, order, axis=1)
         result = np.full((len(item_ids), k), -1, dtype=np.int64)

@@ -322,9 +322,10 @@ class SISG:
                 keep_probabilities=keep,
             )
             w_in, w_out = result.w_in, result.w_out
-        self.model = EmbeddingModel(corpus.vocab, w_in, w_out)
-        mode = "directional" if cfg.directional else "cosine"
-        self.index = SimilarityIndex(self.model, mode=mode)
+        self.model = EmbeddingModel(
+            corpus.vocab, w_in, w_out, "directional" if cfg.directional else "cosine"
+        )
+        self.index = SimilarityIndex(self.model)
         self._dataset = dataset
         return self
 

@@ -132,4 +132,9 @@ class TrainingPipeline:
             keep_probabilities=keep,
         )
         self.stats = result.stats
-        return EmbeddingModel(corpus.vocab, result.w_in, result.w_out)
+        return EmbeddingModel(
+            corpus.vocab,
+            result.w_in,
+            result.w_out,
+            "directional" if cfg.directional else "cosine",
+        )

@@ -32,11 +32,7 @@ request-serving system:
   retry/backoff, a circuit breaker and a drift gate.
 """
 
-from repro.serving.candidates import (
-    CandidateTable,
-    CandidateTableConfig,
-    build_candidate_table,
-)
+from repro.serving.candidates import CandidateTable, build_candidate_table
 from repro.serving.cache import LRUTTLCache
 from repro.serving.gateway import (
     GatewayConfig,
@@ -91,7 +87,6 @@ from repro.serving.refresh import (
 
 __all__ = [
     "CandidateTable",
-    "CandidateTableConfig",
     "build_candidate_table",
     "LRUTTLCache",
     "LatencyHistogram",

@@ -1,44 +1,26 @@
 """The nightly item-to-item candidate table.
 
-Builds, for every item the matcher can answer, its ranked top-``k``
-candidate list with the production hygiene filters a homepage feed
-needs:
-
-- **self exclusion** (never recommend the clicked item back);
-- **shop diversity** — at most ``max_per_shop`` candidates from one shop
-  (a feed full of one seller's listings looks broken);
-- **brand diversity** — likewise per brand;
-- **score floor** — drop candidates below ``min_score`` (a near-zero
-  similarity is noise, not a recommendation).
-
-The table persists as a compact ``.npz`` and serves lookups in O(1).
+Stores, for every item the matcher can answer, its exact top-``k``
+neighbours under the model's own similarity — the index's answer,
+precomputed — so the first serving tier is an O(1) lookup that returns
+what the offline evaluator scores.  Self exclusion is the index's; there
+is no other filter.  The table persists as a compact ``.npz``.
 
 **How it is built.**  Rows go a block at a time, sized so one block's
 float32 score matrix fits ``_BLOCK_BYTES``; there is no Python loop
-per row.  :meth:`SimilarityIndex.topk_block` scores each row of the
-block with its own GEMV — the bytes a single ``topk`` call scores with.
-One GEMM over the block would be faster, but it accumulates in a
-different order and moves most scores by an ulp, which reorders near
-ties.  It then selects the ``fetch`` best with one 2-D
-``argpartition`` and orders them by ``(-score, id)`` with one sort of
-packed keys.  The filter (:func:`_kept`) reaches the per-row walk's
-answer without walking: a candidate whose shop and brand occurrence
-ranks are under their caps is kept for certain, a row whose first
-``k`` candidates are all certain keeps them, and only the remaining
-"suspect" rows iterate to the walk's fixed point.  On the bench world
-(2 000 items, ``k`` = 50, fetch 200) about a quarter of the rows are
-suspect in cosine mode.
+per row.  Each block is one :meth:`SimilarityIndex.topk_block` call at
+depth ``k``, which scores every row with its own GEMV — the bytes a
+single ``topk`` call scores with — and cuts ties by ascending id, so a
+row is byte for byte ``index.topk(item, k)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.similarity import SimilarityIndex
-from repro.data.schema import BehaviorDataset
 from repro.utils import ZeroCopyPickle, get_logger, require, require_positive
 
 logger = get_logger("serving.candidates")
@@ -47,25 +29,6 @@ logger = get_logger("serving.candidates")
 #: build's transient stays this size as the catalogue grows, and no
 #: single numpy call runs long beside a live gateway.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass
-class CandidateTableConfig:
-    """Build-time knobs of the candidate table."""
-
-    k: int = 50
-    fetch_factor: int = 4
-    max_per_shop: int | None = 10
-    max_per_brand: int | None = 10
-    min_score: float | None = None
-
-    def validate(self) -> None:
-        require_positive(self.k, "k")
-        require_positive(self.fetch_factor, "fetch_factor")
-        if self.max_per_shop is not None:
-            require_positive(self.max_per_shop, "max_per_shop")
-        if self.max_per_brand is not None:
-            require_positive(self.max_per_brand, "max_per_brand")
 
 
 class CandidateTable(ZeroCopyPickle):
@@ -105,6 +68,11 @@ class CandidateTable(ZeroCopyPickle):
 
     def __contains__(self, item_id: int) -> bool:
         return int(item_id) in self._row
+
+    def answers(self, item_id: int, k: int) -> bool:
+        """Whether the table holds ``item_id``'s full top-``k``: a deeper
+        request must go to a tier that can rank past the table's depth."""
+        return k <= self.k and int(item_id) in self._row
 
     def lookup(self, item_id: int) -> tuple[np.ndarray, np.ndarray]:
         """``(candidate_ids, scores)`` for one item.
@@ -180,96 +148,16 @@ class CandidateTable(ZeroCopyPickle):
         return cls(data["items"], data["candidates"], data["scores"])
 
 
-def _groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices that walk a ``(rows, width)`` matrix of non-negative
-    codes row by row, each row in ``(code, position)`` order.
-
-    Returns ``(order, inverse, starts)``: the flat position of each slot
-    of that walk, the slot of each flat position, and for each slot the
-    slot its code's run starts at.
-    """
-    n_rows, width = codes.shape
-    shift = width.bit_length()
-    packed = np.sort(codes << shift | np.arange(width), axis=1)
-    base = np.arange(n_rows)[:, None] * width
-    order = ((packed & ((1 << shift) - 1)) + base).ravel()
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    slots = np.arange(width)
-    starts = np.where(np.diff(packed >> shift, axis=1, prepend=-1) != 0, slots, 0)
-    return order, inverse, (np.maximum.accumulate(starts, axis=1) + base).ravel()
-
-
-def _under_caps(groups: list, kept: np.ndarray) -> np.ndarray:
-    """Positions whose code, in every ``(groups, cap)``, has fewer than
-    ``cap`` ``kept`` positions before it in the same row."""
-    ok = np.ones(kept.size, dtype=bool)
-    for (order, inverse, starts), cap in groups:
-        in_order = kept.ravel()[order]
-        before = np.cumsum(in_order) - in_order
-        before -= before[starts]
-        ok &= (before < cap)[inverse]
-    return ok.reshape(kept.shape)
-
-
-def _kept(
-    ids: np.ndarray, scores: np.ndarray, k: int, min_score: float | None, caps: list
-) -> np.ndarray:
-    """Which of each row's ranked raw neighbours the table keeps.
-
-    ``caps`` holds ``(codes, cap)`` per capped attribute, ``codes`` the
-    attribute's dense code per item id.  The rule is sequential: walk the
-    row in rank order, stop at the first score below ``min_score`` or
-    after ``k`` keeps, and skip a candidate whose shop or brand already
-    has ``cap`` *kept* candidates (one skipped for its brand uses up no
-    slot of its shop).  It is computed without a walk.  A position whose
-    shop and brand occurrence ranks, over all earlier positions, are
-    under their caps is kept for certain: kept counts never exceed
-    occurrence counts.  A row whose first ``k`` live positions are all
-    certain keeps exactly those.  Only the other ("suspect") rows look
-    past position ``k``, and only up to their ``k``-th certain keep: they
-    iterate ``kept <- live & under_caps(kept)`` to its fixed point, which
-    is the walk's answer, since every pass settles at least one more
-    position from the left.
-    """
-    live = np.ones(ids.shape, dtype=bool) if min_score is None else ~(scores < min_score)
-    head = min(k, ids.shape[1])
-    kept = live.copy()
-    kept[:, head:] = False
-    certain = _under_caps(
-        [(_groups(codes[ids[:, :head]]), cap) for codes, cap in caps], live[:, :head]
-    )
-    suspect = np.flatnonzero((live[:, :head] & ~certain).any(axis=1))
-    live = live[suspect]
-    groups = [(_groups(codes[ids[suspect]]), cap) for codes, cap in caps]
-    # Nothing after a row's k-th certain keep can reach its first k keeps.
-    certain = live & _under_caps(groups, live)
-    live &= np.cumsum(certain, axis=1) - certain < k
-    walk = certain
-    while not np.array_equal(walk, step := live & _under_caps(groups, walk)):
-        walk = step
-    kept[suspect] = walk & (np.cumsum(walk, axis=1) <= k)
-    return kept
-
-
 def build_candidate_table(
-    index: SimilarityIndex,
-    dataset: BehaviorDataset,
-    config: CandidateTableConfig | None = None,
-    items: np.ndarray | None = None,
+    index: SimilarityIndex, k: int = 50, items: np.ndarray | None = None
 ) -> CandidateTable:
-    """Materialize the candidate table from a retrieval index.
-
-    Fetches ``k * fetch_factor`` raw neighbours per item, applies the
-    diversity/score filters, and keeps the top ``k`` survivors, one
-    block of rows at a time (see the module docstring).
+    """The top-``k`` of every item, one block of rows at a time.
 
     ``items`` restricts the *rows* built (e.g. one HBGP shard's items);
     candidates are still drawn from the full index, so a sharded table
     answers exactly like the corresponding rows of a full build.
     """
-    config = config or CandidateTableConfig()
-    config.validate()
+    require_positive(k, "k")
     if items is None:
         item_ids = index.item_ids
     else:
@@ -278,30 +166,16 @@ def build_candidate_table(
             bool(np.isin(item_ids, index.item_ids).all()),
             "table rows must be items of the index",
         )
-    k = config.k
-    fetch = min(k * config.fetch_factor, max(index.n_items - 1, 1))
-    caps = []
-    for name, cap in (("shop", config.max_per_shop), ("brand", config.max_per_brand)):
-        if cap is not None:
-            values = [item.si_values[name] for item in dataset.items]
-            caps.append((np.unique(values, return_inverse=True)[1], cap))
-
-    # Pads stay NaN so "no candidate" is never confused with a real
-    # zero-similarity score; `candidates >= 0` is the valid mask.
+    # Pads (a catalogue smaller than k + 1) stay NaN so "no candidate" is
+    # never confused with a real zero-similarity score; `candidates >= 0`
+    # is the valid mask.
     candidates = np.full((len(item_ids), k), -1, dtype=np.int64)
     scores = np.full((len(item_ids), k), np.nan)
     block = max(1, _BLOCK_BYTES // (4 * index.n_items))
     for start in range(0, len(item_ids), block):
-        raw_items, raw_scores = index.topk_block(item_ids[start : start + block], fetch)
-        kept = _kept(raw_items, raw_scores, k, config.min_score, caps)
-        rows, cols = np.nonzero(kept)
-        slots = (np.cumsum(kept, axis=1) - 1)[rows, cols]
-        candidates[start + rows, slots] = raw_items[rows, cols]
-        scores[start + rows, slots] = raw_scores[rows, cols]
-    logger.info(
-        "candidate table: %d items x top-%d (fetch %d)",
-        len(item_ids),
-        k,
-        fetch,
-    )
+        ids, top = index.topk_block(item_ids[start : start + block], k)
+        rows = slice(start, start + len(ids))
+        candidates[rows, : ids.shape[1]] = ids
+        scores[rows, : ids.shape[1]] = top
+    logger.info("candidate table: %d items x top-%d", len(item_ids), k)
     return CandidateTable(item_ids.copy(), candidates, scores)

@@ -25,15 +25,19 @@ Layout
   resolves a request through the tier chain, cheapest first:
 
   1. ``table`` — an O(1) hit in the owning shard's precomputed
-     candidate table;
-  2. ``ann`` — live IVF retrieval for a trained item the table missed:
-     its query vector is scattered to every shard and the per-shard
-     partial top-k lists merge by score (all shards score against the
-     same normalized embedding space, so partials are comparable);
+     candidate table, for ``k`` up to the table's depth;
+  2. ``ann`` — live IVF retrieval for a trained item the table missed
+     (or a deeper ``k``): its query vector is scattered to every shard
+     and the per-shard partial top-k lists merge by score (all shards
+     score against the same normalized embedding space, so partials
+     are comparable);
   3. ``cold_item`` — a brand-new item is served from the sum of its SI
      input vectors (Eq. 6), scattered the same way;
   4. ``cold_user`` — a no-history user is served from the average of
      the user-type vectors matching their demographics (Sec. IV-C);
+     both cold vectors are input-side queries, so they score against
+     the model's candidate vectors like a warm item (``v_q . v'_j`` for
+     a directional model);
   5. ``popularity`` — the last resort: the per-shard slices of the
      global click ranking, merged.
 
@@ -88,7 +92,7 @@ def _build_shards(
 
     The full similarity index is built once and sliced per shard.
     """
-    index = SimilarityIndex(model, mode=build_kwargs.get("mode", "cosine"))
+    index = SimilarityIndex(model)
     return {
         shard: build_shard_bundle(
             model,
@@ -569,7 +573,7 @@ class MatchingService:
         """
         if self._cache is None:
             return None
-        if shard is not None and request.item_id in bundles[shard].table:
+        if shard is not None and bundles[shard].table.answers(request.item_id, k):
             return ("shard", shard, versions[shard], k, request.cache_key())
         return ("all", versions, k, request.cache_key())
 
@@ -623,7 +627,7 @@ class MatchingService:
         if shard is not None:
             item = int(request.item_id)
             home = bundles[shard]
-            if item in home.table:
+            if home.table.answers(item, k):
                 start = time.perf_counter()
                 items, scores = home.table.topk(item, k)
                 if len(items):

@@ -24,11 +24,7 @@ from repro.core.ann import IVFIndex
 from repro.core.model import EmbeddingModel
 from repro.core.similarity import SimilarityIndex
 from repro.data.schema import BehaviorDataset
-from repro.serving.candidates import (
-    CandidateTable,
-    CandidateTableConfig,
-    build_candidate_table,
-)
+from repro.serving.candidates import CandidateTable, build_candidate_table
 from repro.utils import get_logger, require, share_object
 
 logger = get_logger("serving.store")
@@ -126,6 +122,10 @@ def share_bundle(bundle: ModelBundle) -> ModelBundle:
 #: Items kept in a shard's popularity-fallback list.
 _POPULAR_LIST_SIZE = 1000
 
+#: Candidates per candidate-table row; a request for more falls through
+#: to the ANN tier.
+_TABLE_DEPTH = 50
+
 
 def popularity_ranking(
     dataset: BehaviorDataset, max_items: int | None = None
@@ -155,8 +155,6 @@ def build_shard_bundle(
     model: EmbeddingModel,
     dataset: BehaviorDataset,
     shard_items: np.ndarray,
-    mode: str = "cosine",
-    table_config: CandidateTableConfig | None = None,
     n_cells: int | None = None,
     n_probe: int = 4,
     table_coverage: float = 1.0,
@@ -183,7 +181,8 @@ def build_shard_bundle(
     ``table_coverage`` fraction of the *global* index order, intersected
     with the shard, and candidates are drawn from the full catalogue: the
     union of all shard tables is the one-shard table, and only covered
-    rows are ever scored.
+    rows are ever scored.  Every artifact scores with the model's own
+    similarity, so a table row is the index's top-``_TABLE_DEPTH``.
 
     ``ann_precision`` selects the retrieval tier's memory mode (int8 /
     product quantization with exact re-rank of ``ann_rerank * k``);
@@ -192,7 +191,7 @@ def build_shard_bundle(
     :func:`share_bundle`) so worker processes attach instead of copying.
     """
     require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
-    full = index if index is not None else SimilarityIndex(model, mode=mode)
+    full = index if index is not None else SimilarityIndex(model)
     owned = np.asarray(shard_items, dtype=np.int64)
     shard_items = owned[np.isin(owned, full.item_ids)]
     require(
@@ -204,7 +203,7 @@ def build_shard_bundle(
     if table_coverage < 1.0:
         covered = covered[: max(1, int(full.n_items * table_coverage))]
     table = build_candidate_table(
-        full, dataset, table_config, items=shard_items[np.isin(shard_items, covered)]
+        full, _TABLE_DEPTH, items=shard_items[np.isin(shard_items, covered)]
     )
 
     # A shard that owns every indexed item serves the index as it is.

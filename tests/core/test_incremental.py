@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import embedding_drift, incremental_update
+from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig
 from repro.core.similarity import SimilarityIndex
 from repro.core.vocab import TokenKind
@@ -72,6 +73,16 @@ class TestPrecision:
 
 
 class TestIncrementalUpdate:
+    @pytest.mark.parametrize("similarity", ["cosine", "directional"])
+    def test_inherits_the_similarity(self, two_days, day1_model, similarity):
+        _day1, day2, _clones = two_days
+        base = EmbeddingModel(
+            day1_model.vocab, day1_model.w_in, day1_model.w_out, similarity
+        )
+        updated = incremental_update(base, day2, CONT_CFG)
+        assert updated.similarity == similarity
+        assert SimilarityIndex(updated).mode == similarity
+
     def test_vocabulary_ids_preserved(self, two_days, day1_model):
         _day1, day2, _clones = two_days
         updated = incremental_update(day1_model, day2, CONT_CFG)

@@ -33,6 +33,14 @@ class TestConstruction:
     def test_dim(self):
         assert make_model(dim=6).dim == 6
 
+    def test_similarity_defaults_to_cosine(self):
+        assert make_model().similarity == "cosine"
+
+    def test_unknown_similarity_rejected(self):
+        model = make_model()
+        with pytest.raises(ValueError, match="similarity"):
+            EmbeddingModel(model.vocab, model.w_in, model.w_out, "euclidean")
+
 
 class TestVectorAccess:
     def test_vector_input_vs_output(self):
@@ -69,6 +77,25 @@ class TestPersistence:
         np.testing.assert_allclose(loaded.w_out, model.w_out)
         assert list(loaded.vocab.tokens()) == list(model.vocab.tokens())
         assert loaded.vocab.payload_of(3) == (0, 0, 0, ())
+
+    def test_save_load_roundtrips_the_similarity(self, tmp_path):
+        source = make_model()
+        model = EmbeddingModel(source.vocab, source.w_in, source.w_out, "directional")
+        model.save(tmp_path / "model")
+        loaded = EmbeddingModel.load(tmp_path / "model")
+        assert loaded.similarity == "directional"
+
+        from repro.core.similarity import SimilarityIndex
+
+        assert SimilarityIndex(loaded).mode == "directional"
+
+    def test_file_without_a_similarity_loads_as_cosine(self, tmp_path):
+        """A model saved before the similarity was recorded: matrices
+        only in the ``.npz``."""
+        model = make_model()
+        model.save(tmp_path / "old")
+        np.savez_compressed(tmp_path / "old.npz", w_in=model.w_in, w_out=model.w_out)
+        assert EmbeddingModel.load(tmp_path / "old").similarity == "cosine"
 
     def test_save_creates_parent_dirs(self, tmp_path):
         model = make_model()

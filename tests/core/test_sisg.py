@@ -81,6 +81,10 @@ class TestFittedModel:
     def test_directional_variant_uses_directional_index(self, fitted_sisg):
         assert fitted_sisg.index.mode == "directional"
 
+    def test_model_records_its_similarity(self, fitted_sgns, fitted_sisg):
+        assert fitted_sgns.model.similarity == "cosine"
+        assert fitted_sisg.model.similarity == "directional"
+
     def test_recommend_shape_and_exclusion(self, fitted_sgns):
         items, scores = fitted_sgns.recommend(0, k=5)
         assert len(items) == 5

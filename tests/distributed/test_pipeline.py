@@ -65,6 +65,13 @@ class TestRun:
         items, _ = index.topk(0, k=3)
         assert len(items) == 3
 
+    @pytest.mark.parametrize("directional,similarity", [(False, "cosine"), (True, "directional")])
+    def test_model_records_its_similarity(self, tiny_split, directional, similarity):
+        train, _ = tiny_split
+        model = small_pipeline(directional=directional).run(train)
+        assert model.similarity == similarity
+        assert SimilarityIndex(model).mode == similarity
+
     def test_window_scaling_matches_sisg(self, tiny_split):
         """The pipeline scales the token window exactly like SISG.fit."""
         train, _ = tiny_split

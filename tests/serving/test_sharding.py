@@ -296,7 +296,7 @@ class TestTierOracles:
             fitted_sisg.model,
             train,
             index,
-            build_candidate_table(index, train),
+            build_candidate_table(index),
             popularity_ranking(train),
         )
 
@@ -339,10 +339,15 @@ class TestTierOracles:
             want_ids, want_scores = index.topk(item, K)
             assert result.tier == "ann"
             np.testing.assert_array_equal(result.items, want_ids)
-            np.testing.assert_allclose(result.scores, want_scores, rtol=1e-5)
+            # Float32 GEMM vs GEMV: the error scales with the unit
+            # vectors, not with the (directional, often near-zero) score.
+            np.testing.assert_allclose(result.scores, want_scores, rtol=1e-5, atol=1e-6)
 
     def test_cold_tiers_are_the_recipe_fed_to_the_scan(self, service, oracle):
+        """On a directional model the cold vectors are queries scored
+        ``v_q . v'_j``: the served answer is the exact index's."""
         model, train, index, _table, _pop = oracle
+        assert model.similarity == index.mode == "directional"
         cold_items = [
             MatchRequest(si_values=dict(train.items[i].si_values))
             for i in (3, 17, 40)

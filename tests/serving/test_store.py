@@ -103,7 +103,7 @@ class TestBuildBundle:
         model = fitted_sisg.model
         index = SimilarityIndex(model)
         covered = index.item_ids[: int(index.n_items * 0.5)]
-        want = build_candidate_table(index, train).subset(covered)
+        want = build_candidate_table(index).subset(covered)
 
         scanned = []
         real_topk_block = SimilarityIndex.topk_block
@@ -223,7 +223,7 @@ def shared_bundle(fitted_sisg, tiny_split):
     train, _ = tiny_split
     source = fitted_sisg.model
     model = EmbeddingModel(
-        source.vocab, source.w_in.copy(), source.w_out.copy()
+        source.vocab, source.w_in.copy(), source.w_out.copy(), source.similarity
     )
     bundle = build_bundle(
         model,
