@@ -10,10 +10,11 @@ one JSON report:
   label is a new listing (the id is not in its tables); the streamed
   service must beat it strictly, and the per-window apply latency
   (p50/p95/p99) is what that freshness costs.
-- ``mid_stream_traffic`` — windows apply while an open-loop network
-  load replays against the gateway; the deployment contract is zero
-  request errors across at least two applied windows (every promote
-  runs under the gateway's writer-priority swap gate).
+- ``mid_stream_traffic`` — windows apply while a small pool of client
+  threads reads ``/recommend`` over the wire (warm, streamed and
+  unknown ids); the deployment contract is zero request errors across
+  at least two applied windows (every promote runs under the gateway's
+  writer-priority swap gate).
 - ``reconcile`` — after streamed windows, a full nightly refresh lands
   on the same store.  The replay-then-refresh drift (streamed model vs
   the nightly rebuild, measured by the daemon's own gate) must stay
@@ -30,9 +31,13 @@ Writes ``benchmarks/BENCH_streaming.json``.  Runs under pytest
 """
 
 import argparse
+import http.client
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.sgns import SGNSConfig
 from repro.core.sisg import SISG
@@ -41,20 +46,19 @@ from repro.graph.hbgp import HBGPConfig, hbgp_partition
 from repro.serving import (
     GatewayConfig,
     GatewayThread,
-    LoadMix,
     MatchingService,
     MatchingServiceConfig,
     ModelStore,
-    NetLoadConfig,
     RefreshConfig,
     RefreshDaemon,
     ShardedMatchingService,
     ShardedModelStore,
     bootstrap_day_source,
     build_bundle,
+    fetch_json,
     latency_percentiles,
-    run_netload,
 )
+from repro.serving.loadgen import ZIPF_A
 from repro.streaming import (
     ClickEvent,
     EventLog,
@@ -79,6 +83,8 @@ TRAIN = SGNSConfig(dim=16, epochs=1, window=2, negatives=3, seed=0)
 #: drift at most this far from the streamed model (mean cosine distance
 #: over item vectors) — the bound the daemon's own gate enforces.
 DRIFT_GATE = 0.5
+#: Client threads reading through the gateway in ``mid_stream_traffic``.
+READERS = 4
 
 
 def build_setup(seed: int = 0):
@@ -162,15 +168,34 @@ def run_cold_item_recovery(seed: int = 0, smoke: bool = False) -> dict:
     }
 
 
+def read_ids(dataset, new_ids, n_requests: int, seed: int) -> list[int]:
+    """One pass of read ids, 8:1:1 warm / streamed new / unknown.
+
+    Warm ids are Zipf-skewed like feed traffic; new ids are the listings
+    streamed so far (a warm id until the first one lands); unknown ids
+    lie outside every catalogue and fall through to popularity.
+    """
+    rng = np.random.default_rng(seed)
+    warm = (rng.zipf(ZIPF_A, size=n_requests) - 1) % dataset.n_items
+    ids = []
+    for kind, item in zip(rng.choice(3, size=n_requests, p=[0.8, 0.1, 0.1]), warm):
+        if kind == 1 and new_ids:
+            item = new_ids[int(rng.integers(len(new_ids)))]
+        elif kind == 2:
+            item = dataset.n_items + 10**6 + int(rng.integers(10**6))
+        ids.append(int(item))
+    return ids
+
+
 def run_mid_stream_traffic(seed: int = 0, smoke: bool = False) -> dict:
-    """Open-loop network load while windows apply under the swap gate."""
+    """Gateway reads from ``READERS`` threads while windows apply."""
     dataset, _model, _store, service = build_setup(seed)
     stream = SyntheticEventStream(
         dataset, new_items_per_window=1, events_per_window=48, seed=seed
     )
     log = EventLog()
     n_requests = 200 if smoke else 600
-    ok = shed = errors = passes = 0
+    ok = errors = passes = 0
     versions: set = set()
     with GatewayThread(service, GatewayConfig(port=0)) as gateway:
         applier = StreamApplier(
@@ -181,26 +206,32 @@ def run_mid_stream_traffic(seed: int = 0, smoke: bool = False) -> dict:
             promote_gate=gateway.swap_gate,
             seed=seed,
         )
-        deadline = time.time() + 180.0
-        with applier.start(0.05, event_source=stream):
-            while True:
-                report = run_netload(
-                    dataset,
-                    NetLoadConfig(
-                        port=gateway.port,
-                        n_requests=n_requests,
-                        rate=1500.0,
-                        n_processes=2,
-                        connections=8,
-                        k=K,
-                    ),
-                    mix=LoadMix(0.8, 0.1, 0.0, 0.1),
-                    seed=seed + passes,
+
+        def read(item_id: int) -> bool:
+            """One ``GET /recommend``; any status but 200 is an error."""
+            try:
+                fetch_json(
+                    "127.0.0.1",
+                    gateway.port,
+                    f"/recommend?item_id={item_id}&k={K}",
                 )
+            except (OSError, ValueError, http.client.HTTPException):
+                return False
+            return True
+
+        deadline = time.time() + 180.0
+        with (
+            applier.start(0.05, event_source=stream),
+            ThreadPoolExecutor(READERS) as pool,
+        ):
+            while True:
+                ids = read_ids(
+                    dataset, stream.new_item_ids, n_requests, seed + passes
+                )
+                served = sum(pool.map(read, ids))
                 passes += 1
-                ok += report["ok"]
-                shed += report["shed"]
-                errors += report["errors"]
+                ok += served
+                errors += len(ids) - served
                 versions.add(int(service.store.version))
                 if applier.windows_applied >= 2 or time.time() > deadline:
                     break
@@ -208,7 +239,6 @@ def run_mid_stream_traffic(seed: int = 0, smoke: bool = False) -> dict:
     return {
         "load_passes": passes,
         "ok": ok,
-        "shed": shed,
         "errors": errors,
         "windows_applied": windows,
         "store_versions_seen": sorted(versions),
@@ -266,8 +296,6 @@ def run_reconcile(seed: int = 0, smoke: bool = False) -> dict:
 
 def run_sharded_incremental(seed: int = 0, smoke: bool = False) -> dict:
     """Touched-only shard rebuilds; hot-skew incremental moves."""
-    import numpy as np
-
     world = SyntheticWorld(WORLD, seed=seed)
     dataset = world.generate_dataset(n_sessions=800 if smoke else 1500)
     model = SISG.sisg_f_u(

@@ -21,8 +21,6 @@ Commands mirror the production workflow:
 - ``sisg serve`` — stand the network gateway up on a real socket:
   HTTP ``/recommend`` with request coalescing, load shedding, and
   (``--refresh-every``) swap-coordinated nightly refreshes;
-- ``sisg netload`` — multi-process open-loop network load against a
-  running gateway; reports QPS, p50/p95/p99, shed and error rates;
 - ``sisg stream`` — streaming ingest demo: stand a gateway up, feed a
   synthetic click stream with brand-new listings through the
   micro-batch applier (windows promoted under the swap gate), fire
@@ -300,9 +298,12 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _traffic_parent() -> argparse.ArgumentParser:
-    """The synthetic-traffic flags ``netload`` and ``loadgen`` share."""
-    p = argparse.ArgumentParser(add_help=False)
+def _add_loadgen(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser(
+        "loadgen",
+        parents=[_stack_parent()],
+        help="synthetic load against the matching service",
+    )
     p.add_argument("--requests", type=int, default=2000)
     p.add_argument("-k", type=int, default=10)
     p.add_argument(
@@ -313,39 +314,6 @@ def _traffic_parent() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="also write the JSON report here")
-    return p
-
-
-def _add_netload(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "netload",
-        parents=[_traffic_parent()],
-        help="open-loop network load against a running gateway"
-        " (exits 1 when any request errored)",
-    )
-    p.add_argument("dataset", help="dataset .npz bundle (shapes the traffic)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8460)
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=500.0,
-        help="total offered arrival rate, requests/second (open loop)",
-    )
-    p.add_argument("--processes", type=int, default=2)
-    p.add_argument(
-        "--connections", type=int, default=8, help="connections per process"
-    )
-    p.add_argument("--zipf-a", type=float, default=1.2)
-    p.add_argument("--timeout", type=float, default=15.0)
-
-
-def _add_loadgen(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "loadgen",
-        parents=[_stack_parent(), _traffic_parent()],
-        help="synthetic load against the matching service",
-    )
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument(
         "--swap-mid",
@@ -433,17 +401,6 @@ def _emit_json(doc: dict, output: "str | None" = None) -> None:
     print(text)
     if output:
         Path(output).write_text(text + "\n")
-
-
-def _load_mix(args: argparse.Namespace):
-    """``--mix`` as a ``LoadMix`` (``None``, with a message, when malformed)."""
-    from repro.serving import LoadMix
-
-    weights = [float(part) for part in args.mix.split(",")]
-    if len(weights) not in (4, 5):
-        print("--mix needs 4 or 5 comma-separated weights", file=sys.stderr)
-        return None
-    return LoadMix(*weights)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -863,42 +820,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_netload(args: argparse.Namespace) -> int:
-    """Drive a running gateway; exits 1 when any request errored."""
-    from repro.data.io_utils import load_dataset
-    from repro.serving import NetLoadConfig, run_netload
-
-    mix = _load_mix(args)
-    if mix is None:
-        return 2
-    dataset = load_dataset(args.dataset)
-    config = NetLoadConfig(
-        host=args.host,
-        port=args.port,
-        n_requests=args.requests,
-        rate=args.rate,
-        n_processes=args.processes,
-        connections=args.connections,
-        k=args.k,
-        timeout_s=args.timeout,
-    )
-    report = run_netload(
-        dataset,
-        config,
-        mix=mix,
-        zipf_a=args.zipf_a,
-        seed=args.seed,
-    )
-    _emit_json(report, args.output)
-    return 0 if report["errors"] == 0 else 1
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serving import run_load, synth_requests
+    from repro.serving import LoadMix, run_load, synth_requests
 
-    mix = _load_mix(args)
-    if mix is None:
+    weights = [float(part) for part in args.mix.split(",")]
+    if len(weights) not in (4, 5):
+        print("--mix needs 4 or 5 comma-separated weights", file=sys.stderr)
         return 2
+    mix = LoadMix(*weights)
     stack = _build_service(args)
     service = stack.service
     requests = synth_requests(stack.dataset, args.requests, mix=mix, seed=args.seed)
@@ -934,7 +863,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     from repro.serving import GatewayConfig, GatewayThread
     from repro.serving.loadgen import latency_percentiles
-    from repro.serving.netload import fetch_json, wait_for_gateway
+    from repro.serving.gateway import fetch_json, wait_for_gateway
     from repro.streaming import EventLog, SyntheticEventStream
 
     stack = _build_service(args)
@@ -1068,7 +997,6 @@ _COMMANDS = {
     "loadgen": (_add_loadgen, _cmd_loadgen),
     "refresh-daemon": (_add_refresh_daemon, _cmd_refresh_daemon),
     "serve": (_add_serve, _cmd_serve),
-    "netload": (_add_netload, _cmd_netload),
     "stream": (_add_stream, _cmd_stream),
 }
 

@@ -15,9 +15,8 @@ request-serving system:
 - :mod:`repro.serving.loadgen` — synthetic traffic replay with QPS and
   tail-latency reporting;
 - :mod:`repro.serving.gateway` — the asyncio HTTP front end: request
-  coalescing into micro-batches, load shedding, swap coordination;
-- :mod:`repro.serving.netload` — multi-process open-loop network load
-  generation over real sockets;
+  coalescing into micro-batches, load shedding, swap coordination, and
+  the blocking ``/healthz`` / ``/metrics`` client;
 - :mod:`repro.serving.sharding` — the matching service: one request
   path (table → ANN → cold item → cold user → popularity, LRU/TTL
   result cache, micro-batched scatter-gather) over one store or over
@@ -38,8 +37,10 @@ from repro.serving.gateway import (
     GatewayConfig,
     GatewayThread,
     RecommendGateway,
+    fetch_json,
     request_from_payload,
     request_to_payload,
+    wait_for_gateway,
 )
 from repro.serving.loadgen import (
     LoadMix,
@@ -48,12 +49,6 @@ from repro.serving.loadgen import (
     synth_requests,
 )
 from repro.serving.metrics import LatencyHistogram, ServingMetrics, to_jsonable
-from repro.serving.netload import (
-    NetLoadConfig,
-    fetch_json,
-    run_netload,
-    wait_for_gateway,
-)
 from repro.serving.service import (
     MatchingServiceConfig,
     MatchRequest,
@@ -97,9 +92,7 @@ __all__ = [
     "RecommendGateway",
     "request_from_payload",
     "request_to_payload",
-    "NetLoadConfig",
     "fetch_json",
-    "run_netload",
     "wait_for_gateway",
     "latency_percentiles",
     "MatchingService",

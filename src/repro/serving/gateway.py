@@ -38,14 +38,15 @@ Endpoints (all JSON):
   queue/shed/coalescing state, strictly JSON-serializable.
 
 The HTTP layer is deliberately minimal (request line + headers +
-``Content-Length`` body, keep-alive) — enough for the network loadgen
-(:mod:`repro.serving.netload`), benchmarks and curl, with zero
+``Content-Length`` body, keep-alive) — enough for the benchmark
+harness's load generator, :func:`fetch_json` and curl, with zero
 dependencies beyond the standard library.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 import time
@@ -779,11 +780,51 @@ class GatewayThread:
             loop.close()
 
 
+# ----------------------------------------------------------------------
+# blocking control-plane client (healthz / metrics)
+# ----------------------------------------------------------------------
+
+
+def fetch_json(host: str, port: int, path: str, timeout_s: float = 5.0) -> dict:
+    """Blocking GET of a gateway JSON endpoint (healthz / metrics)."""
+    conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        body = response.read()
+        require(
+            response.status == 200,
+            f"GET {path} -> {response.status}: {body[:200]!r}",
+        )
+        return json.loads(body)
+    finally:
+        conn.close()
+
+
+def wait_for_gateway(
+    host: str, port: int, timeout_s: float = 15.0, interval_s: float = 0.05
+) -> dict:
+    """Poll ``/healthz`` until the gateway answers; returns its payload."""
+    deadline = time.monotonic() + timeout_s
+    last_error: Exception | None = None
+    while time.monotonic() < deadline:
+        try:
+            return fetch_json(host, port, "/healthz", timeout_s=2.0)
+        except Exception as exc:  # noqa: BLE001 - keep polling until deadline
+            last_error = exc
+            time.sleep(interval_s)
+    raise TimeoutError(
+        f"gateway at {host}:{port} not healthy after {timeout_s}s"
+    ) from last_error
+
+
 __all__ = [
     "GatewayConfig",
     "GatewayThread",
     "RecommendGateway",
+    "fetch_json",
     "request_from_payload",
     "request_to_payload",
     "result_to_payload",
+    "wait_for_gateway",
 ]

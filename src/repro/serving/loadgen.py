@@ -28,6 +28,9 @@ from repro.utils import Timer, ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("serving.loadgen")
 
+#: Zipf exponent of warm-item popularity in :func:`synth_requests`.
+ZIPF_A = 1.2
+
 
 @dataclass
 class LoadMix:
@@ -93,13 +96,12 @@ def synth_requests(
     dataset: BehaviorDataset,
     n_requests: int,
     mix: LoadMix | None = None,
-    zipf_a: float = 1.2,
     seed: "int | np.random.Generator | None" = 0,
     wave_pool: int = 4,
 ) -> list[MatchRequest]:
     """Sample a request stream shaped like homepage-feed traffic.
 
-    - *warm*: item ids drawn Zipf(``zipf_a``) over the catalogue, so a
+    - *warm*: item ids drawn Zipf(:data:`ZIPF_A`) over the catalogue, so a
       hot head dominates — which is what makes the result cache earn
       its keep;
     - *cold item*: SI values copied from a random existing item but no
@@ -131,9 +133,9 @@ def synth_requests(
         if kind == 0:
             # Fold out-of-catalogue Zipf ranks back with a modulo: clamping
             # them to `n_items - 1` piles the entire tail onto the single
-            # last item and makes it artificially hot (for zipf_a=1.2 and a
+            # last item and makes it artificially hot (for ZIPF_A=1.2 and a
             # few hundred items the tail carries ~30% of the warm mass).
-            rank = int(rng.zipf(zipf_a))
+            rank = int(rng.zipf(ZIPF_A))
             requests.append(MatchRequest(item_id=(rank - 1) % n_items))
         elif kind == 1:
             donor = dataset.items[int(rng.integers(n_items))]
@@ -168,9 +170,9 @@ def synth_requests(
 def latency_percentiles(latencies_s: "list[float] | np.ndarray") -> dict:
     """``{"p50": s, "p95": s, "p99": s}`` over per-request latencies.
 
-    Shared by :func:`run_load` and the network loadgen
-    (:mod:`repro.serving.netload`) so in-process and over-the-wire
-    reports quote tail latency in the same shape and unit (seconds).
+    Shared by :func:`run_load` and the streaming reports (``sisg
+    stream``'s apply latency) so every report quotes tail latency in
+    the same shape and unit (seconds).
     """
     if len(latencies_s) == 0:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0}

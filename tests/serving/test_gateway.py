@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.graph.hbgp import HBGPConfig, hbgp_partition
 from repro.serving import (
     TIERS,
     GatewayConfig,
@@ -29,8 +30,12 @@ from repro.serving import (
     MatchingService,
     MatchingServiceConfig,
     ModelStore,
+    ShardedModelStore,
+    build_shard_bundles,
+    fetch_json,
     request_to_payload,
     synth_requests,
+    wait_for_gateway,
 )
 from repro.serving.gateway import result_to_payload
 from repro.serving.service import MatchResult
@@ -55,6 +60,12 @@ def _no_cache_service(bundle):
     return MatchingService(
         ModelStore(bundle), MatchingServiceConfig(default_k=K, cache_size=0)
     )
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 @pytest.fixture()
@@ -316,16 +327,16 @@ class TestCoalescing:
         assert metrics.counter("gateway_coalesced_batches") == 1
         assert metrics.counter("gateway_coalesced_requests") == 1
 
-    def test_concurrent_singles_identical_to_direct(
-        self, serving_bundle, direct, tiny_split
-    ):
-        """The tentpole contract: coalesced answers == direct answers."""
+    @staticmethod
+    def _assert_singles_identical(served, direct, tiny_split):
+        """48 concurrent single calls to ``served`` through a gateway
+        answer exactly what ``direct`` answers without a network."""
         train, _ = tiny_split
         requests = synth_requests(train, 48, seed=11)
         expected = [direct.recommend(request, K) for request in requests]
 
         config = GatewayConfig(port=0, max_batch=16, default_k=K)
-        with GatewayThread(_no_cache_service(serving_bundle), config) as gw:
+        with GatewayThread(served, config) as gw:
             with ThreadPoolExecutor(max_workers=16) as pool:
                 responses = list(
                     pool.map(
@@ -344,6 +355,38 @@ class TestCoalescing:
             assert status == 200
             _assert_identical(body, answer)
         assert metrics.counter("gateway_coalesced_requests") == len(requests)
+
+    def test_concurrent_singles_identical_to_direct(
+        self, serving_bundle, direct, tiny_split
+    ):
+        """The tentpole contract: coalesced answers == direct answers."""
+        self._assert_singles_identical(
+            _no_cache_service(serving_bundle), direct, tiny_split
+        )
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_concurrent_singles_identical_to_direct_sharded(
+        self, shards, fitted_sisg, tiny_split
+    ):
+        """The same contract on an HBGP-sharded service: scatter-gather
+        answers cross the socket unchanged."""
+        train, _ = tiny_split
+        bundles, assignment = build_shard_bundles(
+            fitted_sisg.model,
+            train,
+            hbgp_partition(train, HBGPConfig(n_partitions=shards)),
+            n_cells=12,
+            table_coverage=0.8,
+            seed=0,
+        )
+
+        def service():
+            return MatchingService(
+                ShardedModelStore(bundles, assignment),
+                MatchingServiceConfig(default_k=K, cache_size=0),
+            )
+
+        self._assert_singles_identical(service(), service(), tiny_split)
 
     def test_backlog_leaves_in_full_batches(self, serving_bundle, direct, tiny_split):
         """Batch size follows load: N requests that queued while the only
@@ -511,3 +554,21 @@ class TestLoadShedding:
         assert "latency budget" in body["error"]
         assert metrics.counter("gateway_shed_expired") == 1
         assert metrics.counter("gateway_shed") == 1
+
+
+class TestControlPlane:
+    def test_fetch_json_healthz(self, gateway):
+        body = fetch_json("127.0.0.1", gateway.port, "/healthz")
+        assert body["status"] == "ok"
+
+    def test_fetch_json_rejects_error_status(self, gateway):
+        with pytest.raises(ValueError, match="404"):
+            fetch_json("127.0.0.1", gateway.port, "/nope")
+
+    def test_wait_for_gateway_returns_health(self, gateway):
+        body = wait_for_gateway("127.0.0.1", gateway.port, timeout_s=5.0)
+        assert body["store_version"] == 0
+
+    def test_wait_for_gateway_times_out_on_dead_port(self):
+        with pytest.raises(TimeoutError, match="not healthy"):
+            wait_for_gateway("127.0.0.1", _free_port(), timeout_s=0.3)

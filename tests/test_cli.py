@@ -30,13 +30,6 @@ class TestParser:
         assert args.duration == 0.0
         assert args.refresh_every is None
 
-    def test_netload_defaults(self):
-        args = build_parser().parse_args(["netload", "ds.npz"])
-        assert args.port == 8460
-        assert args.processes == 2
-        assert args.mix == "0.7,0.1,0.1,0.1"
-        assert args.output is None
-
     def test_stream_defaults(self):
         args = build_parser().parse_args(["stream", "ds.npz", "model"])
         assert args.windows == 2
@@ -292,10 +285,6 @@ class TestWorkflow:
         assert "promoted=True" in out
         assert "warm item after refresh" in out
 
-    def test_netload_bad_mix_rejected(self, dataset_path):
-        code = main(["netload", str(dataset_path), "--mix", "1,2,3"])
-        assert code == 2
-
     def test_stream_smoke(
         self, dataset_path, serving_model_path, tmp_path, capsys
     ):
@@ -330,14 +319,15 @@ class TestWorkflow:
         )
         assert json.loads(capsys.readouterr().out) == report
 
-    def test_serve_then_netload_over_socket(
-        self, dataset_path, serving_model_path, tmp_path, capsys
+    def test_serve_over_socket(
+        self, dataset_path, serving_model_path, capsys
     ):
-        """The full network path: `sisg serve` on a socket, `sisg netload`
-        driving it (netload polls /healthz, so starting both concurrently
-        is safe)."""
+        """The full network path: `sisg serve` on a socket, driven by the
+        blocking client over real HTTP."""
         import socket
         import threading
+
+        from repro.serving import fetch_json, wait_for_gateway
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -359,28 +349,18 @@ class TestWorkflow:
         )
         server.start()
         try:
-            out_path = tmp_path / "netload.json"
-            code = main(
-                [
-                    "netload",
-                    str(dataset_path),
-                    "--port", str(port),
-                    "--requests", "60",
-                    "--rate", "400",
-                    "--processes", "1",
-                    "--connections", "4",
-                    "--output", str(out_path),
-                ]
-            )
+            wait_for_gateway("127.0.0.1", port)
+            # fetch_json raises on any status but 200.
+            answers = [
+                fetch_json("127.0.0.1", port, f"/recommend?item_id={item}&k=5")
+                for item in range(60)
+            ]
+            metrics = fetch_json("127.0.0.1", port, "/metrics")
         finally:
             server.join(timeout=60.0)
-        assert code == 0  # netload exits 1 when any request errored
         assert serve_code == [0]
-        report = json.loads(out_path.read_text())
-        assert report["ok"] == 60
-        assert report["errors"] == 0
-        counters = report["gateway"]["counters"]
-        assert counters["gateway_coalesced_batches"] > 0
+        assert all(len(answer["items"]) == 5 for answer in answers)
+        assert metrics["counters"]["gateway_coalesced_batches"] > 0
         out = capsys.readouterr().out
         assert "gateway listening on" in out
 

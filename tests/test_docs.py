@@ -1,12 +1,12 @@
 """The prose cites files and flags that exist.
 
-A number in README.md or EXPERIMENTS.md is only as good as the file it
-points at: every ``*.txt`` / ``*.json`` path cited in backticks must be
-in the repository, either as written (from the repo root) or as the tail
-of a checked-in path (``BENCH_memory.json`` names
-``benchmarks/BENCH_memory.json``).  Likewise every ``--flag`` written
-after ``sisg <command>`` must be a flag of that command, so a deleted
-flag cannot stay documented.
+A number in README.md, EXPERIMENTS.md or DESIGN.md is only as good as
+the file it points at: every ``*.txt`` / ``*.json`` path cited in
+backticks must be in the repository, either as written (from the repo
+root) or as the tail of a checked-in path (``BENCH_memory.json`` names
+``benchmarks/BENCH_memory.json``).  Likewise every ``sisg <command>``
+must be a sub-command and every ``--flag`` written after it a flag of
+that command, so a deleted command or flag cannot stay documented.
 """
 
 import argparse
@@ -35,7 +35,7 @@ def repo_files() -> set[str]:
     return files
 
 
-@pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
+@pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md", "DESIGN.md"])
 def test_cited_files_exist(doc):
     files = repo_files()
     cited = set(CITED.findall((ROOT / doc).read_text()))
@@ -62,17 +62,19 @@ def command_flags() -> dict[str, set[str]]:
 
 @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
 def test_documented_flags_exist(doc):
-    """On each line, the flags after ``sisg <command>`` (up to the next
-    ``sisg``) belong to that command."""
+    """On each line, every ``sisg <command>`` is a sub-command and the
+    flags after it (up to the next ``sisg``) belong to that command."""
     flags = command_flags()
     unknown = []
     for number, line in enumerate((ROOT / doc).read_text().splitlines(), 1):
         for part in COMMAND.split(line)[1:]:
             command = part.split()[0].strip("`.,;:)")
-            if command in flags:
-                unknown.extend(
-                    f"{doc}:{number}: sisg {command} {flag}"
-                    for flag in FLAG.findall(part)
-                    if flag not in flags[command]
-                )
-    assert not unknown, f"documented flags the CLI does not have: {unknown}"
+            if command not in flags:
+                unknown.append(f"{doc}:{number}: sisg {command}")
+                continue
+            unknown.extend(
+                f"{doc}:{number}: sisg {command} {flag}"
+                for flag in FLAG.findall(part)
+                if flag not in flags[command]
+            )
+    assert not unknown, f"documented commands/flags the CLI does not have: {unknown}"
