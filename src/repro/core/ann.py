@@ -19,6 +19,7 @@ matrix, so it serves cosine and directional models alike.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.quantize import (
     PRECISIONS,
@@ -74,7 +75,11 @@ def kmeans(
     """Lloyd's k-means with k-means++ seeding.
 
     Returns ``(centroids, assignments)``.  Empty clusters are re-seeded
-    from the points farthest from their current centroid.
+    from the points farthest from their current centroid.  A centroid is
+    its members' sum, added in ascending index order, over their count:
+    the bytes of ``members.mean(axis=0)`` for points of two or more
+    dimensions (``tests/core/test_ann.py`` keeps that per-cluster loop as
+    the reference; numpy sums one-dimensional points pairwise).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     require(vectors.ndim == 2, "vectors must be 2-dimensional")
@@ -101,11 +106,13 @@ def kmeans(
             closest, np.sum((vectors - centroids[c]) ** 2, axis=1)
         )
 
+    sq_norms = np.sum(vectors**2, axis=1)
+    ones = np.ones(n)
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(n_iter):
         # Assignment step (squared Euclidean via the expansion trick).
         d2 = (
-            np.sum(vectors**2, axis=1)[:, None]
+            sq_norms[:, None]
             - 2.0 * vectors @ centroids.T
             + np.sum(centroids**2, axis=1)[None, :]
         )
@@ -114,26 +121,24 @@ def kmeans(
             assignments = new_assignments
             break
         assignments = new_assignments
-        empty = [
-            c
-            for c in range(n_clusters)
-            if not np.any(assignments == c)
-        ]
-        for c in range(n_clusters):
-            members = vectors[assignments == c]
-            if len(members) > 0:
-                centroids[c] = members.mean(axis=0)
-        if empty:
+        # Update step: each cluster's member sum is one CSR row.
+        sizes = np.bincount(assignments, minlength=n_clusters)
+        indicator = sparse.csr_matrix(
+            (ones, np.argsort(assignments, kind="stable"), np.append(0, np.cumsum(sizes))),
+            shape=(n_clusters, n),
+        )
+        filled = sizes > 0
+        centroids[filled] = (indicator @ vectors)[filled] / sizes[filled, None]
+        empty = np.flatnonzero(~filled)
+        if len(empty):
             # Re-seed each empty cluster at a *distinct* badly-served
             # point.  The gap must be measured against the centroids
             # just updated above (``d2`` predates them) and shrunk after
             # every re-seed, or all empties would land on the same point
             # and stay duplicate centroids forever.
-            keep = np.ones(n_clusters, dtype=bool)
-            keep[empty] = False
-            kept = centroids[keep]
+            kept = centroids[filled]
             gap = (
-                np.sum(vectors**2, axis=1)[:, None]
+                sq_norms[:, None]
                 - 2.0 * vectors @ kept.T
                 + np.sum(kept**2, axis=1)[None, :]
             ).min(axis=1)

@@ -70,7 +70,12 @@ from repro.serving.service import (
     MatchRequest,
     MatchResult,
 )
-from repro.serving.store import ModelBundle, ModelStore, build_shard_bundle
+from repro.serving.store import (
+    ModelBundle,
+    ModelStore,
+    build_shard_bundle,
+    popularity_ranking,
+)
 from repro.utils import get_logger, require, require_positive
 
 logger = get_logger("serving.sharding")
@@ -90,15 +95,18 @@ def _build_shards(
 ) -> dict[int, ModelBundle]:
     """``{shard: bundle}`` for ``shards`` of ``item_partition``.
 
-    The full similarity index is built once and sliced per shard.
+    The full similarity index and the click ranking are built once and
+    sliced per shard.
     """
     index = SimilarityIndex(model)
+    popularity = popularity_ranking(dataset)
     return {
         shard: build_shard_bundle(
             model,
             dataset,
             np.flatnonzero(item_partition == shard),
             index=index,
+            popularity=popularity,
             **build_kwargs,
         )
         for shard in shards

@@ -160,6 +160,7 @@ def build_shard_bundle(
     table_coverage: float = 1.0,
     seed: "int | np.random.Generator | None" = 0,
     index: SimilarityIndex | None = None,
+    popularity: "tuple[np.ndarray, np.ndarray] | None" = None,
     ann_precision: str = "float32",
     ann_rerank: int = 4,
     share_memory: bool = False,
@@ -172,8 +173,9 @@ def build_shard_bundle(
     rows, the IVF k-means, quantizer training — and it touches only
     ``shard_items``, so one partition rebuilds without rebuilding the
     world; run it *before* the swap so the swap itself stays O(1).  Pass
-    a prebuilt full ``index`` to amortize vector normalization when
-    building several shards at once.
+    a prebuilt full ``index`` and the dataset's :func:`popularity_ranking`
+    as ``popularity`` to amortize them when building several shards at
+    once.
 
     ``table_coverage < 1.0`` keeps only that fraction of items in the
     candidate table — the rest fall through to the live-ANN tier, like
@@ -224,7 +226,9 @@ def build_shard_bundle(
     # The shard's slice of the *global* click ranking: scores keep their
     # global normalization so per-shard lists merge back into the global
     # ordering by score alone.
-    popular_items, popular_scores = popularity_ranking(dataset)
+    popular_items, popular_scores = (
+        popularity if popularity is not None else popularity_ranking(dataset)
+    )
     mask = np.isin(popular_items, owned)
     popular_items = popular_items[mask][:_POPULAR_LIST_SIZE]
     popular_scores = popular_scores[mask][:_POPULAR_LIST_SIZE]

@@ -301,3 +301,97 @@ class TestQuantizedIVF:
         assert tier["vectors"] == 0 and tier["codes"] > 0
         assert tier["rerank_vectors"] == full["vectors"]
         assert tier["resident"] < full["resident"]
+
+
+def kmeans_loop_reference(vectors, n_clusters, n_iter=25, seed=0):
+    """The per-cluster k-means ``kmeans`` replaced: one boolean scan per
+    cluster for emptiness and one ``members.mean(axis=0)`` per centroid."""
+    from repro.utils import ensure_rng
+
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    rng = ensure_rng(seed)
+    centroids = np.empty((n_clusters, vectors.shape[1]))
+    centroids[0] = vectors[int(rng.integers(n))]
+    closest = np.sum((vectors - centroids[0]) ** 2, axis=1)
+    for c in range(1, n_clusters):
+        total = closest.sum()
+        if total <= 0:
+            centroids[c] = vectors[int(rng.integers(n))]
+            continue
+        centroids[c] = vectors[int(rng.choice(n, p=closest / total))]
+        closest = np.minimum(closest, np.sum((vectors - centroids[c]) ** 2, axis=1))
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(n_iter):
+        d2 = (
+            np.sum(vectors**2, axis=1)[:, None]
+            - 2.0 * vectors @ centroids.T
+            + np.sum(centroids**2, axis=1)[None, :]
+        )
+        new_assignments = np.argmin(d2, axis=1)
+        if np.array_equal(new_assignments, assignments):
+            assignments = new_assignments
+            break
+        assignments = new_assignments
+        empty = [c for c in range(n_clusters) if not np.any(assignments == c)]
+        for c in range(n_clusters):
+            members = vectors[assignments == c]
+            if len(members) > 0:
+                centroids[c] = members.mean(axis=0)
+        if empty:
+            keep = np.ones(n_clusters, dtype=bool)
+            keep[empty] = False
+            kept = centroids[keep]
+            gap = (
+                np.sum(vectors**2, axis=1)[:, None]
+                - 2.0 * vectors @ kept.T
+                + np.sum(kept**2, axis=1)[None, :]
+            ).min(axis=1)
+            for c in empty:
+                worst = int(np.argmax(gap))
+                centroids[c] = vectors[worst]
+                gap = np.minimum(gap, np.sum((vectors - vectors[worst]) ** 2, axis=1))
+    return centroids, assignments
+
+
+class TestKMeansMatchesLoop:
+    """The CSR segment-sum update gives the per-cluster loop's bytes."""
+
+    @staticmethod
+    def assert_same(points, k, seed, reference_seed=None):
+        got = kmeans(points, k, seed=seed)
+        want = kmeans_loop_reference(
+            points, k, seed=seed if reference_seed is None else reference_seed
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points(self, dim, seed):
+        rng = np.random.default_rng([dim, seed])
+        n = int(rng.integers(20, 300))
+        points = rng.normal(size=(n, dim))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        self.assert_same(points, int(rng.integers(1, 30)), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_points_force_reseeds(self, seed):
+        rng = np.random.default_rng(seed)
+        locations = rng.normal(size=(6, 4))
+        points = locations[rng.integers(6, size=90)]
+        self.assert_same(points, 9, seed)
+
+    def test_rigged_empty_clusters(self):
+        points = np.array(
+            [[0.0, 0.0]] * 3 + [[10.0, 0.0], [0.0, 10.0], [20.0, 20.0], [-20.0, 20.0]]
+        )
+        self.assert_same(
+            points, 5, _ScriptedGenerator([0, 1, 2, 3, 4]),
+            reference_seed=_ScriptedGenerator([0, 1, 2, 3, 4]),
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_k_equals_n(self, seed):
+        points = np.random.default_rng(seed).normal(size=(12, 3))
+        self.assert_same(points, 12, seed)

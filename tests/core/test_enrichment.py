@@ -10,7 +10,7 @@ from repro.core.enrichment import (
     user_type_key,
     user_type_token,
 )
-from repro.core.vocab import TokenKind
+from repro.core.vocab import TokenKind, Vocabulary
 from repro.data.schema import (
     ITEM_SI_FEATURES,
     BehaviorDataset,
@@ -199,3 +199,99 @@ class TestAgainstWorldFixture:
         n_si = len(ITEM_SI_FEATURES)
         expected = plain.n_tokens * (1 + n_si) + tiny_dataset.n_sessions
         assert enriched.n_tokens == expected
+
+
+def full_pass_corpus(dataset, with_si=True, with_user_types=True, vocab=None):
+    """The reference encoder: every item, SI and user-type token goes
+    through ``vocab.add`` in catalogue order, and each session is the
+    concatenation of its items' blocks."""
+    vocab = Vocabulary() if vocab is None else vocab
+    blocks = []
+    for item in dataset.items:
+        ids = [vocab.add(item_token(item.item_id), TokenKind.ITEM, item.item_id)]
+        if with_si:
+            for feature in ITEM_SI_FEATURES:
+                value = item.si_values[feature]
+                ids.append(vocab.add(si_token(feature, value), TokenKind.SI, (feature, value)))
+        blocks.append(np.asarray(ids, dtype=np.int64))
+    user_type_ids = [
+        vocab.add(user_type_token(u), TokenKind.USER_TYPE, user_type_key(u))
+        for u in dataset.users
+    ] if with_user_types else []
+    sequences = []
+    for session in dataset.sessions:
+        parts = [blocks[i] for i in session.items]
+        if with_user_types:
+            parts.append(np.asarray([user_type_ids[session.user_id]], dtype=np.int64))
+        sequences.append(np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
+    tokens = np.concatenate(sequences) if sequences else np.empty(0, dtype=np.int64)
+    vocab.add_counts(np.bincount(tokens, minlength=len(vocab)))
+    return vocab, sequences
+
+
+def assert_same_encoding(fast, reference):
+    vocab, sequences = reference
+    assert fast.vocab.to_dict() == vocab.to_dict()
+    assert len(fast.sequences) == len(sequences)
+    for got, want in zip(fast.sequences, sequences):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestExtensionMatchesFullPass:
+    """Extending a vocabulary walks only the items that carry a token it
+    lacks; the vocabulary and the sequences equal a full pass's."""
+
+    @staticmethod
+    def day2(dataset):
+        """New items (one with new SI values, one never clicked), a new
+        user with a brand-new user type, and sessions that click them."""
+        items = list(dataset.items)
+        n = len(items)
+        fresh = {f: 50_000 + k for k, f in enumerate(ITEM_SI_FEATURES)}
+        reused = dict(items[3].si_values)
+        items += [ItemMeta(n, fresh), ItemMeta(n + 1, reused), ItemMeta(n + 2, fresh)]
+        users = [*dataset.users, UserMeta(len(dataset.users), 1, 4, 2, (0, 1, 2, 3, 4, 5))]
+        sessions = [
+            Session(len(users) - 1, [n, 5, n + 1]),
+            Session(0, [n + 1, n + 1]),
+            Session(1, []),
+            *dataset.sessions[:40],
+        ]
+        return BehaviorDataset(items, users, sessions, validate=False)
+
+    @pytest.mark.parametrize(
+        "before", [(True, True), (False, True), (True, False), (False, False)],
+        ids=["si-ut", "no-si", "no-ut", "plain"],
+    )
+    @pytest.mark.parametrize("after", [(True, True), (False, False)], ids=["si-ut", "plain"])
+    def test_extension(self, tiny_dataset, before, after):
+        day2 = self.day2(tiny_dataset)
+        flags = dict(with_si=after[0], with_user_types=after[1])
+        base = build_enriched_corpus(
+            tiny_dataset, with_si=before[0], with_user_types=before[1]
+        ).vocab
+        fast = build_enriched_corpus(day2, vocab=base.copy(), **flags)
+        assert_same_encoding(fast, full_pass_corpus(day2, vocab=base.copy(), **flags))
+
+    def test_known_item_registers_its_si_tokens(self, tiny_dataset):
+        base = build_enriched_corpus(tiny_dataset, with_si=False).vocab
+        corpus = build_enriched_corpus(tiny_dataset, vocab=base.copy())
+        first = tiny_dataset.items[0]
+        for feature in ITEM_SI_FEATURES:
+            assert si_token(feature, first.si_values[feature]) in corpus.vocab
+        assert_same_encoding(corpus, full_pass_corpus(tiny_dataset, vocab=base.copy()))
+
+    @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True)])
+    def test_fresh_vocabulary(self, tiny_dataset, flags):
+        kwargs = dict(with_si=flags[0], with_user_types=flags[1])
+        assert_same_encoding(
+            build_enriched_corpus(tiny_dataset, **kwargs),
+            full_pass_corpus(tiny_dataset, **kwargs),
+        )
+
+    def test_empty_and_sessionless(self):
+        ds = tiny_dataset()
+        for sessions in ([], [Session(1, []), Session(0, [])]):
+            empty = BehaviorDataset(ds.items, ds.users, sessions, validate=False)
+            assert_same_encoding(build_enriched_corpus(empty), full_pass_corpus(empty))

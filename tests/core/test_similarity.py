@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import EmbeddingModel
-from repro.core.similarity import SimilarityIndex, _order_key
+from repro.core.similarity import SimilarityIndex, _order_key, _select_topk
 from repro.core.vocab import TokenKind, Vocabulary
 
 
@@ -195,3 +195,29 @@ class TestOnTrainedModel:
         for row, q in enumerate(queries):
             single, _ = index.topk(int(q), k=7)
             np.testing.assert_array_equal(batch[row, : len(single)], single)
+
+
+class TestSelectTopkMatchesLexsort:
+    """``_select_topk`` picks the unique first ``kk`` under ``(-score, id)``
+    on tie-heavy rows, with ties straddling the cut, ``kk = 1`` and
+    ``kk = n``."""
+
+    @pytest.mark.parametrize("kk", [1, 2, 9, 39, 40])
+    @pytest.mark.parametrize("per_row_ids", [False, True])
+    @pytest.mark.parametrize("masked", [0.1, 0.8])
+    def test_set_is_the_lexsort_prefix(self, kk, per_row_ids, masked):
+        """``masked`` is the share of -inf scores (an IVF batch masks
+        most of each row)."""
+        rng = np.random.default_rng(kk)
+        scores = rng.integers(0, 4, size=(30, 40)).astype(np.float32)
+        scores[rng.random(scores.shape) < masked] = -np.inf
+        ids = (
+            np.stack([rng.permutation(40) for _ in range(30)])
+            if per_row_ids else rng.permutation(40)
+        )
+        top, top_scores = _select_topk(scores, ids, kk)
+        np.testing.assert_array_equal(np.take_along_axis(scores, top, axis=1), top_scores)
+        for q in range(len(scores)):
+            row_ids = ids[q] if per_row_ids else ids
+            want = np.lexsort((row_ids, -scores[q]))[:kk]
+            assert sorted(top[q].tolist()) == sorted(want.tolist())

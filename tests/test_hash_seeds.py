@@ -5,7 +5,8 @@ hashes keys with it, or walks a set on a byte-identity path, can pass
 under one seed and fail under the next.  The cache, gateway-coalescing
 and sharding-merge suites run here in a subprocess under three fixed
 seeds, and ``src/`` may not call the builtin ``hash``.  One train →
-build → serve run digests to the same bytes under the same seeds.
+build → serve run, a warm start and a streamed window digest to the same
+bytes under the same seeds.
 """
 
 import os
@@ -29,8 +30,10 @@ SUITES = [
 HASH_SEEDS = ["0", "24", "27"]
 
 #: Trains a small SISG-F-U-D, serves a fixed request list (every tier,
-#: singles then one batch of cache hits) and prints one SHA-256 over the
-#: weights, the vocabulary and every answer, then the tiers it reached.
+#: singles then one batch of cache hits), warm-starts it on a second day
+#: and applies one stream window to the live store, then prints one
+#: SHA-256 over the weights, the vocabulary, every answer and both
+#: warm-started generations, then the tiers it reached.
 END_TO_END = textwrap.dedent(
     """
     import hashlib
@@ -38,11 +41,14 @@ END_TO_END = textwrap.dedent(
 
     import numpy as np
 
+    from repro.core.incremental import incremental_update
     from repro.core.sisg import SISG
+    from repro.data.schema import BehaviorDataset
     from repro.data.synthetic import SyntheticWorld, SyntheticWorldConfig
     from repro.serving import (
         LoadMix, MatchingService, ModelStore, build_bundle, synth_requests,
     )
+    from repro.streaming import EventLog, StreamApplier, SyntheticEventStream
 
     world = SyntheticWorld(SyntheticWorldConfig(n_items=300, n_users=120), seed=5)
     dataset = world.generate_dataset(n_sessions=800)
@@ -56,13 +62,31 @@ END_TO_END = textwrap.dedent(
     results = [service.recommend(r, k=10) for r in requests]
     results += service.recommend_batch(requests, k=10)
 
+    day1 = BehaviorDataset(
+        dataset.items, dataset.users,
+        world.generate_sessions(dataset.users, 200), validate=False,
+    )
+    warm = incremental_update(model, day1, seed=1)
+    log = EventLog()
+    applier = StreamApplier(service, log, day1, seed=2)
+    log.extend(SyntheticEventStream(day1, events_per_window=96, seed=4).window())
+    assert all(report.applied for report in applier.run_pending())
+    (streamed,) = service.store.snapshot()
+
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(model.w_in).tobytes())
-    digest.update(np.ascontiguousarray(model.w_out).tobytes())
-    digest.update(json.dumps(model.vocab.to_dict(), sort_keys=True).encode())
+
+    def add(*arrays):
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array).tobytes())
+
+    for m in (model, warm, streamed.model):
+        add(m.w_in, m.w_out, m.vocab.counts)
+        digest.update(json.dumps(m.vocab.to_dict(), sort_keys=True).encode())
     for result in results:
-        digest.update(np.ascontiguousarray(result.items).tobytes())
-        digest.update(np.ascontiguousarray(result.scores).tobytes())
+        add(result.items, result.scores)
+    table = streamed.table
+    add(table._items, table._candidates, table._scores, streamed.ann._centroids,
+        *streamed.ann._cells, streamed.popular_items, streamed.popular_scores)
     print(digest.hexdigest())
     print(" ".join(sorted({result.tier for result in results})))
     """
