@@ -551,11 +551,14 @@ def _build_service(args: argparse.Namespace) -> _Stack:
 
 def _hot_swap(stack: _Stack, seed: int) -> None:
     """Rebuild shard 0 — the whole catalogue when there is one shard —
-    and swap it in; any other shard keeps serving untouched."""
+    and promote it with its catalogue; any other shard keeps serving
+    untouched."""
+    from repro.serving.sharding import promote
+
     bundles, _ = stack.service.store.build_generation(
         stack.model, stack.dataset, shards=[0], **_bundle_kwargs(stack.args, seed)
     )
-    stack.service.swap_shard(0, bundles[0])
+    promote(stack.service, bundles, catalogue=stack.dataset)
 
 
 def _next_generation(

@@ -4,17 +4,21 @@ The paper's deployment recomputes *all* embeddings daily (Sec. V); EGES
 (KDD'18) describes the same cadence — an offline build feeding an online
 swap every night.  Every promotion here, a nightly cycle or a stream
 window (a refresh whose day is the window), is one
-:func:`promotion_step`: warm start → drift gate → build → flip.  Every
-bundle is built before the first pointer flip, so a failure anywhere
-leaves every shard on the previous generation.
+:func:`promotion_step` under the store's writer lock: read the live
+model and catalogue → warm start → drift gate → build → flip bundles,
+partition and catalogue together.  The live state lives only in the
+store, so the nightly and the stream are two schedules of one writer.
+Every bundle is built before the first pointer flip, so a failure
+anywhere leaves every shard on the previous generation.
 
 :class:`RefreshDaemon` runs that step on a :class:`PeriodicLoop` and
-adds what only a nightly job needs: **retry with exponential backoff +
-jitter** (up to ``max_retries`` per cycle), a **circuit breaker** (after
-``failure_threshold`` consecutive failed cycles it stops attempting and
-the old generation keeps serving until :meth:`RefreshDaemon.reset_breaker`),
-and a drift gate that fails the cycle without retrying — a large
-day-over-day drift usually means bad input data.
+adds what only a nightly job needs: ingest, **retry with exponential
+backoff + jitter** (up to ``max_retries`` per cycle), a **circuit
+breaker** (after ``failure_threshold`` consecutive failed cycles it stops
+attempting and the old generation keeps serving until
+:meth:`RefreshDaemon.reset_breaker`), and a drift gate that fails the
+cycle without retrying — a large day-over-day drift usually means bad
+input data.
 
 Observability flows through the shared
 :class:`~repro.serving.metrics.ServingMetrics`: per-phase latency
@@ -37,23 +41,17 @@ from typing import Callable
 import numpy as np
 
 from repro.core.incremental import embedding_drift, incremental_update
-from repro.core.model import EmbeddingModel
 from repro.core.sgns import SGNSConfig
 from repro.core.vocab import TokenKind
 from repro.data.schema import BehaviorDataset
 from repro.serving.metrics import ServingMetrics
-from repro.serving.sharding import freshest_model, promote, serving_target
+from repro.serving.sharding import promote, serving_target
 # bench/trace.py wraps this module's bindings of the two builders.
 from repro.serving.sharding import build_shard_bundle  # noqa: F401
 from repro.serving.store import build_bundle  # noqa: F401
 from repro.utils import ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("serving.refresh")
-
-#: Phase names, in cycle order (also the histogram names, prefixed
-#: ``refresh_``).
-PHASES: tuple[str, ...] = ("ingest", "train", "build", "promote")
-
 
 @dataclass
 class PromotionConfig:
@@ -141,10 +139,6 @@ class RefreshReport:
     error: str | None = None
     aborted_by: str | None = None  # "drift_gate" | "circuit_breaker" | None
 
-    @property
-    def ok(self) -> bool:
-        return self.promoted
-
     def as_dict(self) -> dict:
         """JSON-serializable form (used by CLI / bench reports)."""
         return asdict(self)
@@ -163,32 +157,31 @@ class DriftGateError(RuntimeError):
 
 def promotion_step(
     target,
-    previous: EmbeddingModel,
-    dataset: BehaviorDataset,
     config: PromotionConfig,
     rng: np.random.Generator,
-    plan: "Callable[[], tuple[object, np.ndarray, bool]]",
+    inputs: "Callable[[BehaviorDataset | None], tuple[BehaviorDataset, ...]]",
+    plan: "Callable[[BehaviorDataset], tuple[object, np.ndarray | None, bool]]",
     *,
-    catalogue: "BehaviorDataset | None" = None,
     gate=None,
     enter: "Callable[[str], None] | None" = None,
     phase_seconds: "dict[str, float] | None" = None,
-) -> "tuple[EmbeddingModel, float, list[int] | int, dict[str, float]]":
-    """One promotion: warm start → drift gate → build → promote.
+) -> "tuple[float, list[int] | int]":
+    """One promotion: live state → warm start → drift gate → build → promote.
 
-    Trains ``previous`` on ``dataset``, measures the drift and raises
-    :class:`DriftGateError` when it is over ``config.drift_threshold``;
-    then builds the next generation from ``catalogue`` (default:
-    ``dataset`` — a day is both; a window trains on its own clicks and
-    builds the whole catalogue) and flips it onto ``target`` inside
-    ``gate``.  ``plan()`` runs once the gate has passed and returns the
-    ``(shards, partition, allow_moves)`` of the build and the flip.
+    Runs under the store's ``writer_lock``, so it promotes from the
+    generation it read.  ``inputs(catalogue)`` maps the live catalogue
+    (``None`` until a promotion installs one) to ``(train_on,
+    catalogue)``; the live model trains on ``train_on``, and
+    :class:`DriftGateError` is raised when the drift is over
+    ``config.drift_threshold``.  ``plan(catalogue)`` then returns the
+    ``(shards, partition, allow_moves)`` of the build, and the bundles,
+    partition and catalogue flip onto ``target`` inside ``gate``.
 
     ``enter(phase)`` runs as each of ``train`` / ``build`` / ``promote``
     starts (raising from it fails the step), and each phase's seconds
     land in ``phase_seconds`` as it ends, so a failed step still shows
     how far it got.  Nothing is flipped unless every phase before the
-    flip succeeded.  Returns ``(model, drift, versions, phase_seconds)``.
+    flip succeeded.  Returns ``(drift, versions)``.
     """
     store, _ = serving_target(target)
     phase_seconds = {} if phase_seconds is None else phase_seconds
@@ -198,27 +191,47 @@ def promotion_step(
             enter(phase)
         return time.perf_counter()
 
-    began = start("train")
-    updated = incremental_update(
-        previous, dataset, config=config.train_config, lr_decay=config.lr_decay, seed=rng
-    )
-    drift = embedding_drift(previous, updated, kind=TokenKind.ITEM)
-    if config.drift_threshold is not None and drift > config.drift_threshold:
-        raise DriftGateError(drift, config.drift_threshold)
-    phase_seconds["train"] = time.perf_counter() - began
+    with store.writer_lock:
+        previous = store.model
+        dataset, catalogue = inputs(store.catalogue)
 
-    began = start("build")
-    shards, partition, allow_moves = plan()
-    built = dataset if catalogue is None else catalogue
-    artifacts = store.build_generation(
-        updated, built, shards=shards, partition=partition, **config.build_kwargs
-    )
-    phase_seconds["build"] = time.perf_counter() - began
+        began = start("train")
+        updated = incremental_update(
+            previous, dataset, config=config.train_config,
+            lr_decay=config.lr_decay, seed=rng,
+        )
+        drift = embedding_drift(previous, updated, kind=TokenKind.ITEM)
+        if config.drift_threshold is not None and drift > config.drift_threshold:
+            raise DriftGateError(drift, config.drift_threshold)
+        phase_seconds["train"] = time.perf_counter() - began
 
-    began = start("promote")
-    versions = promote(target, *artifacts, allow_moves=allow_moves, gate=gate)
-    phase_seconds["promote"] = time.perf_counter() - began
-    return updated, drift, versions, phase_seconds
+        began = start("build")
+        shards, partition, allow_moves = plan(catalogue)
+        artifacts = store.build_generation(
+            updated, catalogue, shards=shards, partition=partition, **config.build_kwargs
+        )
+        phase_seconds["build"] = time.perf_counter() - began
+
+        began = start("promote")
+        versions = promote(
+            target, *artifacts, allow_moves=allow_moves, gate=gate, catalogue=catalogue
+        )
+        phase_seconds["promote"] = time.perf_counter() - began
+    return drift, versions
+
+
+def place_new_items(store, n_items: int) -> np.ndarray:
+    """The live item -> shard map extended to ``n_items``: every item
+    keeps its shard, and each newly listed one goes to the shard that
+    owns the fewest items at that point."""
+    old = store.item_partition
+    assignment = np.empty(n_items, dtype=np.int64)
+    assignment[: len(old)] = old
+    loads = np.bincount(old, minlength=store.n_shards)
+    for item in range(len(old), n_items):
+        assignment[item] = shard = int(np.argmin(loads))
+        loads[shard] += 1
+    return assignment
 
 
 class PeriodicLoop:
@@ -341,7 +354,6 @@ class RefreshDaemon:
         self._fault_hook = fault_hook
         self._promote_gate = promote_gate
         self._rng = ensure_rng(seed)
-        self._model = freshest_model(self._store.snapshot())
 
         self._lock = threading.Lock()
         self._loop = PeriodicLoop("refresh-daemon")
@@ -366,11 +378,6 @@ class RefreshDaemon:
     def breaker_open(self) -> bool:
         """Whether the consecutive-failure circuit breaker has tripped."""
         return self._breaker_open
-
-    @property
-    def model(self) -> EmbeddingModel:
-        """The model of the live generation (updates on promotion)."""
-        return self._model
 
     @property
     def history(self) -> list[RefreshReport]:
@@ -515,11 +522,14 @@ class RefreshDaemon:
         try:
             enter("ingest")
             start = time.perf_counter()
-            dataset = self._dataset_source(cycle)
+            day = self._dataset_source(cycle)
             phase_seconds["ingest"] = time.perf_counter() - start
-            self._model, drift, versions, _ = promotion_step(
-                self._target, self._model, dataset, self._config, self._rng,
-                lambda: (None, self._extend_partition(dataset), False),
+            drift, versions = promotion_step(
+                self._target, self._config, self._rng,
+                lambda live: (_day_over(live, day),) * 2,
+                lambda catalogue: (
+                    None, place_new_items(self._store, catalogue.n_items), False
+                ),
                 gate=self._promote_gate, enter=enter, phase_seconds=phase_seconds,
             )
         finally:
@@ -529,13 +539,6 @@ class RefreshDaemon:
             "cycle %d promoted generation %s (drift=%.4f)", cycle, versions, drift
         )
         return drift, versions, phase_seconds
-
-    def _extend_partition(self, dataset: BehaviorDataset) -> np.ndarray:
-        """Today's item -> shard map: old items keep their shard, newly
-        listed items are spread round-robin."""
-        old = self._store.item_partition
-        listed = np.arange(len(old), dataset.n_items) % self._store.n_shards
-        return np.concatenate([old, listed])
 
     # ------------------------------------------------------------------
     # the background thread
@@ -562,6 +565,18 @@ class RefreshDaemon:
 
     def __exit__(self, *_exc) -> None:
         self.stop()
+
+
+def _day_over(live: "BehaviorDataset | None", day: BehaviorDataset) -> BehaviorDataset:
+    """A nightly's one dataset: the live items and users (the live entry
+    wins) extended by any the day lists, and the day's own sessions."""
+    if live is None:
+        return day
+    return BehaviorDataset(
+        [*live.items, *day.items[live.n_items:]],
+        [*live.users, *day.users[live.n_users:]],
+        day.sessions, validate=False,
+    )
 
 
 def bootstrap_day_source(

@@ -51,6 +51,7 @@ shards the catalogue is cut into.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Iterable, Sequence
 
@@ -152,6 +153,10 @@ class ShardedModelStore:
         )
         self._stores = [ModelStore(bundle) for bundle in bundles]
         self._item_partition = item_partition
+        self._latest = 0  # the shard swapped last holds the newest model
+        # As on ModelStore; :meth:`build` records its dataset.
+        self.catalogue: BehaviorDataset | None = None
+        self.writer_lock = threading.RLock()
 
     @classmethod
     def build(
@@ -165,7 +170,9 @@ class ShardedModelStore:
         bundles, assignment = build_shard_bundles(
             model, dataset, partition, **build_kwargs
         )
-        return cls(bundles, assignment)
+        store = cls(bundles, assignment)
+        store.catalogue = dataset
+        return store
 
     @property
     def n_shards(self) -> int:
@@ -247,12 +254,19 @@ class ShardedModelStore:
         """One consistent per-request view: every shard's live bundle."""
         return tuple(store.current() for store in self._stores)
 
+    @property
+    def model(self) -> EmbeddingModel:
+        """The model last swapped in: the next promotion's warm start
+        (per-shard versions cannot order generations across shards)."""
+        return self._stores[self._latest].current().model
+
     def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
         """Install ``bundle`` as shard ``shard_id``'s live generation.
 
         Other shards are untouched; returns the shard's old bundle.
         """
         old = self._stores[shard_id].swap(bundle)
+        self._latest = shard_id
         logger.info(
             "shard %d swapped v%d -> v%d (others untouched)",
             shard_id,
@@ -760,6 +774,7 @@ def promote(
     partition: np.ndarray | None = None,
     allow_moves: bool = False,
     gate=None,
+    catalogue: BehaviorDataset | None = None,
 ) -> "list[int] | int":
     """The flip protocol: install ``{shard: bundle}`` on ``target``.
 
@@ -771,15 +786,17 @@ def promote(
     2. install the new ``partition`` map (sharded stores; ``None`` keeps
        the current one) — *after* the swaps, so a reader sees (old map,
        old bundles) or (new map, new bundles), never a moved item's new
-       owner without its bundle;
+       owner without its bundle — and the ``catalogue`` the generation
+       was built from (``None`` keeps the current one);
     3. release the retired generation only after the last flip: its
        zero-copy segments may be shared across shard bundles (the model
        matrices), and release is unlink-only — readers still holding a
        snapshot keep valid pages until their references drop.
 
-    With a ``gate`` (the network gateway's swap gate) all of it runs
-    inside one ``gate(flip)`` call, i.e. only while no coalesced batch
-    is in flight.  Returns the store's ``version`` after the flip.
+    It runs under the store's ``writer_lock`` and, with a ``gate`` (the
+    network gateway's swap gate), inside one ``gate(flip)`` call, i.e.
+    only while no coalesced batch is in flight.  Returns the store's
+    ``version`` after the flip.
     """
     store, _ = serving_target(target)
 
@@ -789,8 +806,11 @@ def promote(
         ]
         if partition is not None:
             store.update_partition(partition, allow_moves=allow_moves)
+        if catalogue is not None:
+            store.catalogue = catalogue
         for bundle in retired:
             bundle.release()
         return store.version
 
-    return flip() if gate is None else gate(flip)
+    with store.writer_lock:
+        return flip() if gate is None else gate(flip)

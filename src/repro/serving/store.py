@@ -268,6 +268,8 @@ class ModelStore:
     ``shard_of()``, ``build_generation()`` and ``swap_shard()`` are the
     read/build/flip interface the matching service, the refresh daemon,
     the stream applier and the promotion protocol are written against.
+    The live state a writer promotes from — ``model``, ``catalogue``
+    and the partition — lives here and nowhere else.
     """
 
     n_shards = 1
@@ -277,6 +279,11 @@ class ModelStore:
         self._bundle = replace(bundle, version=max(bundle.version, 0))
         self._swapped_at = time.time()
         self._swapped_monotonic = time.monotonic()
+        #: The dataset the live generation was built from (items, users,
+        #: sessions); ``None`` until a ``promote`` installs one.
+        self.catalogue: BehaviorDataset | None = None
+        #: Held by every writer from reading the live state to the flip.
+        self.writer_lock = threading.RLock()
 
     def current(self) -> ModelBundle:
         """The live bundle (an immutable snapshot; safe to hold)."""
@@ -287,6 +294,11 @@ class ModelStore:
     def snapshot(self) -> tuple[ModelBundle, ...]:
         """The per-request view: a one-bundle tuple."""
         return (self._bundle,)
+
+    @property
+    def model(self) -> EmbeddingModel:
+        """The live generation's model: the next promotion's warm start."""
+        return self._bundle.model
 
     def shard_of(self, item_id: int) -> int:
         """Every item id is owned by the one shard.

@@ -5,7 +5,7 @@ nightly cycle's :func:`~repro.serving.refresh.promotion_step` on it,
 scoped to what the window touched:
 
 1. **grow** — events for never-seen items (they arrive carrying their
-   Table-I side information) extend the item catalogue; the window's
+   Table-I side information) extend the live catalogue; the window's
    clicks are sessionized and warm-started on, which grows the
    vocabulary online and places new items at their Eq. 6 cold vectors;
 2. **gate** — a window over the drift threshold (poisoned events, a
@@ -16,16 +16,13 @@ scoped to what the window touched:
    clicked/new/moved items); newly hot items are re-routed across HBGP
    shards incrementally — individual moves, never a full re-partition.
 
-The window's catalogue growth, sessions and click counts become the
-applier's state only after the flip, so a window that fails anywhere
-leaves them untouched.
-
-Coexistence with the nightly :class:`~repro.serving.refresh.RefreshDaemon`:
-before every window the applier compares the store's generation against
-the one it last produced.  A mismatch means a nightly promote landed
-underneath it, so it **resyncs** — re-seeds its model from the live
-generation, drops accumulated stream state ("nightly wins"), and resets
-its log cursor to the head.
+The applier holds no model or catalogue of its own: each window reads
+the live ones from the store under its writer lock and installs the
+grown catalogue in its own flip.  A window that fails changes nothing,
+and a nightly :class:`~repro.serving.refresh.RefreshDaemon` promotion
+(or any other flip) is simply the next window's base.  The applier keeps
+only policy: the cursor and watermark, quarantine, and the streamed
+click tallies that drive rebalancing.
 
 Delivery from the :class:`~repro.streaming.events.EventLog` is
 at-least-once; a replayed window (same ``[start, end)`` range) at or
@@ -58,10 +55,11 @@ from repro.serving.refresh import (
     DriftGateError,
     PeriodicLoop,
     PromotionConfig,
+    place_new_items,
     promotion_step,
 )
 from repro.serving.sharding import build_shard_bundle  # noqa: F401
-from repro.serving.sharding import freshest_model, serving_target
+from repro.serving.sharding import serving_target
 from repro.serving.store import build_bundle  # noqa: F401
 from repro.streaming.events import EventLog
 from repro.streaming.window import EventWindow, MicroBatchWindower, sessionize
@@ -129,7 +127,6 @@ class WindowReport:
     applied: bool = False
     duplicate: bool = False
     quarantined: bool = False
-    resynced: bool = False
     drift: "float | None" = None
     moves: list = field(default_factory=list)
     versions: "list[int] | int | None" = None
@@ -162,8 +159,9 @@ class StreamApplier:
     log:
         The shared :class:`~repro.streaming.events.EventLog`.
     dataset:
-        The catalogue/session state the live generation was built from;
-        the applier extends a private copy of it window by window.
+        The catalogue the live generation was built from, used only
+        until the store holds one (a store built by hand from a bundle
+        has none until its first promotion).
     config, metrics:
         Apply-loop knobs and the metrics sink (defaults to the service's
         own metrics, so one ``snapshot()`` shows serving and streaming).
@@ -192,18 +190,14 @@ class StreamApplier:
         self._promote_gate = promote_gate
         self._rng = ensure_rng(seed)
 
-        self._items = list(dataset.items)
-        self._users = list(dataset.users)
-        self._base_sessions = list(dataset.sessions)
-        self._sessions = list(self._base_sessions)
-        self._stream_clicks = np.zeros(len(self._items), dtype=np.int64)
+        self._dataset = dataset
+        #: Streamed clicks per item, the rebalance policy's load signal.
+        self._stream_clicks = np.zeros(0, dtype=np.int64)
 
         self._windower = MicroBatchWindower(
             log, cursor=self._config.cursor, max_events=self._config.window_events
         )
         self._applied_through = log.position(self._config.cursor)
-        self._model = freshest_model(self._store.snapshot())
-        self._expected = self._store.version
         self._last_apply_monotonic = time.monotonic()
 
         self._apply_lock = threading.Lock()
@@ -225,20 +219,18 @@ class StreamApplier:
 
     @property
     def model(self) -> EmbeddingModel:
-        """The model behind the last streamed (or resynced) generation."""
-        return self._model
+        """The live generation's model."""
+        return self._store.model
 
     @property
     def dataset(self) -> BehaviorDataset:
-        """The cumulative catalogue + sessions the applier has built up."""
-        with self._state_lock:
-            items, users, sessions = self._items, self._users, self._sessions
-        return BehaviorDataset(list(items), list(users), list(sessions), validate=False)
+        """The live catalogue (items, users, sessions)."""
+        live = self._store.catalogue
+        return self._dataset if live is None else live
 
     @property
     def catalogue_size(self) -> int:
-        with self._state_lock:
-            return len(self._items)
+        return self.dataset.n_items
 
     @property
     def history(self) -> list[WindowReport]:
@@ -248,35 +240,6 @@ class StreamApplier:
     @property
     def windows_applied(self) -> int:
         return sum(1 for report in self.history if report.applied)
-
-    # ------------------------------------------------------------------
-    # reconcile with the nightly refresh
-    # ------------------------------------------------------------------
-
-    def _maybe_resync(self) -> bool:
-        """Detect an external (nightly) promote and yield to it.
-
-        The nightly generation was built from the full day's data — it
-        supersedes every streamed delta.  Re-seed the model from the
-        live store, drop accumulated stream sessions and click counts,
-        and reset the cursor to the log head: events already appended
-        are presumed folded into the nightly build.
-        """
-        if self._store.version == self._expected:
-            return False
-        self._model = freshest_model(self._store.snapshot())
-        with self._state_lock:
-            self._sessions = list(self._base_sessions)
-            self._stream_clicks = np.zeros(len(self._items), dtype=np.int64)
-        head = self._log.reset(self._config.cursor)
-        self._applied_through = head
-        self._expected = self._store.version
-        self._metrics.incr("stream_resyncs")
-        logger.info(
-            "external promote detected (now %s); stream resynced to offset %d",
-            self._expected, head,
-        )
-        return True
 
     # ------------------------------------------------------------------
     # the apply loop
@@ -290,12 +253,10 @@ class StreamApplier:
         cannot wedge the stream.
         """
         with self._apply_lock:
-            resynced = self._maybe_resync()
             window = self._windower.next_window()
             if window is None:
                 return None
             report = self._apply_window(window)
-            report.resynced = resynced or report.resynced
         with self._state_lock:
             self._history.append(report)
         self._loop.notify()
@@ -346,12 +307,22 @@ class StreamApplier:
         require(clicked.min(initial=0) >= 0, "window carries a negative item id")
         sessions = sessionize(events, max_len=self._config.max_session_len)
         report.n_sessions = len(sessions)
-        items, users, report.new_items = self._extend_catalogue(window)
-        all_sessions = self._sessions + sessions
-        clicks = np.bincount(clicked, minlength=len(items))
-        clicks[: len(self._stream_clicks)] += self._stream_clicks
+        clicks = self._stream_clicks
 
-        def plan() -> "tuple[set[int], np.ndarray, bool]":
+        def inputs(live: "BehaviorDataset | None"):
+            live = self._dataset if live is None else live
+            items, users, report.new_items = self._extend_catalogue(live, window)
+            return (
+                BehaviorDataset(items, users, sessions, validate=False),
+                BehaviorDataset(
+                    items, users, [*live.sessions, *sessions], validate=False
+                ),
+            )
+
+        def plan(catalogue: BehaviorDataset) -> "tuple[set[int], np.ndarray, bool]":
+            nonlocal clicks
+            clicks = np.bincount(clicked, minlength=catalogue.n_items)
+            clicks[: len(self._stream_clicks)] += self._stream_clicks
             assignment, report.moves = self._plan_partition(clicks)
             if report.moves:
                 self._metrics.incr("stream_moves", len(report.moves))
@@ -359,11 +330,8 @@ class StreamApplier:
             return touched, assignment, bool(report.moves)
 
         try:
-            model, report.drift, versions, _ = promotion_step(
-                self._target, self._model,
-                BehaviorDataset(items, users, sessions, validate=False),
-                self._config, self._rng, plan,
-                catalogue=BehaviorDataset(items, users, all_sessions, validate=False),
+            report.drift, versions = promotion_step(
+                self._target, self._config, self._rng, inputs, plan,
                 gate=self._promote_gate, phase_seconds=report.phase_seconds,
             )
         except DriftGateError as exc:
@@ -373,13 +341,7 @@ class StreamApplier:
             if report.drift is not None:
                 self._metrics.set_gauge("stream_last_drift", report.drift)
 
-        # Flipped: only now does the window's state become the applier's.
-        with self._state_lock:
-            self._items, self._users = items, users
-            self._sessions = all_sessions
-            self._stream_clicks = clicks
-        self._model = model
-        self._expected = versions
+        self._stream_clicks = clicks
         self._applied_through = window.end
         self._windower.commit(window)
         self._last_apply_monotonic = time.monotonic()
@@ -396,18 +358,15 @@ class StreamApplier:
             len(report.new_items), report.drift, versions,
         )
 
+    @staticmethod
     def _extend_catalogue(
-        self, window: EventWindow
+        live: BehaviorDataset, window: EventWindow
     ) -> "tuple[list[ItemMeta], list[UserMeta], list[int]]":
-        """Candidate catalogue copies including the window's new entities.
-
-        Returned as *candidates* — committed to the applier's state only
-        after the window's generation is flipped, so a window that fails
-        anywhere can never poison the catalogue either.
-        """
-        n_items = len(self._items)
+        """Copies of the live items and users plus the window's new ones;
+        they become store state only in the window's own flip."""
+        n_items = live.n_items
         described: dict[int, dict] = {}
-        max_user = len(self._users) - 1
+        max_user = live.n_users - 1
         for event in window.events:
             if event.item_id >= n_items:
                 if event.si_values is not None:
@@ -427,19 +386,17 @@ class StreamApplier:
                     f"new item ids {new_ids} do not extend the catalogue"
                     f" contiguously from {n_items}"
                 )
-        cand_items = self._items + [
-            ItemMeta(item_id, described[item_id]) for item_id in new_ids
-        ]
+        items = [*live.items] + [ItemMeta(i, described[i]) for i in new_ids]
 
-        growth = max_user + 1 - len(self._users)
+        growth = max_user + 1 - live.n_users
         require(
             growth <= MAX_USER_GROWTH,
             f"window grows the user space by {growth} (> {MAX_USER_GROWTH})",
         )
-        cand_users = self._users + [
-            _synthetic_user(uid) for uid in range(len(self._users), max_user + 1)
+        users = [*live.users] + [
+            _synthetic_user(uid) for uid in range(live.n_users, max_user + 1)
         ]
-        return cand_items, cand_users, new_ids
+        return items, users, new_ids
 
     # ------------------------------------------------------------------
     # build + promote
@@ -470,16 +427,8 @@ class StreamApplier:
         is taken only if it lowers the hottest shard's load (no
         oscillation).
         """
-        old = self._store.item_partition
+        assignment = place_new_items(self._store, len(clicks))
         n_shards = self._store.n_shards
-        n_items = len(clicks)
-        assignment = np.empty(n_items, dtype=np.int64)
-        assignment[: len(old)] = old
-        loads = np.bincount(old, minlength=n_shards)
-        for item in range(len(old), n_items):
-            shard = int(np.argmin(loads))
-            assignment[item] = shard
-            loads[shard] += 1
 
         moves: list[tuple[int, int, int]] = []
         if self._config.rebalance_ratio is None or n_shards < 2:

@@ -1,5 +1,6 @@
 """Tests for the stream applier: grow, gate, promote, reconcile."""
 
+import copy
 import threading
 import time
 
@@ -10,6 +11,7 @@ from repro.core import item_token
 from repro.core.sgns import SGNSConfig
 from repro.core.vocab import TokenKind
 from repro.serving import build_bundle
+from repro.serving import refresh as refresh_module
 from repro.streaming import ClickEvent, EventLog, SyntheticEventStream
 
 
@@ -153,40 +155,48 @@ class TestQuarantine:
 
 
 class TestReconcile:
-    def test_external_promote_triggers_resync(self, live, make_applier):
+    def test_raw_swap_is_the_next_windows_base(
+        self, live, make_applier, monkeypatch
+    ):
+        """A flip the applier did not make is simply the next window's
+        base: its model is the warm start, and nothing is reset or dropped."""
         train, store, service = live
         stream = SyntheticEventStream(train, new_items_per_window=1, seed=5)
         log = EventLog()
         applier = make_applier(service, train, log=log)
         log.extend(stream.window())
         drain(applier)
-        grown = applier.catalogue_size
-        assert grown > train.n_items
-        assert applier.dataset.n_sessions > train.n_sessions
+        catalogue = applier.dataset
+        assert catalogue.n_items > train.n_items
+        assert catalogue.n_sessions > train.n_sessions
 
-        # A nightly promote lands underneath the applier; events already
-        # in the log are presumed folded into the new full generation.
-        nightly = build_bundle(
-            applier.model, applier.dataset, n_cells=12, table_coverage=0.8, seed=9
+        swapped = build_bundle(
+            copy.deepcopy(applier.model), catalogue, n_cells=12, table_coverage=0.8,
+            seed=9,
         )
-        store.swap(nightly)
-        nightly_version = store.version
-        assert applier.apply_next() is None  # resync tick, nothing pending
-        assert service.metrics.counter("stream_resyncs") == 1
-        assert log.cursors()[applier._config.cursor]["resets"] == 1
-        # "Nightly wins": accumulated stream sessions are dropped, but the
-        # grown catalogue (which the nightly build included) is kept.
-        assert applier.dataset.n_sessions == train.n_sessions
-        assert applier.catalogue_size == grown
-        assert applier.model is nightly.model
+        store.swap(swapped)
+        assert applier.model is swapped.model
+        assert applier.apply_next() is None  # nothing pending, nothing to undo
+        assert log.cursors()[applier._config.cursor]["resets"] == 0
+        assert applier.dataset is catalogue
 
-        # The stream continues on top of the new generation.
+        warm_starts = []
+        update = refresh_module.incremental_update
+
+        def spy(previous, *args, **kwargs):
+            warm_starts.append(previous)
+            return update(previous, *args, **kwargs)
+
+        monkeypatch.setattr(refresh_module, "incremental_update", spy)
         log.extend(stream.window())
         reports = drain(applier)
-        assert any(r.applied for r in reports)
-        assert not any(r.resynced for r in reports)  # already reconciled
-        assert store.version > nightly_version
-        assert service.metrics.counter("stream_resyncs") == 1  # just once
+        assert all(r.applied for r in reports)
+        assert warm_starts[0] is swapped.model
+        assert applier.dataset.n_sessions == catalogue.n_sessions + sum(
+            r.n_sessions for r in reports
+        )
+        for item_id in stream.new_item_ids:
+            assert service.recommend(item_id, 5).tier != "popularity"
 
     def test_staleness_gauge_resets_on_apply(self, live, make_applier):
         train, _store, service = live

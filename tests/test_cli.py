@@ -158,6 +158,50 @@ class TestWorkflow:
             assert needle in out
         assert '"store_version": 1' in out  # the demo performed a swap
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_hot_swap_is_a_promotion(self, dataset_path, serving_model_path, shards):
+        """`serve-demo`'s swap flips through `promote`: it waits for the
+        store's writer lock and installs the catalogue it built from."""
+        import threading
+
+        from repro import cli
+
+        args = build_parser().parse_args(
+            ["serve-demo", str(dataset_path), str(serving_model_path), "--shards", shards]
+        )
+        stack = cli._build_service(args)
+        store = stack.service.store
+        held, release, built = threading.Event(), threading.Event(), threading.Event()
+        build = store.build_generation
+
+        def build_then_signal(*args, **kwargs):
+            generation = build(*args, **kwargs)
+            built.set()
+            return generation
+
+        store.build_generation = build_then_signal
+
+        def writer():
+            with store.writer_lock:
+                held.set()
+                release.wait(30.0)
+
+        other = threading.Thread(target=writer)
+        other.start()
+        assert held.wait(30.0)
+        swap = threading.Thread(target=cli._hot_swap, args=(stack, 1))
+        swap.start()
+        assert built.wait(60.0)
+        swap.join(0.2)
+        assert swap.is_alive() and store.version in (0, [0, 0])
+        release.set()
+        swap.join(60.0)
+        other.join(30.0)
+        assert not swap.is_alive() and not other.is_alive()
+        assert store.version in (1, [1, 0])
+        assert store.catalogue is stack.dataset
+        stack.service.close()
+
     @pytest.mark.parametrize(
         "stack_flags",
         [

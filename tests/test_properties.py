@@ -8,8 +8,19 @@ from repro.core.sampling import (
     PairGenerator,
     build_noise_distribution,
 )
-from repro.core.sgns import scatter_update, sigmoid
+from repro.core.sgns import SGNSConfig, scatter_update, sigmoid
 from repro.data.stats import _pair_count
+from repro.graph.hbgp import HBGPConfig, hbgp_partition
+from repro.serving import (
+    MatchingService,
+    ModelStore,
+    RefreshConfig,
+    RefreshDaemon,
+    ShardedModelStore,
+    bootstrap_day_source,
+    build_bundle,
+)
+from repro.streaming import EventLog, StreamApplier, StreamConfig, SyntheticEventStream
 
 
 class TestSigmoidProperties:
@@ -158,3 +169,50 @@ class TestAliasSamplerProperties:
         assert set(np.unique(draws)) <= set(range(n))
         if n <= 10:
             assert len(np.unique(draws)) == n
+
+
+class TestOneWriterProperties:
+    """Nightlies and windows promote from the live generation, in any order."""
+
+    TRAIN = SGNSConfig(dim=12, epochs=1, window=2, negatives=2, seed=0)
+    BUILD = {"n_cells": 8, "table_coverage": 0.8, "seed": 1}
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.lists(st.sampled_from(["window", "nightly"]), min_size=1, max_size=5),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_listed_items_stay_servable(self, fitted_sisg, tiny_split, shards, order, seed):
+        train, _ = tiny_split
+        model = fitted_sisg.model
+        if shards == 1:
+            store = ModelStore(build_bundle(model, train, **self.BUILD))
+        else:
+            partition = hbgp_partition(train, HBGPConfig(n_partitions=shards))
+            store = ShardedModelStore.build(model, train, partition, **self.BUILD)
+        service = MatchingService(store)
+        daemon = RefreshDaemon(
+            service,
+            bootstrap_day_source(train, seed=seed),
+            RefreshConfig(train_config=self.TRAIN, build_kwargs=self.BUILD),
+            seed=seed,
+        )
+        stream = SyntheticEventStream(
+            train, new_items_per_window=1, events_per_window=24, seed=seed
+        )
+        log = EventLog()
+        applier = StreamApplier(
+            service, log, train,
+            StreamConfig(train_config=self.TRAIN, build_kwargs=self.BUILD), seed=seed,
+        )
+        for step in order:
+            if step == "nightly":
+                assert daemon.run_once().promoted
+            else:
+                log.extend(stream.window())
+                assert all(r.applied for r in applier.run_pending())
+            for item_id in stream.new_item_ids:
+                assert service.knows_item(item_id)
+                assert service.recommend(item_id, 5).tier != "popularity"
+        service.close()
