@@ -134,34 +134,28 @@ def embedding_drift(
     A small drift means downstream candidate tables stay stable day over
     day — the operational reason to warm start instead of retraining
     from scratch.  The refresh daemon's drift gate calls this once per
-    nightly cycle over the full vocabulary, so the shared-token matching
-    is vectorized (sort + binary search) rather than a per-token Python
-    loop.
+    nightly cycle over the full vocabulary and the stream applier once
+    per window, so the shared tokens are matched with one dictionary
+    lookup per old token, in old-id order.
 
     Tokens whose vector is zero in either model carry no direction and
     are excluded from the mean; with no usable pair at all (disjoint
     vocabularies, all-zero rows) the drift is defined as 0.0.
     """
-    old_tokens = np.asarray(list(previous.vocab.tokens()), dtype=object)
-    old_ids = np.arange(len(old_tokens), dtype=np.int64)
-    if kind is not None:
-        old_ids = previous.vocab.ids_of_kind(kind)
-        old_tokens = old_tokens[old_ids]
-    if not len(old_ids):
+    if kind is None:
+        old_ids = range(len(previous.vocab))
+    else:
+        old_ids = previous.vocab.ids_of_kind(kind).tolist()
+    tokens = list(previous.vocab.tokens())
+    get_id = updated.vocab.get_id
+    shared = [
+        (old, new) for old in old_ids if (new := get_id(tokens[old])) is not None
+    ]
+    if not shared:
         return 0.0
-
-    new_tokens = np.asarray(list(updated.vocab.tokens()), dtype=object)
-    if not len(new_tokens):
-        return 0.0
-    order = np.argsort(new_tokens)
-    ranked = new_tokens[order]
-    pos = np.searchsorted(ranked, old_tokens)
-    pos_clipped = np.minimum(pos, len(ranked) - 1)
-    found = ranked[pos_clipped] == old_tokens
-    if not found.any():
-        return 0.0
-    old_rows = previous.w_in[old_ids[found]]
-    new_rows = updated.w_in[order[pos_clipped[found]]]
+    old_match, new_match = np.array(shared, dtype=np.int64).T
+    old_rows = previous.w_in[old_match]
+    new_rows = updated.w_in[new_match]
 
     old_norm = np.linalg.norm(old_rows, axis=1)
     new_norm = np.linalg.norm(new_rows, axis=1)

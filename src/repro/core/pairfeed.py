@@ -35,7 +35,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.sampling import PairGenerator
+from repro.core.sampling import PairGenerator, unpack_pairs
 from repro.core.sgns import SGNSConfig, pair_generator
 from repro.utils import ensure_rng, get_logger, require_positive
 
@@ -55,9 +55,10 @@ def make_shard_generator(
     Both feeds (and the equivalence tests) construct their generator
     here, so a seed fully determines the pair stream regardless of which
     process runs it.  The parallel engines always materialize epochs
-    (the feeds call ``materialize_pairs`` themselves — that *is* the
-    batched worker loop's input format); ``cfg.precompute_pairs`` only
-    selects how the local trainer's ``batches()`` walks the corpus.
+    (the feeds call ``materialize_pairs`` themselves and unpack it once
+    per epoch — that *is* the batched worker loop's input format);
+    ``cfg.precompute_pairs`` only selects how the local trainer's
+    ``batches()`` walks the corpus.
     """
     return pair_generator(sequences, cfg, keep, ensure_rng(seed))
 
@@ -97,7 +98,7 @@ class EpochPairFeed:
                 self._sequences, self._cfg, self._keep, self._seed
             )
         for _ in range(self.n_epochs):
-            yield self._generator.materialize_pairs()
+            yield unpack_pairs(self._generator.materialize_pairs())
 
     def close(self) -> None:
         """No-op (nothing owned outside the consumer)."""
@@ -122,7 +123,7 @@ def _producer_entry(
         for epoch in range(n_epochs):
             buf = epoch & 1
             free[buf].acquire()
-            c, x = generator.materialize_pairs()
+            c, x = unpack_pairs(generator.materialize_pairs())
             n = len(c)
             if n > capacity:  # pragma: no cover - capacity is an upper bound
                 raise RuntimeError(

@@ -206,6 +206,35 @@ def pairs_per_sequence(lengths: np.ndarray, window: int) -> np.ndarray:
     )
 
 
+#: Bits of a packed pair's context (the low half); the centre is the high half.
+_CONTEXT_BITS = 32
+_CONTEXT_MASK = (1 << _CONTEXT_BITS) - 1
+
+
+class VocabularyTooLargeError(ValueError):
+    """A token id does not fit the 32 bits a packed pair gives it."""
+
+
+def _pack_into(
+    packed: np.ndarray, n: int, centers: np.ndarray, contexts: np.ndarray
+) -> int:
+    """Write ``centers << 32 | contexts`` at ``packed[n:]``; return the new end."""
+    out = packed[n : n + len(centers)]
+    # Shifted as unsigned, so a centre at or above 2**31 does not overflow.
+    np.left_shift(
+        centers.view(np.uint64), np.uint64(_CONTEXT_BITS), out=out.view(np.uint64)
+    )
+    np.bitwise_or(out, contexts, out=out)
+    return n + len(centers)
+
+
+def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split packed pairs (:meth:`PairGenerator.materialize_pairs`) into
+    fresh ``(centers, contexts)`` ``int64`` arrays."""
+    centers = (packed.view(np.uint64) >> np.uint64(_CONTEXT_BITS)).view(np.int64)
+    return centers, packed & _CONTEXT_MASK
+
+
 class PairGenerator:
     """Streams (center, context) skip-gram pairs from an encoded corpus.
 
@@ -229,10 +258,10 @@ class PairGenerator:
     seed:
         Randomness for subsampling and the dynamic window.
     precompute:
-        When True, :meth:`batches` materializes the whole epoch's
-        (center, context) arrays in one vectorized pass over the
-        flattened corpus (subsampling, windowing and the dynamic-window
-        draw included) and yields slices of them, instead of re-running
+        When True, :meth:`batches` materializes the whole epoch's pairs
+        in one vectorized pass over the flattened corpus (subsampling,
+        windowing and the dynamic-window draw included, 8 bytes a pair)
+        and yields batches unpacked from them, instead of re-running
         the per-sequence Python loop every epoch.  Subsampling and the
         dynamic window are redrawn per epoch in both modes; the RNG
         streams differ, so the two modes are *statistically* equivalent
@@ -305,9 +334,10 @@ class PairGenerator:
     def _flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cache the corpus as one flat array + per-sequence boundaries.
 
-        Empty sequences are dropped (they contribute no pairs).
+        Empty sequences are dropped (they contribute no pairs).  A token
+        id too wide for a packed pair raises before anything is cached.
         """
-        if self._flat is None:
+        if self._starts is None:
             seqs = [s for s in self.sequences if len(s) > 0]
             if seqs:
                 self._flat = np.concatenate(seqs)
@@ -315,13 +345,18 @@ class PairGenerator:
             else:
                 self._flat = np.empty(0, dtype=np.int64)
                 self._lengths = np.empty(0, dtype=np.int64)
+            if len(self._flat) and int(self._flat.max()) > _CONTEXT_MASK:
+                raise VocabularyTooLargeError(
+                    f"token id {int(self._flat.max())} does not fit a packed pair;"
+                    f" materialized epochs hold ids below 2**{_CONTEXT_BITS}"
+                )
             starts = np.zeros(len(self._lengths), dtype=np.int64)
             np.cumsum(self._lengths[:-1], out=starts[1:])
             self._starts = starts
         return self._flat, self._starts, self._lengths
 
-    def materialize_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """One epoch's (centers, contexts), fully vectorized.
+    def materialize_pairs(self) -> np.ndarray:
+        """One epoch's pairs, fully vectorized, packed one ``int64`` each.
 
         Subsampling is drawn over the whole flattened corpus at once and
         the survivors are compacted *within their sequence boundaries*
@@ -330,11 +365,18 @@ class PairGenerator:
         ``compact[i + d]`` for every position ``i`` with at least ``d``
         successors left in its own sequence — no per-sequence Python
         loop, only a loop over the ``window`` offsets.
+
+        Pair ``(center, context)`` is stored as ``center << 32 |
+        context`` (:func:`unpack_pairs` splits it), written offset by
+        offset into one buffer sized by :func:`pairs_per_sequence`'s
+        no-dynamic-window bound; the buffer's untouched tail is never
+        resident.  The shuffle is ``rng.shuffle`` of that 1-D array in
+        place: the same draws, and the same order, as indexing the
+        unshuffled pairs by ``rng.permutation(n)``.
         """
         flat, starts, lengths = self._flatten()
         if len(flat) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return np.empty(0, dtype=np.int64)
         if self.keep_probabilities is not None:
             mask = self._rng.random(len(flat)) < self.keep_probabilities[flat]
             compact = flat[mask]
@@ -346,8 +388,7 @@ class PairGenerator:
             new_lengths = lengths
         total = len(compact)
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return np.empty(0, dtype=np.int64)
         offsets = np.zeros(len(new_lengths), dtype=np.int64)
         np.cumsum(new_lengths[:-1], out=offsets[1:])
         # Tokens remaining in the same sequence from each position
@@ -356,8 +397,12 @@ class PairGenerator:
             np.repeat(new_lengths, new_lengths)
             - (np.arange(total) - np.repeat(offsets, new_lengths))
         )
-        centers: list[np.ndarray] = []
-        contexts: list[np.ndarray] = []
+        sides = 1 if self.directional else 2
+        packed = np.empty(
+            sides * int(pairs_per_sequence(new_lengths, self.window).sum()),
+            dtype=np.int64,
+        )
+        n = 0
         for offset in range(1, min(self.window, int(new_lengths.max(initial=0)) - 1) + 1):
             idx = np.flatnonzero(remaining > offset)
             if len(idx) == 0:
@@ -369,21 +414,13 @@ class PairGenerator:
                     continue
             left = compact[idx]
             right = compact[idx + offset]
-            centers.append(left)
-            contexts.append(right)
+            n = _pack_into(packed, n, left, right)
             if not self.directional:
-                centers.append(right)
-                contexts.append(left)
-        if not centers:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        all_centers = np.concatenate(centers)
-        all_contexts = np.concatenate(contexts)
+                n = _pack_into(packed, n, right, left)
+        packed = packed[:n]
         if self.shuffle:
-            perm = self._rng.permutation(len(all_centers))
-            all_centers = all_centers[perm]
-            all_contexts = all_contexts[perm]
-        return all_centers, all_contexts
+            self._rng.shuffle(packed)
+        return packed
 
     def batches(self, batch_size: int = 8192) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(centers, contexts)`` batches of roughly ``batch_size``.
@@ -392,16 +429,14 @@ class PairGenerator:
         from consecutive sequences are buffered and re-chunked so batch
         sizes stay stable regardless of sequence lengths; in
         ``precompute`` mode the epoch's pairs are materialized once and
-        sliced.
+        each batch is unpacked from them into fresh arrays, so a batch a
+        caller still holds never pins the epoch.
         """
         require_positive(batch_size, "batch_size")
         if self.precompute:
-            centers, contexts = self.materialize_pairs()
-            for start in range(0, len(centers), batch_size):
-                yield (
-                    centers[start : start + batch_size],
-                    contexts[start : start + batch_size],
-                )
+            packed = self.materialize_pairs()
+            for start in range(0, len(packed), batch_size):
+                yield unpack_pairs(packed[start : start + batch_size])
             return
         buf_centers: list[np.ndarray] = []
         buf_contexts: list[np.ndarray] = []

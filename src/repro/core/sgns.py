@@ -22,6 +22,7 @@ rows, then call the same :func:`sgns_gradients`, :func:`lr_at` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,11 @@ class SGNSConfig:
         return np.dtype(self.dtype)
 
     def scatter(
-        self, matrix: np.ndarray, indices: np.ndarray, grads: np.ndarray, lr: float
+        self,
+        matrix: np.ndarray,
+        indices: np.ndarray,
+        grads: "np.ndarray | OutputGradients",
+        lr: float,
     ) -> None:
         """:func:`scatter_update` under this config's duplicate policy and clip."""
         scatter_update(
@@ -138,28 +143,67 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class OutputGradients:
+    """A step's output-row gradients in coefficient form.
+
+    Row ``j`` of the gradient block is ``coefficients[j] *
+    centers[sources[j]]``; the block itself is never written.
+    :func:`scatter_update` multiplies the coefficients into the centre
+    rows inside its segment sum, and indexing (a slice, or positions as
+    :class:`HotRowSplit` takes them) selects block rows without copying
+    any vector.
+    """
+
+    __slots__ = ("coefficients", "centers", "sources")
+
+    def __init__(
+        self, coefficients: np.ndarray, centers: np.ndarray, sources: np.ndarray
+    ) -> None:
+        self.coefficients = coefficients
+        self.centers = centers
+        self.sources = sources
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, rows) -> "OutputGradients":
+        return OutputGradients(
+            self.coefficients[rows], self.centers, self.sources[rows]
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def _block_sources(b: int, n: int) -> np.ndarray:
+    """Centre row of each output row of a ``(b, n)`` step, in block order."""
+    rows = np.arange(b)
+    sources = np.concatenate((rows, np.repeat(rows, n)))
+    sources.flags.writeable = False
+    return sources
+
+
 def sgns_gradients(
     centers: np.ndarray, positives: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, OutputGradients, float]:
     """Eq. 3 forward/backward over already-gathered rows.
 
     ``centers`` and ``positives`` are ``(B, d)``, ``negatives`` is
     ``(B, n, d)``: the centre vector, its positive context's output
     vector and its ``n`` sampled negatives' output vectors, per pair.
     Returns ``(grad_centers, grad_outputs, loss)``: the gradient of the
-    summed negative log-likelihood with respect to ``centers``, the one
-    ``(B * (1 + n), d)`` block of output-row gradients -- the positives'
-    ``B`` rows first, then the negatives' rows in ``(b, n)`` order, the
-    layout of ``concatenate((contexts, negatives.ravel()))`` -- and the
-    minibatch *mean* loss.  Pure: which rows were gathered, from which
-    matrix or replica, and how the gradients are scattered back is the
-    caller's business.
+    summed negative log-likelihood with respect to ``centers``, the
+    ``B * (1 + n)`` output rows' gradients -- the positives' ``B`` rows
+    first, then the negatives' rows in ``(b, n)`` order, the layout of
+    ``concatenate((contexts, negatives.ravel()))`` -- and the minibatch
+    *mean* loss.  Every output row's gradient is its coefficient (``g_pos``
+    or ``sigmoid`` of the negative's logit) times its pair's centre row,
+    so ``grad_outputs`` is :class:`OutputGradients` over ``centers``.
+    Pure: which rows were gathered, from which matrix or replica, and how
+    the gradients are scattered back is the caller's business.
 
     The byte rule: every floating-point sum here associates as it always
-    has (the einsum contractions are not matmuls).  The negatives' outer
-    product is written by ``einsum``, which stores ``+0.0`` where a
-    broadcast multiply gives ``-0.0``; :func:`scatter_update`'s segment
-    sum starts from ``+0.0``, so the trained matrices cannot tell.
+    has (the einsum contractions are not matmuls), and each output
+    gradient element is one product ``coefficient * centre``, rounded
+    once, wherever it is formed.
     """
     pos_sig = sigmoid(np.einsum("bd,bd->b", centers, positives))
     g_pos = pos_sig - 1.0  # d(-log sigmoid(x))/dx
@@ -168,13 +212,9 @@ def sgns_gradients(
     grad_centers = g_pos[:, None] * positives + np.einsum(
         "bn,bnd->bd", neg_sig, negatives
     )
-    b, n, d = negatives.shape
-    grad_outputs = np.empty(
-        (b * (1 + n), d), dtype=np.result_type(g_pos, neg_sig, centers)
-    )
-    np.multiply(g_pos[:, None], centers, out=grad_outputs[:b])
-    np.einsum(
-        "bn,bd->bnd", neg_sig, centers, out=grad_outputs[b:].reshape(b, n, d)
+    b, n, _ = negatives.shape
+    grad_outputs = OutputGradients(
+        np.concatenate((g_pos, neg_sig.ravel())), centers, _block_sources(b, n)
     )
     with np.errstate(divide="ignore"):
         loss = -np.log(np.maximum(pos_sig, 1e-12)).mean()
@@ -255,7 +295,7 @@ def pair_generator(
 def scatter_update(
     matrix: np.ndarray,
     indices: np.ndarray,
-    grads: np.ndarray,
+    grads: "np.ndarray | OutputGradients",
     lr: float,
     duplicate_policy: str = "sum",
     max_step_norm: float | None = 0.25,
@@ -281,9 +321,13 @@ def scatter_update(
     Duplicates are aggregated by sorting the indices once and
     segment-summing the gradient rows with a CSR indicator matmul (one
     sparse GEMM over the batch); ``tests/core/test_sgns.py`` holds the
-    ``np.add.at`` arithmetic reference it is checked against.  The work
-    is done in ``matrix.dtype`` — gradients are cast, not the matrix —
-    so the float32 path never silently upcasts.
+    ``np.add.at`` arithmetic reference it is checked against.  ``grads``
+    in :class:`OutputGradients` form puts the coefficients in the CSR
+    data and the centre rows in its columns: each product is formed once,
+    in the same place of the same per-segment sum, so the step equals the
+    dense block's to the byte.  The work is done in ``matrix.dtype`` —
+    gradients are cast, not the matrix — so the float32 path never
+    silently upcasts.
     """
     if len(indices) == 0:
         return
@@ -298,11 +342,18 @@ def scatter_update(
     row_ends = np.append(starts, len(order))
     # Row i of the indicator selects the batch rows of unique[i]; the
     # matmul is the segment sum without gathering grads.
+    if isinstance(grads, OutputGradients):
+        weights = grads.coefficients[order].astype(dtype, copy=False)
+        columns = grads.sources[order]
+        rows = grads.centers
+    else:
+        weights = np.ones(len(order), dtype=dtype)
+        columns = order
+        rows = grads
     indicator = sparse.csr_matrix(
-        (np.ones(len(order), dtype=dtype), order, row_ends),
-        shape=(len(starts), len(order)),
+        (weights, columns, row_ends), shape=(len(starts), len(rows))
     )
-    step = indicator @ np.asarray(grads, dtype=dtype)
+    step = indicator @ np.asarray(rows, dtype=dtype)
     if duplicate_policy == "mean":
         step /= np.diff(row_ends)[:, None].astype(dtype)
     step *= dtype.type(lr)
@@ -320,10 +371,11 @@ class HotRowSplit:
     ``slots`` holds, per output token of a step, the token's row in the
     worker's replica of the hot set (ATNS, Sec. III-A), or ``-1`` for a
     row that lives in the shared matrix.  The split is kept as integer
-    positions, not a boolean mask, so :meth:`gather` and :meth:`scatter`
-    move rows with ``np.take`` instead of masked copies; element order is
-    the mask form's, so the trained bytes are too.  Used by the Hogwild
-    worker and the simulated ATNS cluster.
+    positions, not a boolean mask, so :meth:`gather` moves rows with
+    ``np.take`` and :meth:`scatter` selects gradients by position instead
+    of masked copies; element order is the mask form's, so the trained
+    bytes are too.  Used by the Hogwild worker and the simulated ATNS
+    cluster.
     """
 
     __slots__ = ("hot", "cold", "hot_slots")
@@ -351,15 +403,15 @@ class HotRowSplit:
         matrix: np.ndarray,
         replica: np.ndarray,
         tokens: np.ndarray,
-        grads: np.ndarray,
+        grads: "np.ndarray | OutputGradients",
         lr: float,
     ) -> None:
         """``scatter`` the hot rows' gradients into ``replica``, the rest
         into ``matrix`` (``scatter`` is :meth:`SGNSConfig.scatter`)."""
         if len(self.hot):
-            scatter(replica, self.hot_slots, np.take(grads, self.hot, axis=0), lr)
+            scatter(replica, self.hot_slots, grads[self.hot], lr)
             tokens = np.take(tokens, self.cold)
-            grads = np.take(grads, self.cold, axis=0)
+            grads = grads[self.cold]
         scatter(matrix, tokens, grads, lr)
 
 

@@ -51,8 +51,10 @@ shards the catalogue is cut into.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,7 +155,7 @@ class ShardedModelStore:
         )
         self._stores = [ModelStore(bundle) for bundle in bundles]
         self._item_partition = item_partition
-        self._latest = 0  # the shard swapped last holds the newest model
+        self._generations = itertools.count(1)  # stamps every shard swap
         # As on ModelStore; :meth:`build` records its dataset.
         self.catalogue: BehaviorDataset | None = None
         self.writer_lock = threading.RLock()
@@ -256,17 +258,17 @@ class ShardedModelStore:
 
     @property
     def model(self) -> EmbeddingModel:
-        """The model last swapped in: the next promotion's warm start
-        (per-shard versions cannot order generations across shards)."""
-        return self._stores[self._latest].current().model
+        """The model last swapped in: the next promotion's warm start."""
+        return freshest_model(self.snapshot())
 
     def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
         """Install ``bundle`` as shard ``shard_id``'s live generation.
 
         Other shards are untouched; returns the shard's old bundle.
         """
-        old = self._stores[shard_id].swap(bundle)
-        self._latest = shard_id
+        old = self._stores[shard_id].swap(
+            replace(bundle, generation=next(self._generations))
+        )
         logger.info(
             "shard %d swapped v%d -> v%d (others untouched)",
             shard_id,
@@ -346,13 +348,16 @@ def merge_topk(
 
 
 def freshest_model(bundles: Sequence[ModelBundle]) -> EmbeddingModel:
-    """The newest generation's model among ``bundles``.
+    """The model swapped in last among ``bundles``.
 
     Shards can run mixed generations after a partial refresh; cold-start
-    vectors and warm-start training have no owning shard, so the
-    freshest model wins.
+    vectors and warm-start training have no owning shard, so the model
+    of the bundle with the highest store-wide ``generation`` wins — the
+    one :attr:`ShardedModelStore.model` names, read from the snapshot a
+    request holds.  Per-shard versions cannot order it: shards rebuilt
+    unevenly reach high versions on an old model.
     """
-    return max(bundles, key=lambda bundle: bundle.version).model
+    return max(bundles, key=lambda bundle: bundle.generation).model
 
 
 class MatchingService:

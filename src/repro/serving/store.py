@@ -55,6 +55,10 @@ class ModelBundle:
         unless built via :func:`share_bundle`).  Worker processes and
         later generations attach to these instead of copying; the
         creator calls :meth:`release` when the generation retires.
+    generation:
+        Store-wide swap number, stamped by a sharded store on every
+        shard swap; it orders generations across shards, which the
+        per-shard ``version`` cannot.
     """
 
     version: int
@@ -65,6 +69,7 @@ class ModelBundle:
     popular_items: np.ndarray
     popular_scores: np.ndarray
     segments: tuple = ()
+    generation: int = 0
 
     def release(self) -> None:
         """Release this generation's zero-copy segments (idempotent).

@@ -1,9 +1,12 @@
 """Unit tests for the EGES baseline."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines.eges import EGES, EGESConfig
+from repro.core.sgns import scatter_update, sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +132,48 @@ class TestEvaluatorIntegration:
         a = EGES(cfg).fit(train)
         b = EGES(cfg).fit(train)
         np.testing.assert_array_equal(a._embeddings, b._embeddings)
+
+
+def reference_update_batch(self, centers, contexts, sampler, lr, rng):
+    """``EGES._update_batch`` with the SGNS step as it was: the output
+    rows' gradients written out as one dense ``(B * (1 + n), d)`` block
+    (positives, then negatives) and scattered from it."""
+    cfg = self.config
+    h, weights, views = self._aggregate(centers)
+    negatives = sampler.sample((len(centers), cfg.negatives), rng)
+    positives, negative_rows = self._outputs[contexts], self._outputs[negatives]
+    pos_sig = sigmoid(np.einsum("bd,bd->b", h, positives))
+    g_pos = pos_sig - 1.0
+    neg_sig = sigmoid(np.einsum("bd,bnd->bn", h, negative_rows))
+    grad_h = g_pos[:, None] * positives + np.einsum("bn,bnd->bd", neg_sig, negative_rows)
+    d = cfg.dim
+    grad_z = np.concatenate(
+        (g_pos[:, None] * h, (neg_sig[..., None] * h[:, None, :]).reshape(-1, d))
+    )
+    grad_views = weights[..., None] * grad_h[:, None, :]
+    g_per_view = np.einsum("bd,bsd->bs", grad_h, views)
+    grad_logits = weights * (
+        g_per_view - np.einsum("bs,bs->b", weights, g_per_view)[:, None]
+    )
+    scatter = partial(scatter_update, lr=lr, max_step_norm=cfg.max_step_norm)
+    scatter(self._embeddings, self._constituents[centers].ravel(), grad_views.reshape(-1, d))
+    scatter(self._outputs, contexts, grad_z[: len(contexts)])
+    scatter(self._outputs, negatives.ravel(), grad_z[len(contexts) :])
+    scatter(self._attention, centers, grad_logits)
+
+
+class TestTrainedBytesMatchReference:
+    """EGES trains through the shared SGNS step; with the step's output
+    gradients in coefficient form it trains the bytes the dense-block
+    step trained."""
+
+    def test_fit(self, tiny_split, monkeypatch):
+        cfg = EGESConfig(dim=8, epochs=2, walk_length=6, walks_per_node=2,
+                         batch_size=64, seed=3)
+        ours = EGES(cfg).fit(tiny_split[0])
+        monkeypatch.setattr(EGES, "_update_batch", reference_update_batch)
+        ref = EGES(cfg).fit(tiny_split[0])
+        for name in ("_embeddings", "_outputs", "_attention", "_index_vectors"):
+            a, b = getattr(ours, name), getattr(ref, name)
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.any(ours._outputs != 0.0)

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sampling import (
     AliasSampler,
     PairGenerator,
+    VocabularyTooLargeError,
     build_noise_distribution,
     subsample_keep_probabilities,
+    unpack_pairs,
 )
 
 
@@ -437,3 +439,171 @@ class TestPrecomputedPairs:
             )
 
         assert collect(plain) == collect(shuffled)
+
+
+def reference_materialize_pairs(self):
+    """``PairGenerator.materialize_pairs`` as it was before epochs were
+    packed: per-offset lists, their concatenation and a permuted copy of
+    each half.  Kept verbatim as the oracle the packed epoch must equal,
+    draw for draw."""
+    flat, starts, lengths = self._flatten()
+    if len(flat) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    if self.keep_probabilities is not None:
+        mask = self._rng.random(len(flat)) < self.keep_probabilities[flat]
+        compact = flat[mask]
+        kept = np.zeros(len(flat) + 1, dtype=np.int64)
+        np.cumsum(mask, out=kept[1:])
+        new_lengths = kept[starts + lengths] - kept[starts]
+    else:
+        compact = flat
+        new_lengths = lengths
+    total = len(compact)
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    offsets = np.zeros(len(new_lengths), dtype=np.int64)
+    np.cumsum(new_lengths[:-1], out=offsets[1:])
+    # Tokens remaining in the same sequence from each position
+    # (inclusive of the position itself).
+    remaining = (
+        np.repeat(new_lengths, new_lengths)
+        - (np.arange(total) - np.repeat(offsets, new_lengths))
+    )
+    centers: list[np.ndarray] = []
+    contexts: list[np.ndarray] = []
+    for offset in range(1, min(self.window, int(new_lengths.max(initial=0)) - 1) + 1):
+        idx = np.flatnonzero(remaining > offset)
+        if len(idx) == 0:
+            break
+        if self.dynamic_window:
+            keep_p = (self.window - offset + 1) / self.window
+            idx = idx[self._rng.random(len(idx)) < keep_p]
+            if len(idx) == 0:
+                continue
+        left = compact[idx]
+        right = compact[idx + offset]
+        centers.append(left)
+        contexts.append(right)
+        if not self.directional:
+            centers.append(right)
+            contexts.append(left)
+    if not centers:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    all_centers = np.concatenate(centers)
+    all_contexts = np.concatenate(contexts)
+    if self.shuffle:
+        perm = self._rng.permutation(len(all_centers))
+        all_centers = all_centers[perm]
+        all_contexts = all_contexts[perm]
+    return all_centers, all_contexts
+
+
+def packed_epoch_corpus():
+    """Empty and one-token sequences among short and long ones, token ids
+    up to 40 (a hot token 0 for subsampling to bite on)."""
+    rng = np.random.default_rng(11)
+    lengths = [0, 1, 2, 3, 0, 7, 1, 60, 12, 0, 5, 90, 1, 2, 30]
+    sequences = []
+    for length in lengths:
+        seq = rng.integers(0, 40, size=length)
+        seq[rng.random(length) < 0.3] = 0
+        sequences.append(seq.astype(np.int64))
+    return sequences
+
+
+class TestPackedEpochMatchesReference:
+    """The packed, in-place-shuffled epoch gives the reference's pairs in
+    the reference's order, and leaves the RNG where the reference leaves
+    it, epoch after epoch."""
+
+    CORPORA = {
+        "mixed": packed_epoch_corpus,
+        "empty": lambda: seqs([], []),
+        "one-token": lambda: seqs([3], [5], []),
+        "no-sequences": lambda: [],
+    }
+
+    @staticmethod
+    def generator(sequences, **kwargs):
+        counts = np.bincount(
+            np.concatenate(sequences) if sequences else np.empty(0, np.int64),
+            minlength=40,
+        )
+        keep = kwargs.pop("subsample")
+        return PairGenerator(
+            sequences,
+            keep_probabilities=subsample_keep_probabilities(counts, 0.05) if keep else None,
+            seed=7,
+            precompute=True,
+            **kwargs,
+        )
+
+    def assert_epochs_equal(self, corpus, **kwargs):
+        ours = self.generator(corpus(), **kwargs)
+        ref = self.generator(corpus(), **kwargs)
+        for _ in range(2):
+            centers, contexts = unpack_pairs(ours.materialize_pairs())
+            ref_centers, ref_contexts = reference_materialize_pairs(ref)
+            np.testing.assert_array_equal(centers, ref_centers)
+            np.testing.assert_array_equal(contexts, ref_contexts)
+            assert centers.dtype == contexts.dtype == np.int64
+            assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffle", "noshuffle"])
+    @pytest.mark.parametrize("subsample", [True, False], ids=["subsample", "nosubsample"])
+    @pytest.mark.parametrize("dynamic", [True, False], ids=["dynamic", "fixed"])
+    @pytest.mark.parametrize("directional", [True, False], ids=["directional", "symmetric"])
+    @pytest.mark.parametrize("window", [1, 3, 45])
+    def test_mixed_corpus(self, window, directional, dynamic, subsample, shuffle):
+        self.assert_epochs_equal(
+            self.CORPORA["mixed"], window=window, directional=directional,
+            dynamic_window=dynamic, subsample=subsample, shuffle=shuffle,
+        )
+
+    @pytest.mark.parametrize("corpus", ["empty", "one-token", "no-sequences"])
+    @pytest.mark.parametrize("subsample", [True, False], ids=["subsample", "nosubsample"])
+    def test_degenerate_corpora(self, corpus, subsample):
+        self.assert_epochs_equal(
+            self.CORPORA[corpus], window=3, directional=False,
+            dynamic_window=True, subsample=subsample, shuffle=True,
+        )
+
+    def test_batches_are_the_unpacked_epoch(self):
+        kwargs = dict(window=3, directional=False, dynamic_window=True,
+                      subsample=True, shuffle=True)
+        ours = self.generator(packed_epoch_corpus(), **kwargs)
+        ref = self.generator(packed_epoch_corpus(), **kwargs)
+        centers, contexts = reference_materialize_pairs(ref)
+        batches = list(ours.batches(16))
+        np.testing.assert_array_equal(np.concatenate([c for c, _ in batches]), centers)
+        np.testing.assert_array_equal(np.concatenate([x for _, x in batches]), contexts)
+        # Fresh arrays: no batch is a view that keeps the epoch alive.
+        for batch in batches:
+            for array in batch:
+                while array.base is not None:
+                    array = array.base
+                assert array.size == len(batch[0])
+
+
+class TestPackedPairIds:
+    def test_ids_up_to_32_bits_round_trip(self):
+        top = 2**32 - 1
+        sequences = seqs([top, 2**31, 0, 2**31 - 1, top])
+        gen = PairGenerator(sequences, window=4, dynamic_window=False,
+                            precompute=True, shuffle=False)
+        centers, contexts = unpack_pairs(gen.materialize_pairs())
+        ref = PairGenerator(sequences, window=4, dynamic_window=False,
+                            precompute=True, shuffle=False)
+        ref_centers, ref_contexts = reference_materialize_pairs(ref)
+        np.testing.assert_array_equal(centers, ref_centers)
+        np.testing.assert_array_equal(contexts, ref_contexts)
+
+    def test_ids_of_2_to_the_32_are_rejected(self):
+        gen = PairGenerator(seqs([0, 2**32]), window=1, precompute=True)
+        with pytest.raises(VocabularyTooLargeError, match="2\\*\\*32"):
+            gen.materialize_pairs()
+        with pytest.raises(ValueError):
+            list(gen.batches(4))

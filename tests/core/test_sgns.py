@@ -1,5 +1,7 @@
 """Unit tests for the SGNS trainer: math helpers, updates, convergence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.enrichment import build_enriched_corpus
 from repro.core.hogwild import ParallelSGNSTrainer
 from repro.core.sampling import PairGenerator
 from repro.core.sgns import (
+    OutputGradients,
     SGNSConfig,
     SGNSTrainer,
     lr_at,
@@ -29,6 +32,11 @@ class TestSigmoid:
 
     def test_zero(self):
         assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
+
+
+def dense(grads):
+    """The output-gradient block ``OutputGradients`` stands for."""
+    return grads.coefficients[:, None] * grads.centers[grads.sources]
 
 
 def eq3_batch_loss(centers, positives, negatives):
@@ -81,9 +89,10 @@ class TestSGNSGradients:
         assert all(r.dtype == np.float64 for r in rows)
         grad_centers, grad_outputs, _loss = sgns_gradients(*rows)
         b, n, d = rows[2].shape
-        assert grad_outputs.shape == (b * (1 + n), d)
+        block = dense(grad_outputs)
+        assert block.shape == (b * (1 + n), d)
         # The output block is the positives' rows, then the negatives'.
-        grads = (grad_centers, grad_outputs[:b], grad_outputs[b:].reshape(b, n, d))
+        grads = (grad_centers, block[:b], block[b:].reshape(b, n, d))
         for row, grad in zip(rows, grads):
             assert grad.shape == row.shape
             numeric = central_difference(lambda: eq3_batch_loss(*rows), row)
@@ -100,7 +109,8 @@ class TestSGNSGradients:
 
     def test_float32_rows_give_float32_gradients(self):
         rows = [r.astype(np.float32) for r in self.gathered_batch(True, 5)]
-        *grads, _loss = sgns_gradients(*rows)
+        grad_centers, grad_outputs, _loss = sgns_gradients(*rows)
+        grads = (grad_centers, grad_outputs.coefficients, dense(grad_outputs))
         assert all(g.dtype == np.float32 for g in grads)
 
 
@@ -196,6 +206,28 @@ class TestScatterUpdate:
         matrix = np.zeros((5, 3))
         scatter_update(matrix, np.array([2]), np.ones((1, 3)), lr=0.1)
         assert np.all(matrix[[0, 1, 3, 4]] == 0.0)
+
+
+class TestEpochMemory:
+    """One epoch's pairs are garbage before the next epoch's are built:
+    the batches a fit holds on to are fresh arrays, not views pinning
+    the previous epoch."""
+
+    def test_previous_epoch_freed_before_the_next_is_built(self, monkeypatch):
+        alive = []
+        materialize = PairGenerator.materialize_pairs
+
+        def tracked(self):
+            assert all(ref() is None for ref in alive), "previous epoch still alive"
+            out = materialize(self)
+            alive.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
+            return out
+
+        monkeypatch.setattr(PairGenerator, "materialize_pairs", tracked)
+        seqs, counts = forward_chain_corpus(n_seqs=200)
+        cfg = SGNSConfig(dim=4, epochs=3, window=2, batch_size=100, seed=0)
+        SGNSTrainer(30, cfg).fit(seqs, counts)
+        assert len(alive) >= 3
 
 
 class TestConfigValidation:
@@ -541,14 +573,14 @@ class TestSigmoidBitIdentity:
 
 
 class TestStepMatchesReference:
-    """The step rewrite (branch-free sigmoid, ``np.take`` gathers, one
-    output-gradient block written by ``einsum``) trains the same bytes as
-    ``reference_update_batch``.
+    """The step rewrite (branch-free sigmoid, ``np.take`` gathers, output
+    gradients in coefficient form, multiplied into the centre rows inside
+    the scatter) trains the same bytes as ``reference_update_batch``.
 
-    Raw gradients are compared with ``np.array_equal``, not by bytes:
-    ``einsum`` writes ``+0.0`` where the broadcast multiply wrote
-    ``-0.0``.  The scatter's segment sum starts from ``+0.0`` and erases
-    the difference, so trained matrices *are* compared by bytes."""
+    Raw output gradients are compared with ``np.array_equal``, not by
+    bytes: a block may hold ``-0.0`` where another holds ``+0.0``.  The
+    scatter's segment sum starts from ``+0.0`` and erases the
+    difference, so trained matrices *are* compared by bytes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_raw_gradients(self, dtype):
@@ -556,6 +588,7 @@ class TestStepMatchesReference:
         rows[0][0, 1] = -0.0  # a signed zero in the centres, for the fold
         grad_centers, grad_outputs, loss = sgns_gradients(*rows)
         ref_centers, ref_pos, ref_neg, ref_loss = reference_gradients(*rows)
+        grad_outputs = dense(grad_outputs)
         assert grad_outputs.dtype == ref_pos.dtype == dtype
         np.testing.assert_array_equal(bits(grad_centers), bits(ref_centers))
         assert np.array_equal(
@@ -569,12 +602,14 @@ class TestStepMatchesReference:
         _, grad_outputs, _ = sgns_gradients(*rows)
         _, ref_pos, ref_neg, _ = reference_gradients(*rows)
         ref_outputs = np.concatenate((ref_pos, ref_neg.reshape(-1, rows[0].shape[1])))
-        assert not np.array_equal(bits(grad_outputs), bits(ref_outputs))
+        folded = np.where(ref_outputs == 0, 0.0, ref_outputs)  # every zero +0.0
+        assert np.signbit(ref_outputs[:, 0]).any() and not np.signbit(folded[:, 0]).any()
         tokens = np.random.default_rng(2).integers(0, 4, size=len(ref_outputs))
-        ours, theirs = np.ones((4, 4)), np.ones((4, 4))
-        scatter_update(ours, tokens, grad_outputs, 0.1)
-        scatter_update(theirs, tokens, ref_outputs, 0.1)
-        np.testing.assert_array_equal(bits(ours), bits(theirs))
+        for signed_zeros in (ref_outputs, folded):
+            ours, theirs = np.ones((4, 4)), np.ones((4, 4))
+            scatter_update(ours, tokens, grad_outputs, 0.1)
+            scatter_update(theirs, tokens, signed_zeros, 0.1)
+            np.testing.assert_array_equal(bits(ours), bits(theirs))
 
     @pytest.mark.parametrize("max_step_norm", [0.25, None], ids=["clip", "noclip"])
     @pytest.mark.parametrize("policy", ["sum", "mean"])
@@ -610,7 +645,7 @@ class TestStepMatchesReference:
 class TestSeparateScattersSliceTheBlock:
     """The simulated cluster and EGES scatter positives and negatives
     separately: the positives' scatter gets ``grad_outputs[:B]`` and the
-    negatives' ``grad_outputs[B:]``."""
+    negatives' ``grad_outputs[B:]`` (compared as dense blocks)."""
 
     @pytest.mark.parametrize("trainer", ["simulation", "eges"])
     def test_halves_reach_their_scatters(self, trainer, tiny_split, monkeypatch):
@@ -622,12 +657,13 @@ class TestSeparateScattersSliceTheBlock:
 
         def spy_gradients(centers, positives, negatives):
             out = sgns_gradients(centers, positives, negatives)
-            events.append(("step", len(centers), out[1]))
+            events.append(("step", len(centers), dense(out[1])))
             return out
 
         def spy_scatter(matrix, indices, grads, *args, **kwargs):
             if len(indices):
-                events.append(("scatter", len(indices), np.array(grads)))
+                block = dense(grads) if isinstance(grads, OutputGradients) else grads
+                events.append(("scatter", len(indices), np.array(block)))
             scatter_update(matrix, indices, grads, *args, **kwargs)
 
         if trainer == "simulation":

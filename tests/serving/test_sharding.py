@@ -545,6 +545,46 @@ class TestShardSwaps:
         for shard in range(1, store.n_shards):
             assert after[shard] is before[shard]
 
+    def test_cold_tiers_read_the_newest_model_after_uneven_rebuilds(
+        self, fitted_sisg, tiny_split, monkeypatch
+    ):
+        """Windows touching shards 0, 0, then 1 leave versions ``[2, 1]``
+        with the newest model on shard 1: cold requests must be answered
+        from it, not from the shard with the highest version."""
+        import repro.serving.sharding as sharding_module
+
+        train, _ = tiny_split
+        base = fitted_sisg.model
+        two_shards = hbgp_partition(train, HBGPConfig(n_partitions=2))
+        store = ShardedModelStore.build(base, train, two_shards, n_cells=1, seed=0)
+        models = [
+            EmbeddingModel(base.vocab, base.w_in * scale, base.w_out, base.similarity)
+            for scale in (1.5, 2.0, 2.5)
+        ]
+        for shard, model in zip((0, 0, 1), models):
+            store.refresh_shard(shard, model, train, n_cells=1, seed=0)
+        assert store.versions == [2, 1]
+        assert store.model is models[-1]
+        used = []
+        for name in ("infer_cold_item_vector", "cold_user_vector"):
+            real = getattr(sharding_module, name)
+
+            def spy(model, *args, _real=real, **kwargs):
+                used.append(model)
+                return _real(model, *args, **kwargs)
+
+            monkeypatch.setattr(sharding_module, name, spy)
+        service = self.make_service(store, cache_size=0)
+        results = service.recommend_batch(
+            [
+                MatchRequest(si_values=dict(train.items[3].si_values)),
+                MatchRequest(gender="F", age_bucket="25-30"),
+            ],
+            K,
+        )
+        assert [r.tier for r in results] == ["cold_item", "cold_user"]
+        assert len(used) == 2 and all(model is models[-1] for model in used)
+
     def test_table_cache_survives_other_shards_swap(
         self, fitted_sisg, tiny_split, partition
     ):
