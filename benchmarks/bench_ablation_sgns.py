@@ -34,8 +34,7 @@ def _hr10(train, test, scale_faithful=True, **kwargs):
         dim=16, epochs=3, negatives=5, window=2, learning_rate=0.05, seed=4
     )
     params.update(kwargs)
-    model = SISG.sgns(**params)
-    model.config.scale_faithful_subsampling = scale_faithful
+    model = SISG.sgns(scale_faithful_subsampling=scale_faithful, **params)
     model.fit(train)
     return evaluate_hitrate(model.index, test, ks=(10,)).hit_rates[10]
 

@@ -24,8 +24,8 @@ one SGNS step; see :mod:`repro.core.sgns`).  One JSON report
   >= 4 cores: 4-worker pairs/sec strictly above 1-worker (no
   anti-scaling).
 - ``sharding`` — wall-clock of the vectorized ``shard_sequences`` on a
-  large synthetic corpus, both strategies.  Contract: array-op speed
-  (the pre-vectorization per-sequence loops were setup-time hot spots).
+  large synthetic corpus.  Contract: array-op speed (the
+  pre-vectorization per-sequence loops were setup-time hot spots).
 - ``parity`` — HR@10 of ``parallel`` and ``tns`` SISG models at
   ``min(4, cpu_count)`` workers vs the sequential trainer on the same
   split.  Contract: within 5% relative — lock-free races, per-shard LR
@@ -201,19 +201,15 @@ def run_shard_timing(n_seqs: int = 50_000) -> dict:
     lengths = rng.integers(2, 60, size=n_seqs)
     tokens = 2_000
     seqs = [rng.integers(0, tokens, size=int(n)) for n in lengths]
-    partition = rng.integers(-1, 8, size=tokens)
 
     out = {"sequences": n_seqs}
     start = time.perf_counter()
-    contiguous = shard_sequences(seqs, 8, window=5)
+    shards = shard_sequences(seqs, 8, window=5)
     out["contiguous_seconds"] = round(time.perf_counter() - start, 4)
-    start = time.perf_counter()
-    hbgp = shard_sequences(seqs, 8, window=5, token_partition=partition)
-    out["hbgp_seconds"] = round(time.perf_counter() - start, 4)
-    assert sum(len(s) for s in contiguous) == n_seqs
-    assert sum(len(s) for s in hbgp) == n_seqs
-    worst = max(out["contiguous_seconds"], out["hbgp_seconds"])
-    out["us_per_sequence"] = round(worst / n_seqs * 1e6, 3)
+    assert sum(len(s) for s in shards) == n_seqs
+    out["us_per_sequence"] = round(
+        out["contiguous_seconds"] / n_seqs * 1e6, 3
+    )
     out["max_us_per_sequence"] = MAX_SHARD_US_PER_SEQ
     assert out["us_per_sequence"] <= MAX_SHARD_US_PER_SEQ, (
         f"shard_sequences at {out['us_per_sequence']}us/seq — the"

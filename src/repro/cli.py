@@ -108,13 +108,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         help="worker processes for parallel/tns/distributed engines,"
         " or 'auto' (cpu count capped by shard count)",
     )
-    p.add_argument(
-        "--shard-strategy",
-        default="contiguous",
-        choices=["contiguous", "hbgp"],
-        help="sequence sharding for --engine parallel: pair-count"
-        " balanced, or HBGP majority-partition routing",
-    )
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -451,7 +444,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         n_workers=args.workers,
-        shard_strategy=args.shard_strategy,
     )
     model.fit(dataset)
     model.model.save(args.output)

@@ -8,16 +8,16 @@ module is the real thing on one machine: ``ParallelSGNSTrainer`` places
 and runs N OS worker processes doing minibatch SGD over disjoint
 sequence shards.
 
-Three of the paper's ideas carry over directly:
+Two of the paper's ideas carry over directly:
 
 - **Disjoint shards** play the role of TNS's per-worker pair streams:
   each worker trains only its own sequences, so two workers rarely
   aggregate gradients for the same parameter row in the same step.
-- **HBGP shard assignment** (``shard_strategy="hbgp"``) routes each
-  sequence to the worker owning the majority of its tokens' partition,
-  mirroring the paper's insight that partition-local traffic minimizes
-  cross-worker parameter conflicts — here, conflicts are racy lost
-  updates instead of RPCs.
+  The shards are spread by pair count alone.  HBGP placement (Section
+  III-B) exists to keep skip-gram pairs off the network; in one address
+  space a cross-partition pair costs nothing extra, and routing each
+  sequence to its majority HBGP partition was measured slower and no
+  better (DESIGN.md section 5c), so it is not an option here.
 - **ATNS hot-token replication, behind the parameter server only**:
   the hottest tokens (SI hubs, user types) appear in *every* shard.
   ATNS gives each worker a private replica of their output rows and
@@ -112,7 +112,6 @@ from repro.utils import ensure_rng, get_logger, require, require_positive
 
 logger = get_logger("core.hogwild")
 
-_SHARD_STRATEGIES = ("contiguous", "hbgp")
 _HOT_SYNCS = ("lock", "server")
 
 #: Pairs covered by one negative-sampling draw / hot-row translation in
@@ -136,116 +135,36 @@ _SERVER_HOT_THRESHOLD = 1e-3
 _ALL_COLD = HotRowSplit(np.empty(0, dtype=np.int64))
 
 
-def _assign_balanced(
-    free: np.ndarray,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    loads: np.ndarray,
-) -> None:
-    """Spread ``free`` sequences over workers by deficit filling.
-
-    Array-ops replacement for the greedy LPT loop: sort the free
-    sequences by descending weight, compute each worker's *deficit*
-    against the post-assignment ideal load, and bin the sorted cumulative
-    weight axis into the deficits (largest first) with one
-    ``searchsorted``.  Every bin receives at most its deficit plus one
-    straddling sequence, so the max load stays within one sequence
-    weight of ideal — LPT-grade balance without the per-sequence Python
-    loop.  Mutates ``targets`` and ``loads`` in place.
-    """
-    if len(free) == 0:
-        return
-    n_workers = len(loads)
-    order = free[np.argsort(-weights[free], kind="stable")]
-    w = weights[order].astype(np.float64)
-    ideal = (loads.sum() + w.sum()) / n_workers
-    deficits = np.maximum(ideal - loads, 0.0)
-    bin_order = np.argsort(-deficits, kind="stable")
-    bounds = np.cumsum(deficits[bin_order])
-    starts = np.concatenate(([0.0], np.cumsum(w)[:-1]))
-    slot = np.minimum(
-        np.searchsorted(bounds, starts, side="right"), n_workers - 1
-    )
-    assigned = bin_order[slot]
-    targets[order] = assigned
-    loads += np.bincount(assigned, weights=w, minlength=n_workers)
-
-
 def shard_sequences(
-    sequences: list[np.ndarray],
-    n_workers: int,
-    window: int = 5,
-    token_partition: np.ndarray | None = None,
-    balance: float = 1.25,
+    sequences: list[np.ndarray], n_workers: int, window: int = 5
 ) -> list[np.ndarray]:
-    """Assign sequences to ``n_workers`` disjoint shards.
+    """Assign sequences to ``n_workers`` disjoint shards of balanced pair
+    count.
 
-    Without ``token_partition``, sequences are spread by deficit-filling
-    on their expected pair count (near-perfect balance).  With it (HBGP
-    mode), each sequence goes to the worker owning the majority of its
-    tokens' partitions; shards exceeding ``balance`` times the mean load
-    evict their smallest sequences, which are re-spread — locality
-    first, balance as a bound.
-
-    Fully vectorized: the majority vote is one ``bincount`` over the
-    flattened corpus and the eviction cut one ``cumsum``/``searchsorted``
-    per overloaded shard, so assignment cost is O(tokens) array work
-    rather than a per-sequence interpreter loop (timed and asserted in
+    Deficit filling in array ops instead of a greedy LPT loop: sort the
+    sequences by descending expected pair count and cut the cumulative
+    pair axis into ``n_workers`` equal bins with one ``searchsorted``.
+    Every bin receives at most its share plus one straddling sequence, so
+    the max load stays within one sequence weight of ideal, at O(sequences)
+    array cost (timed and asserted in
     ``benchmarks/bench_training_throughput.py``).
 
     Returns one sorted array of sequence indices per worker.
     """
     require_positive(n_workers, "n_workers")
-    require(balance >= 1.0, f"balance must be >= 1.0, got {balance}")
-    n_seqs = len(sequences)
     lengths = np.fromiter(
-        (len(s) for s in sequences), dtype=np.int64, count=n_seqs
+        (len(s) for s in sequences), dtype=np.int64, count=len(sequences)
     )
     weights = pairs_per_sequence(lengths, window)
-    targets = np.full(n_seqs, -1, dtype=np.int64)
-    loads = np.zeros(n_workers, dtype=np.float64)
-
-    if token_partition is not None and n_seqs:
-        token_partition = np.asarray(token_partition, dtype=np.int64)
-        flat = (
-            np.concatenate(sequences)
-            if lengths.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        seq_of = np.repeat(np.arange(n_seqs), lengths)
-        owners = token_partition[flat]
-        valid = (owners >= 0) & (owners < n_workers)
-        votes = np.bincount(
-            seq_of[valid] * n_workers + owners[valid],
-            minlength=n_seqs * n_workers,
-        ).reshape(n_seqs, n_workers)
-        owned = np.flatnonzero(votes.sum(axis=1) > 0)
-        targets[owned] = votes[owned].argmax(axis=1)
-        loads += np.bincount(
-            targets[owned], weights=weights[owned], minlength=n_workers
-        )
-        # Balance bound: overloaded shards evict their smallest
-        # sequences (least locality loss), keeping at least one.
-        cap = balance * weights.sum() / n_workers
-        for wid in np.flatnonzero(loads > cap):
-            members = np.flatnonzero(targets == wid)
-            order = members[np.argsort(weights[members], kind="stable")]
-            cum = np.cumsum(weights[order])
-            n_evict = int(
-                np.searchsorted(cum, loads[wid] - cap, side="left")
-            ) + 1
-            n_evict = min(n_evict, len(order) - 1)
-            if n_evict <= 0:
-                continue
-            evicted = order[:n_evict]
-            targets[evicted] = -1
-            loads[wid] -= weights[evicted].sum()
-
-    _assign_balanced(np.flatnonzero(targets == -1), weights, targets, loads)
-    return [
-        np.flatnonzero(targets == wid).astype(np.int64)
-        for wid in range(n_workers)
-    ]
+    order = np.argsort(-weights, kind="stable")
+    w = weights[order].astype(np.float64)
+    bounds = np.cumsum(np.full(n_workers, w.sum() / n_workers))
+    starts = np.cumsum(w) - w  # exact: pair counts are integers
+    targets = np.empty(len(sequences), dtype=np.int64)
+    targets[order] = np.minimum(
+        np.searchsorted(bounds, starts, side="right"), n_workers - 1
+    )
+    return [np.flatnonzero(targets == wid) for wid in range(n_workers)]
 
 
 def resolve_n_workers(
@@ -369,10 +288,6 @@ class ParallelSGNSTrainer:
         the number of sequences at fit time).  ``1`` runs the worker
         loop inline (no fork).  Requests exceeding the core count are
         honoured but warned about loudly — they anti-scale.
-    shard_strategy:
-        ``"contiguous"`` (pair-count-balanced deficit spread) or
-        ``"hbgp"`` (majority-partition routing; requires
-        ``token_partition`` at :meth:`fit` time).
     sync_interval:
         Batches between hot-replica merges (ATNS cadence).  Short
         intervals bound drift tighter at slightly more sync traffic.
@@ -406,7 +321,6 @@ class ParallelSGNSTrainer:
         vocab_size: int,
         config: SGNSConfig | None = None,
         n_workers: "int | str" = 4,
-        shard_strategy: str = "contiguous",
         sync_interval: int = 8,
         hot_threshold: "float | None" = None,
         hot_sync: str = "lock",
@@ -414,11 +328,6 @@ class ParallelSGNSTrainer:
     ) -> None:
         require_positive(vocab_size, "vocab_size")
         require_positive(sync_interval, "sync_interval")
-        require(
-            shard_strategy in _SHARD_STRATEGIES,
-            f"shard_strategy must be one of {_SHARD_STRATEGIES},"
-            f" got {shard_strategy!r}",
-        )
         require(
             hot_sync in _HOT_SYNCS,
             f"hot_sync must be one of {_HOT_SYNCS}, got {hot_sync!r}",
@@ -436,7 +345,6 @@ class ParallelSGNSTrainer:
         if self.requested_workers != "auto":
             require_positive(self.requested_workers, "n_workers")
         self.n_workers = 1 if n_workers == "auto" else int(n_workers)
-        self.shard_strategy = shard_strategy
         self.sync_interval = sync_interval
         self.hot_threshold = hot_threshold
         self.hot_sync = hot_sync
@@ -459,36 +367,21 @@ class ParallelSGNSTrainer:
         sequences: list[np.ndarray],
         counts: np.ndarray,
         keep_probabilities: np.ndarray | None = None,
-        token_partition: np.ndarray | None = None,
     ) -> "ParallelSGNSTrainer":
         """Train over ``sequences`` with ``n_workers`` processes.
 
-        Parameters mirror :meth:`repro.core.sgns.SGNSTrainer.fit`;
-        ``token_partition`` (token id -> partition id, ``-1`` for
-        unowned) activates HBGP-locality sharding when
-        ``shard_strategy="hbgp"``.
+        Parameters mirror :meth:`repro.core.sgns.SGNSTrainer.fit`.
         """
         cfg = self.config
         counts, sampler, keep = fit_prelude(
             cfg, self.vocab_size, counts, keep_probabilities
         )
-        if self.shard_strategy == "hbgp" and token_partition is None:
-            raise ValueError(
-                "shard_strategy='hbgp' requires a token_partition array"
-            )
         self.n_workers = resolve_n_workers(
             self.requested_workers, max(len(sequences), 1)
         )
         n_workers = self.n_workers
 
-        shards = shard_sequences(
-            sequences,
-            n_workers,
-            window=cfg.window,
-            token_partition=(
-                token_partition if self.shard_strategy == "hbgp" else None
-            ),
-        )
+        shards = shard_sequences(sequences, n_workers, window=cfg.window)
         self.shard_sizes = [len(s) for s in shards]
         lengths = np.fromiter(
             (len(s) for s in sequences), dtype=np.int64, count=len(sequences)

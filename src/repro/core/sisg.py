@@ -25,7 +25,7 @@ trainer (same math, partitioned parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.utils import get_logger, require
 logger = get_logger("core.sisg")
 
 _ENGINES = ("local", "parallel", "tns", "distributed")
-_SHARD_STRATEGIES = ("contiguous", "hbgp")
 
 
 def kind_aware_keep(corpus: EnrichedCorpus, threshold: float) -> "np.ndarray":
@@ -100,12 +99,6 @@ class SISGConfig:
         Worker count for the parallel/tns/distributed engines (ignored
         by ``local``).  ``"auto"`` resolves to ``os.cpu_count()``
         capped by the shard count at fit time.
-    shard_strategy:
-        Sequence-sharding policy for the parallel engine:
-        ``"contiguous"`` (pair-count balanced) or ``"hbgp"`` (route each
-        sequence to the worker owning the majority of its items'
-        HBGP partitions; the partition is computed from the dataset at
-        fit time).
     scale_faithful_subsampling:
         When True (default) and SI tokens are in play, subsampling is
         applied to SI/user-type tokens only — the behaviour the paper's
@@ -120,7 +113,6 @@ class SISGConfig:
     sgns: SGNSConfig = field(default_factory=SGNSConfig)
     engine: str = "local"
     n_workers: "int | str" = 4
-    shard_strategy: str = "contiguous"
     scale_faithful_subsampling: bool = True
 
     def validate(self) -> None:
@@ -132,11 +124,6 @@ class SISGConfig:
             self.n_workers == "auto"
             or (isinstance(self.n_workers, int) and self.n_workers >= 1),
             f"n_workers must be >= 1 or 'auto', got {self.n_workers!r}",
-        )
-        require(
-            self.shard_strategy in _SHARD_STRATEGIES,
-            f"shard_strategy must be one of {_SHARD_STRATEGIES},"
-            f" got {self.shard_strategy!r}",
         )
         self.sgns.validate()
 
@@ -180,20 +167,19 @@ class SISG:
 
     @classmethod
     def _make(
-        cls, use_si: bool, use_user_types: bool, directional: bool, **sgns_kwargs
+        cls, use_si: bool, use_user_types: bool, directional: bool, **kwargs
     ) -> "SISG":
-        engine = sgns_kwargs.pop("engine", "local")
-        n_workers = sgns_kwargs.pop("n_workers", 4)
-        shard_strategy = sgns_kwargs.pop("shard_strategy", "contiguous")
+        """A keyword naming a :class:`SISGConfig` field sets that field;
+        every other keyword goes to :class:`SGNSConfig`."""
+        outer = {f.name for f in fields(SISGConfig)}
+        config = {k: kwargs.pop(k) for k in list(kwargs) if k in outer}
         return cls(
             SISGConfig(
                 use_si=use_si,
                 use_user_types=use_user_types,
                 directional=directional,
-                sgns=SGNSConfig(**sgns_kwargs),
-                engine=engine,
-                n_workers=n_workers,
-                shard_strategy=shard_strategy,
+                sgns=SGNSConfig(**kwargs),
+                **config,
             )
         )
 
@@ -279,74 +265,42 @@ class SISG:
             len(corpus.vocab),
             cfg.engine,
         )
-        if cfg.engine == "local":
-            trainer = SGNSTrainer(len(corpus.vocab), sgns_cfg)
-            trainer.fit(
-                corpus.sequences, corpus.vocab.counts, keep_probabilities=keep
-            )
-            w_in, w_out = trainer.w_in, trainer.w_out
-        elif cfg.engine in ("parallel", "tns"):
-            # Imported lazily to keep the default path light.
-            from repro.core.hogwild import ParallelSGNSTrainer, resolve_n_workers
-
-            token_partition = None
-            if cfg.shard_strategy == "hbgp":
-                token_partition = self._hbgp_token_partition(
-                    dataset,
-                    corpus.vocab,
-                    resolve_n_workers(cfg.n_workers, corpus.n_sequences),
-                )
-            parallel = ParallelSGNSTrainer(
-                len(corpus.vocab),
-                sgns_cfg,
-                n_workers=cfg.n_workers,
-                shard_strategy=cfg.shard_strategy,
-                hot_sync="server" if cfg.engine == "tns" else "lock",
-            )
-            parallel.fit(
-                corpus.sequences,
-                corpus.vocab.counts,
-                keep_probabilities=keep,
-                token_partition=token_partition,
-            )
-            w_in, w_out = parallel.w_in, parallel.w_out
-        else:
+        if cfg.engine == "distributed":
             # Imported lazily: repro.distributed depends on repro.core.
             from repro.distributed.engine import train_distributed
 
             from repro.core.hogwild import resolve_n_workers
 
-            result = train_distributed(
+            trainer = train_distributed(
                 corpus, sgns_cfg,
                 n_workers=resolve_n_workers(cfg.n_workers, corpus.n_sequences),
                 keep_probabilities=keep,
             )
-            w_in, w_out = result.w_in, result.w_out
+        else:
+            if cfg.engine == "local":
+                trainer = SGNSTrainer(len(corpus.vocab), sgns_cfg)
+            else:
+                # Imported lazily to keep the default path light.
+                from repro.core.hogwild import ParallelSGNSTrainer
+
+                trainer = ParallelSGNSTrainer(
+                    len(corpus.vocab),
+                    sgns_cfg,
+                    n_workers=cfg.n_workers,
+                    hot_sync="server" if cfg.engine == "tns" else "lock",
+                )
+            trainer.fit(
+                corpus.sequences, corpus.vocab.counts, keep_probabilities=keep
+            )
         self.model = EmbeddingModel(
-            corpus.vocab, w_in, w_out, "directional" if cfg.directional else "cosine"
+            corpus.vocab,
+            trainer.w_in,
+            trainer.w_out,
+            "directional" if cfg.directional else "cosine",
         )
         self.index = SimilarityIndex(self.model)
         self._dataset = dataset
         return self
-
-    @staticmethod
-    def _hbgp_token_partition(
-        dataset: BehaviorDataset, vocab, n_workers: int
-    ) -> np.ndarray:
-        """Token-id -> worker-id map from an HBGP item partition.
-
-        Item tokens inherit their item's partition; SI and user-type
-        tokens stay unowned (``-1``) — they are hubs shared by every
-        shard, exactly the rows ATNS replicates.
-        """
-        from repro.graph.hbgp import HBGPConfig, hbgp_partition
-
-        result = hbgp_partition(dataset, HBGPConfig(n_partitions=n_workers))
-        token_partition = np.full(len(vocab), -1, dtype=np.int64)
-        token_partition[vocab.ids_of_kind(TokenKind.ITEM)] = result.item_partition[
-            vocab.item_ids()
-        ]
-        return token_partition
 
     def _require_fitted(self) -> None:
         if self.model is None or self.index is None:

@@ -16,6 +16,124 @@ from repro.core.hogwild import (
 )
 from repro.core.sampling import pairs_per_sequence
 from repro.core.sgns import SGNSConfig
+from repro.utils import require, require_positive
+
+
+# ``shard_sequences`` as it was before HBGP majority routing was removed,
+# kept verbatim as the reference: without a ``token_partition`` it is the
+# balanced spread, which the current code must reproduce shard for shard.
+
+
+def _reference_assign_balanced(
+    free: np.ndarray,
+    weights: np.ndarray,
+    targets: np.ndarray,
+    loads: np.ndarray,
+) -> None:
+    """Spread ``free`` sequences over workers by deficit filling.
+
+    Array-ops replacement for the greedy LPT loop: sort the free
+    sequences by descending weight, compute each worker's *deficit*
+    against the post-assignment ideal load, and bin the sorted cumulative
+    weight axis into the deficits (largest first) with one
+    ``searchsorted``.  Every bin receives at most its deficit plus one
+    straddling sequence, so the max load stays within one sequence
+    weight of ideal — LPT-grade balance without the per-sequence Python
+    loop.  Mutates ``targets`` and ``loads`` in place.
+    """
+    if len(free) == 0:
+        return
+    n_workers = len(loads)
+    order = free[np.argsort(-weights[free], kind="stable")]
+    w = weights[order].astype(np.float64)
+    ideal = (loads.sum() + w.sum()) / n_workers
+    deficits = np.maximum(ideal - loads, 0.0)
+    bin_order = np.argsort(-deficits, kind="stable")
+    bounds = np.cumsum(deficits[bin_order])
+    starts = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+    slot = np.minimum(
+        np.searchsorted(bounds, starts, side="right"), n_workers - 1
+    )
+    assigned = bin_order[slot]
+    targets[order] = assigned
+    loads += np.bincount(assigned, weights=w, minlength=n_workers)
+
+
+def reference_shard_sequences(
+    sequences: list[np.ndarray],
+    n_workers: int,
+    window: int = 5,
+    token_partition: np.ndarray | None = None,
+    balance: float = 1.25,
+) -> list[np.ndarray]:
+    """Assign sequences to ``n_workers`` disjoint shards.
+
+    Without ``token_partition``, sequences are spread by deficit-filling
+    on their expected pair count (near-perfect balance).  With it (HBGP
+    mode), each sequence goes to the worker owning the majority of its
+    tokens' partitions; shards exceeding ``balance`` times the mean load
+    evict their smallest sequences, which are re-spread — locality
+    first, balance as a bound.
+
+    Fully vectorized: the majority vote is one ``bincount`` over the
+    flattened corpus and the eviction cut one ``cumsum``/``searchsorted``
+    per overloaded shard, so assignment cost is O(tokens) array work
+    rather than a per-sequence interpreter loop (timed and asserted in
+    ``benchmarks/bench_training_throughput.py``).
+
+    Returns one sorted array of sequence indices per worker.
+    """
+    require_positive(n_workers, "n_workers")
+    require(balance >= 1.0, f"balance must be >= 1.0, got {balance}")
+    n_seqs = len(sequences)
+    lengths = np.fromiter(
+        (len(s) for s in sequences), dtype=np.int64, count=n_seqs
+    )
+    weights = pairs_per_sequence(lengths, window)
+    targets = np.full(n_seqs, -1, dtype=np.int64)
+    loads = np.zeros(n_workers, dtype=np.float64)
+
+    if token_partition is not None and n_seqs:
+        token_partition = np.asarray(token_partition, dtype=np.int64)
+        flat = (
+            np.concatenate(sequences)
+            if lengths.sum()
+            else np.empty(0, dtype=np.int64)
+        )
+        seq_of = np.repeat(np.arange(n_seqs), lengths)
+        owners = token_partition[flat]
+        valid = (owners >= 0) & (owners < n_workers)
+        votes = np.bincount(
+            seq_of[valid] * n_workers + owners[valid],
+            minlength=n_seqs * n_workers,
+        ).reshape(n_seqs, n_workers)
+        owned = np.flatnonzero(votes.sum(axis=1) > 0)
+        targets[owned] = votes[owned].argmax(axis=1)
+        loads += np.bincount(
+            targets[owned], weights=weights[owned], minlength=n_workers
+        )
+        # Balance bound: overloaded shards evict their smallest
+        # sequences (least locality loss), keeping at least one.
+        cap = balance * weights.sum() / n_workers
+        for wid in np.flatnonzero(loads > cap):
+            members = np.flatnonzero(targets == wid)
+            order = members[np.argsort(weights[members], kind="stable")]
+            cum = np.cumsum(weights[order])
+            n_evict = int(
+                np.searchsorted(cum, loads[wid] - cap, side="left")
+            ) + 1
+            n_evict = min(n_evict, len(order) - 1)
+            if n_evict <= 0:
+                continue
+            evicted = order[:n_evict]
+            targets[evicted] = -1
+            loads[wid] -= weights[evicted].sum()
+
+    _reference_assign_balanced(np.flatnonzero(targets == -1), weights, targets, loads)
+    return [
+        np.flatnonzero(targets == wid).astype(np.int64)
+        for wid in range(n_workers)
+    ]
 
 
 def forward_chain_corpus(n_tokens=30, n_seqs=800, seed=0):
@@ -53,31 +171,27 @@ class TestShardSequences:
         shards = shard_sequences(seqs, 4)
         assert sum(len(s) for s in shards) == 1
 
-    def test_hbgp_routes_to_majority_owner(self):
-        # Tokens 0-9 owned by worker 0, 10-19 by worker 1.
-        part = np.repeat(np.arange(2), 10).astype(np.int64)
-        seqs = [
-            np.array([0, 1, 2, 15], dtype=np.int64),  # majority worker 0
-            np.array([12, 13, 14, 3], dtype=np.int64),  # majority worker 1
-        ]
-        shards = shard_sequences(seqs, 2, token_partition=part)
-        assert 0 in shards[0].tolist()
-        assert 1 in shards[1].tolist()
-
-    def test_hbgp_unowned_tokens_spread_greedily(self):
-        part = np.full(20, -1, dtype=np.int64)
-        seqs = [np.arange(10, dtype=np.int64) for _ in range(8)]
-        shards = shard_sequences(seqs, 2, token_partition=part)
-        assert sorted(len(s) for s in shards) == [4, 4]
-
-    def test_hbgp_balance_bound_evicts_overload(self):
-        # Every sequence prefers worker 0; the bound must spill some over.
-        part = np.zeros(20, dtype=np.int64)
-        seqs = [np.arange(8, dtype=np.int64) for _ in range(10)]
-        shards = shard_sequences(seqs, 2, token_partition=part, balance=1.25)
-        merged = sorted(np.concatenate(shards).tolist())
-        assert merged == list(range(10))
-        assert len(shards[1]) > 0
+    def test_matches_reference_spread(self):
+        """300 random corpora: sequences of 0-60 tokens (empty ones in
+        every corpus), 0-3 sequences in the first corpora so workers
+        outnumber them, 1/2/3/8 workers, windows 1/3/5."""
+        rng = np.random.default_rng(0)
+        for corpus in range(300):
+            n_seqs = corpus % 4 if corpus < 20 else int(rng.integers(4, 200))
+            lengths = rng.integers(0, 61, size=n_seqs)
+            lengths[: n_seqs // 10] = 0
+            rng.shuffle(lengths)
+            seqs = [rng.integers(0, 50, size=int(n)) for n in lengths]
+            for n_workers in (1, 2, 3, 8):
+                for window in (1, 3, 5):
+                    got = shard_sequences(seqs, n_workers, window=window)
+                    want = reference_shard_sequences(
+                        seqs, n_workers, window=window
+                    )
+                    assert len(got) == n_workers
+                    for g, w in zip(got, want):
+                        assert g.dtype == np.int64
+                        np.testing.assert_array_equal(g, w)
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
@@ -125,19 +239,9 @@ class TestResolveNWorkers:
 class TestParallelTrainer:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            ParallelSGNSTrainer(10, shard_strategy="nope")
-        with pytest.raises(ValueError):
             ParallelSGNSTrainer(10, n_workers=0)
         with pytest.raises(ValueError):
             ParallelSGNSTrainer(10, hot_threshold=0.0)
-
-    def test_hbgp_requires_partition(self):
-        seqs, counts = forward_chain_corpus(n_seqs=50)
-        trainer = ParallelSGNSTrainer(
-            30, SGNSConfig(dim=4, epochs=1), n_workers=2, shard_strategy="hbgp"
-        )
-        with pytest.raises(ValueError):
-            trainer.fit(seqs, counts)
 
     def test_shapes_finiteness_and_accounting(self):
         seqs, counts = forward_chain_corpus(n_seqs=300)

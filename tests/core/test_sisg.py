@@ -1,5 +1,8 @@
 """Unit tests for the SISG façade and its variants."""
 
+import hashlib
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,11 @@ class TestVariantConstructors:
         model = SISG.sgns(dim=8, engine="distributed", n_workers=3)
         assert model.config.engine == "distributed"
         assert model.config.n_workers == 3
+
+    def test_every_config_field_is_a_constructor_keyword(self):
+        model = SISG.sgns(dim=8, scale_faithful_subsampling=False)
+        assert model.config.scale_faithful_subsampling is False
+        assert model.config.sgns.dim == 8
 
     def test_tns_engine_and_auto_workers_accepted(self):
         model = SISG.sgns(dim=8, engine="tns", n_workers="auto")
@@ -169,8 +177,6 @@ class TestEngineEndToEnd:
 
     @pytest.mark.parametrize("engine", ["parallel", "tns"])
     def test_hogwild_engines_fit_and_recommend(self, tiny_split, engine):
-        import multiprocessing
-
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("hogwild engines need fork for multi-process runs")
         train, _ = tiny_split
@@ -181,3 +187,30 @@ class TestEngineEndToEnd:
         items, scores = model.recommend(train.items[0].item_id, k=5)
         assert len(items) == 5
         assert np.all(np.isfinite(model.model.w_in))
+
+    #: SHA-256 of the float32 ``w_in`` then ``w_out`` bytes of SISG-F-U-D
+    #: trained on the tiny world, per (engine, workers).  Each run is
+    #: deterministic: one Hogwild worker has nobody to race, and the
+    #: simulated cluster replays its workers in a fixed order.  The bytes
+    #: depend on numpy's float kernels, so a different numpy build or CPU
+    #: may need new pins; a change to training must not.
+    ENGINE_DIGESTS = {
+        ("local", 1): "4180dbd1e6059f6a5295a9e74a2403187e6e33361fb1059bd4002ace6f245e4b",
+        ("parallel", 1): "cb3d9fee7e7d9837555a047b9719f55b128d84e2f954ef9f0cf4cfcd1e2d4bce",
+        ("tns", 1): "f66c1f677ea8f5e4c97907e64b49715035898d6f98d0469fb78c576ef1db4f78",
+        ("distributed", 2): "a5a330358f13fd11a3a9d333117e156f7e3af588f664cd248decd8dc5fcb8ac7",
+    }
+
+    @pytest.mark.parametrize("engine,workers", list(ENGINE_DIGESTS))
+    def test_trained_bytes_pinned_per_engine(self, tiny_split, engine, workers):
+        if engine == "tns" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the parameter server needs fork")
+        train, _ = tiny_split
+        model = SISG.sisg_f_u_d(
+            dim=8, epochs=1, window=2, negatives=3, seed=11, dtype="float32",
+            engine=engine, n_workers=workers,
+        ).fit(train).model
+        digest = hashlib.sha256()
+        for weights in (model.w_in, model.w_out):
+            digest.update(np.ascontiguousarray(weights).tobytes())
+        assert digest.hexdigest() == self.ENGINE_DIGESTS[engine, workers]

@@ -429,9 +429,7 @@ class TestWorkflow:
         "engine_flags",
         [
             pytest.param(
-                ["--engine", "parallel", "--workers", "2",
-                 "--shard-strategy", "hbgp"],
-                id="parallel-hbgp-2w",
+                ["--engine", "parallel", "--workers", "2"], id="parallel-2w"
             ),
             pytest.param(["--engine", "tns", "--workers", "auto"], id="tns-auto"),
         ],
