@@ -108,7 +108,13 @@ from repro.core.sgns import (
     lr_at,
     sgns_gradients,
 )
-from repro.utils import ensure_rng, get_logger, require, require_positive
+from repro.utils import (
+    available_cpus,
+    ensure_rng,
+    get_logger,
+    require,
+    require_positive,
+)
 
 logger = get_logger("core.hogwild")
 
@@ -172,14 +178,15 @@ def resolve_n_workers(
 ) -> int:
     """Resolve a worker-count request against the host.
 
-    ``"auto"`` picks ``os.cpu_count()`` capped by the number of
+    ``"auto"`` picks :func:`~repro.utils.available_cpus` (the affinity
+    mask, not the host's CPU count) capped by the number of
     shardable sequences — you can never use more workers than shards,
     and asking for more workers than cores anti-scales.  An explicit
     integer is honoured but logged loudly when it oversubscribes the
     box: that exact condition (4 workers on a 1-core container)
     produced a *regressing* 4-worker curve that read as an engine bug.
     """
-    cores = os.cpu_count() or 1
+    cores = available_cpus()
     if isinstance(n_workers, str):
         require(
             n_workers == "auto",
@@ -284,8 +291,8 @@ class ParallelSGNSTrainer:
         ``dtype="float32"`` is recommended: it halves the shared-memory
         footprint and memory traffic.
     n_workers:
-        Worker processes, or ``"auto"`` (``os.cpu_count()`` capped by
-        the number of sequences at fit time).  ``1`` runs the worker
+        Worker processes, or ``"auto"`` (the CPUs of the affinity mask,
+        capped by the number of sequences at fit time).  ``1`` runs the worker
         loop inline (no fork).  Requests exceeding the core count are
         honoured but warned about loudly — they anti-scale.
     sync_interval:
@@ -417,7 +424,7 @@ class ParallelSGNSTrainer:
         self.feed_mode = resolve_feed_mode(
             self.pair_feed, n_workers, fork_available
         )
-        cores = os.cpu_count() or 1
+        cores = available_cpus()
         self.pinned = (
             use_fork
             and cores >= n_workers

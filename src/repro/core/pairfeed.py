@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.sampling import PairGenerator, unpack_pairs
 from repro.core.sgns import SGNSConfig, pair_generator
-from repro.utils import ensure_rng, get_logger, require_positive
+from repro.utils import available_cpus, ensure_rng, get_logger, require_positive
 
 logger = get_logger("core.pairfeed")
 
@@ -294,7 +294,4 @@ def resolve_feed_mode(mode: str, n_workers: int, fork_available: bool) -> str:
         return "inline"
     if mode == "pipelined":
         return "pipelined"
-    import os
-
-    cores = os.cpu_count() or 1
-    return "pipelined" if cores > n_workers else "inline"
+    return "pipelined" if available_cpus() > n_workers else "inline"

@@ -22,8 +22,12 @@ rows, then call the same :func:`sgns_gradients`, :func:`lr_at` and
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import queue
+import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +39,7 @@ from repro.core.sampling import (
     subsample_keep_probabilities,
 )
 from repro.utils import (
+    available_cpus,
     ensure_rng,
     get_logger,
     require_in_range,
@@ -115,10 +120,12 @@ class SGNSConfig:
         indices: np.ndarray,
         grads: "np.ndarray | OutputGradients",
         lr: float,
+        groups: "ScatterGroups | None" = None,
     ) -> None:
         """:func:`scatter_update` under this config's duplicate policy and clip."""
         scatter_update(
-            matrix, indices, grads, lr, self.duplicate_policy, self.max_step_norm
+            matrix, indices, grads, lr, self.duplicate_policy, self.max_step_norm,
+            groups,
         )
 
 
@@ -292,6 +299,48 @@ def pair_generator(
     )
 
 
+class ScatterGroups:
+    """How :func:`scatter_update` sums a step's gradient rows per token.
+
+    ``order`` sorts the indices, ``unique`` holds each distinct token
+    once, ``row_ends`` closes each token's segment of the sorted rows,
+    and ``indicator`` is the CSR matrix whose row ``i`` selects the
+    gradient rows of ``unique[i]``.  Without ``sources`` the gradients
+    are a dense block: the columns are ``order`` and the data ones.
+    With ``sources`` they are :class:`OutputGradients` over
+    ``n_centers`` centre rows: the columns are ``sources[order]`` and
+    the data, the coefficients in sort order, are set by each scatter.
+    Nothing here reads a weight, so a trainer may build it before the
+    step that uses it (:meth:`SGNSTrainer.fit`).
+    """
+
+    __slots__ = ("order", "unique", "row_ends", "indicator")
+
+    def __init__(
+        self,
+        indices: np.ndarray,
+        dtype: np.dtype,
+        sources: "np.ndarray | None" = None,
+        n_centers: int = 0,
+    ) -> None:
+        order = np.argsort(indices)
+        sorted_idx = indices[order]
+        boundary = np.empty(len(sorted_idx), dtype=bool)
+        boundary[0] = True
+        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        self.order = order
+        self.unique = sorted_idx[starts]
+        self.row_ends = np.append(starts, len(order))
+        if sources is None:
+            data, columns, width = np.ones(len(order), dtype), order, len(order)
+        else:
+            data, columns, width = np.empty(len(order), dtype), sources[order], n_centers
+        self.indicator = sparse.csr_matrix(
+            (data, columns, self.row_ends), shape=(len(starts), width)
+        )
+
+
 def scatter_update(
     matrix: np.ndarray,
     indices: np.ndarray,
@@ -299,6 +348,7 @@ def scatter_update(
     lr: float,
     duplicate_policy: str = "sum",
     max_step_norm: float | None = 0.25,
+    groups: ScatterGroups | None = None,
 ) -> None:
     """Apply ``matrix[indices] -= lr * grads`` with duplicate handling.
 
@@ -320,49 +370,42 @@ def scatter_update(
 
     Duplicates are aggregated by sorting the indices once and
     segment-summing the gradient rows with a CSR indicator matmul (one
-    sparse GEMM over the batch); ``tests/core/test_sgns.py`` holds the
-    ``np.add.at`` arithmetic reference it is checked against.  ``grads``
-    in :class:`OutputGradients` form puts the coefficients in the CSR
-    data and the centre rows in its columns: each product is formed once,
-    in the same place of the same per-segment sum, so the step equals the
-    dense block's to the byte.  The work is done in ``matrix.dtype`` —
-    gradients are cast, not the matrix — so the float32 path never
-    silently upcasts.
+    sparse GEMM over the batch, :class:`ScatterGroups`);
+    ``tests/core/test_sgns.py`` holds the ``np.add.at`` arithmetic
+    reference it is checked against.  ``groups`` is that grouping built
+    ahead of time for these ``indices`` (and, for output gradients,
+    these sources) into a matrix of this dtype; without it the grouping
+    is computed here.  ``grads`` in :class:`OutputGradients` form puts
+    the coefficients in the CSR data and the centre rows in its columns:
+    each product is formed once, in the same place of the same
+    per-segment sum, so the step equals the dense block's to the byte.
+    The work is done in ``matrix.dtype`` — gradients are cast, not the
+    matrix — so the float32 path never silently upcasts.
     """
     if len(indices) == 0:
         return
     dtype = matrix.dtype
-    order = np.argsort(indices)
-    sorted_idx = indices[order]
-    boundary = np.empty(len(sorted_idx), dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    unique = sorted_idx[starts]
-    row_ends = np.append(starts, len(order))
-    # Row i of the indicator selects the batch rows of unique[i]; the
-    # matmul is the segment sum without gathering grads.
-    if isinstance(grads, OutputGradients):
-        weights = grads.coefficients[order].astype(dtype, copy=False)
-        columns = grads.sources[order]
+    coefficient_form = isinstance(grads, OutputGradients)
+    if groups is None and coefficient_form:
+        groups = ScatterGroups(indices, dtype, grads.sources, len(grads.centers))
+    elif groups is None:
+        groups = ScatterGroups(indices, dtype)
+    indicator = groups.indicator
+    if coefficient_form:
+        indicator.data = grads.coefficients[groups.order].astype(dtype, copy=False)
         rows = grads.centers
     else:
-        weights = np.ones(len(order), dtype=dtype)
-        columns = order
         rows = grads
-    indicator = sparse.csr_matrix(
-        (weights, columns, row_ends), shape=(len(starts), len(rows))
-    )
     step = indicator @ np.asarray(rows, dtype=dtype)
     if duplicate_policy == "mean":
-        step /= np.diff(row_ends)[:, None].astype(dtype)
+        step /= np.diff(groups.row_ends)[:, None].astype(dtype)
     step *= dtype.type(lr)
     if max_step_norm is not None:
         # np.linalg.norm's own body for axis=1, without its wrapper.
         norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
         np.maximum(norms, max_step_norm, out=norms)
         step *= dtype.type(max_step_norm) / norms
-    matrix[unique] -= step
+    matrix[groups.unique] -= step
 
 
 class HotRowSplit:
@@ -413,6 +456,80 @@ class HotRowSplit:
             tokens = np.take(tokens, self.cold)
             grads = grads[self.cold]
         scatter(matrix, tokens, grads, lr)
+
+
+@dataclass(slots=True)
+class StepPlan:
+    """What one :class:`SGNSTrainer` step needs that reads no weight.
+
+    The batch (``centers``, ``contexts``), its ``(B, n)`` ``negatives``,
+    the ``w_out`` rows the step writes (``out_tokens``: contexts, then
+    negatives in ``(b, n)`` order) and both scatters' grouping.
+    """
+
+    centers: np.ndarray
+    contexts: np.ndarray
+    negatives: np.ndarray
+    out_tokens: np.ndarray
+    in_groups: ScatterGroups
+    out_groups: ScatterGroups
+
+
+#: Finished plans the producer thread may hold ahead of the step.
+_PLANS_AHEAD = 2
+
+_END = object()
+
+
+def _run_ahead(items: Iterator) -> Iterator:
+    """Yield ``items``, computing all but the first on a producer thread.
+
+    The first item is computed on the calling thread (for a fit, that
+    builds the epoch, so its buffers and its trace span stay with the
+    caller).  A producer thread then runs the rest of the iterator, at
+    most ``_PLANS_AHEAD`` finished items ahead, through a bounded
+    queue, and an error it raises is re-raised here.  Closing the
+    generator -- the consumer finished or failed -- stops the producer,
+    even one blocked on a full queue, and joins it before ``close()``
+    returns.
+    """
+    first = next(items, _END)
+    if first is _END:
+        return
+    yield first
+    handoff: queue.Queue = queue.Queue(maxsize=_PLANS_AHEAD)
+    stop = threading.Event()
+
+    def produce() -> None:
+        try:
+            for item in items:
+                handoff.put((item, None))
+                if stop.is_set():
+                    return
+            handoff.put((_END, None))
+        except BaseException as exc:  # re-raised on the consumer
+            handoff.put((_END, exc))
+
+    producer = threading.Thread(target=produce, name="sgns-plan", daemon=True)
+    producer.start()
+    try:
+        while True:
+            item, exc = handoff.get()
+            if exc is not None:
+                raise exc
+            if item is _END:
+                return
+            yield item
+    finally:
+        stop.set()
+        # A producer blocked on the full queue wakes, puts once into the
+        # room this makes, sees ``stop`` and returns.
+        while True:
+            try:
+                handoff.get_nowait()
+            except queue.Empty:
+                break
+        producer.join()
 
 
 class SGNSTrainer:
@@ -468,6 +585,14 @@ class SGNSTrainer:
             ``config.subsample_threshold``.  Used by SISG to subsample SI
             tokens more aggressively than items (Section III-C of the
             paper; see :func:`repro.core.sisg.kind_aware_keep`).
+
+        Each step is a :meth:`_plan`, everything that reads no weight,
+        and an :meth:`_update`.  With a spare CPU in the affinity mask a
+        producer thread plans the next steps while this thread updates
+        (:func:`_run_ahead`); with one CPU the same plans are made
+        inline.  The RNG draws come in one order either way -- an
+        epoch's pairs, then its batches' negatives -- so both train the
+        same bytes.
         """
         cfg = self.config
         _, sampler, keep = fit_prelude(
@@ -477,18 +602,21 @@ class SGNSTrainer:
         # Learning-rate schedule over the expected total number of pairs.
         total_pairs = generator.count_pairs() * cfg.epochs
         seen = 0
+        threaded = available_cpus() > 1
 
         for epoch in range(cfg.epochs):
             epoch_loss = 0.0
             epoch_pairs = 0
-            for centers, contexts in generator.batches(cfg.batch_size):
-                lr = lr_at(cfg, seen, total_pairs)
-                loss = self._update_batch(centers, contexts, sampler, lr)
-                batch = len(centers)
-                seen += batch
-                self.pairs_trained += batch
-                epoch_loss += loss * batch
-                epoch_pairs += batch
+            plans = self._plans(generator.batches(cfg.batch_size), sampler)
+            with contextlib.closing(_run_ahead(plans) if threaded else plans) as steps:
+                for plan in steps:
+                    lr = lr_at(cfg, seen, total_pairs)
+                    loss = self._update(plan, lr)
+                    batch = len(plan.centers)
+                    seen += batch
+                    self.pairs_trained += batch
+                    epoch_loss += loss * batch
+                    epoch_pairs += batch
             mean_loss = epoch_loss / max(epoch_pairs, 1)
             self.loss_history.append(mean_loss)
             logger.info(
@@ -500,25 +628,41 @@ class SGNSTrainer:
             )
         return self
 
-    def _update_batch(
-        self,
-        centers: np.ndarray,
-        contexts: np.ndarray,
-        sampler: AliasSampler,
-        lr: float,
-    ) -> float:
-        """One SGD step over a batch of positive pairs; returns mean loss."""
-        cfg = self.config
-        negatives = sampler.sample((len(centers), cfg.negatives), self._rng)
-        grad_w, grad_out, loss = sgns_gradients(
-            np.take(self.w_in, centers, axis=0),
-            np.take(self.w_out, contexts, axis=0),
-            np.take(self.w_out, negatives, axis=0),
-        )
-        cfg.scatter(self.w_in, centers, grad_w, lr)
+    def _plans(
+        self, batches: Iterator[tuple[np.ndarray, np.ndarray]], sampler: AliasSampler
+    ) -> Iterator[StepPlan]:
+        """A :meth:`_plan` per batch, each batch's negatives drawn after it."""
+        n = self.config.negatives
+        for centers, contexts in batches:
+            negatives = sampler.sample((len(centers), n), self._rng)
+            yield self._plan(centers, contexts, negatives)
+
+    def _plan(
+        self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
+    ) -> StepPlan:
+        """The weight-free part of a step over one batch of positive pairs."""
+        dtype = self.config.param_dtype
         # Positive-context and negative rows hit the same matrix in the
         # same step; one combined scatter sorts (and clips) them once.
-        cfg.scatter(
-            self.w_out, np.concatenate((contexts, negatives.ravel())), grad_out, lr
+        out_tokens = np.concatenate((contexts, negatives.ravel()))
+        sources = _block_sources(*negatives.shape)
+        return StepPlan(
+            centers,
+            contexts,
+            negatives,
+            out_tokens,
+            ScatterGroups(centers, dtype),
+            ScatterGroups(out_tokens, dtype, sources, len(centers)),
         )
+
+    def _update(self, plan: StepPlan, lr: float) -> float:
+        """One SGD step on the current weights; returns the mean loss."""
+        cfg = self.config
+        grad_w, grad_out, loss = sgns_gradients(
+            np.take(self.w_in, plan.centers, axis=0),
+            np.take(self.w_out, plan.contexts, axis=0),
+            np.take(self.w_out, plan.negatives, axis=0),
+        )
+        cfg.scatter(self.w_in, plan.centers, grad_w, lr, plan.in_groups)
+        cfg.scatter(self.w_out, plan.out_tokens, grad_out, lr, plan.out_groups)
         return loss

@@ -97,8 +97,8 @@ class SISGConfig:
         of Section III).
     n_workers:
         Worker count for the parallel/tns/distributed engines (ignored
-        by ``local``).  ``"auto"`` resolves to ``os.cpu_count()``
-        capped by the shard count at fit time.
+        by ``local``).  ``"auto"`` resolves to the CPUs of the affinity
+        mask, capped by the shard count at fit time.
     scale_faithful_subsampling:
         When True (default) and SI tokens are in play, subsampling is
         applied to SI/user-type tokens only — the behaviour the paper's

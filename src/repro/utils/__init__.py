@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG handling, logging, timing, validation.
+"""Shared utilities: deterministic RNG handling, logging, timing, validation,
+the CPU count.
 
 These helpers are deliberately small.  Everything in :mod:`repro` that
 involves randomness accepts either an integer seed or a
@@ -6,6 +7,7 @@ involves randomness accepts either an integer seed or a
 ``Generator`` so experiments are reproducible end to end.
 """
 
+from repro.utils.cpus import available_cpus
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.logger import get_logger
 from repro.utils.timer import Timer
@@ -22,6 +24,7 @@ from repro.utils.shm import (
 )
 
 __all__ = [
+    "available_cpus",
     "ensure_rng",
     "spawn_rngs",
     "get_logger",

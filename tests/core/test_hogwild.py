@@ -16,7 +16,7 @@ from repro.core.hogwild import (
 )
 from repro.core.sampling import pairs_per_sequence
 from repro.core.sgns import SGNSConfig
-from repro.utils import require, require_positive
+from repro.utils import available_cpus, require, require_positive
 
 
 # ``shard_sequences`` as it was before HBGP majority routing was removed,
@@ -215,7 +215,7 @@ class TestShardSequences:
 
 class TestResolveNWorkers:
     def test_auto_caps_by_cores_and_shards(self):
-        cores = os.cpu_count() or 1
+        cores = available_cpus()
         assert resolve_n_workers("auto") == cores
         assert resolve_n_workers("auto", n_shardable=1) == 1
         assert resolve_n_workers("auto", n_shardable=10**6) == cores
@@ -224,7 +224,7 @@ class TestResolveNWorkers:
         assert resolve_n_workers(3) == 3
 
     def test_oversubscription_warns_loudly(self, caplog):
-        cores = os.cpu_count() or 1
+        cores = available_cpus()
         with caplog.at_level(logging.WARNING, logger="repro.core.hogwild"):
             resolve_n_workers(cores + 4)
         assert any("exceeds" in rec.message for rec in caplog.records)
@@ -313,7 +313,7 @@ class TestParallelTrainer:
         trainer = ParallelSGNSTrainer(30, cfg, n_workers="auto").fit(
             seqs, counts
         )
-        expected = min(os.cpu_count() or 1, 50)
+        expected = min(available_cpus(), 50)
         assert trainer.n_workers == expected
         assert len(trainer.worker_reports) == expected
         assert trainer.pairs_trained > 0

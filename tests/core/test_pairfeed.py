@@ -20,6 +20,7 @@ from repro.core.pairfeed import (
 )
 from repro.core.hogwild import ParallelSGNSTrainer
 from repro.core.sgns import SGNSConfig
+from repro.utils import available_cpus
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -138,9 +139,7 @@ class TestResolveFeedMode:
         assert resolve_feed_mode("pipelined", 4, False) == "inline"
 
     def test_auto_needs_spare_cores(self):
-        import os
-
-        cores = os.cpu_count() or 1
+        cores = available_cpus()
         assert resolve_feed_mode("auto", cores, True) == "inline"
         if cores > 1:
             assert resolve_feed_mode("auto", 1, True) == "pipelined"

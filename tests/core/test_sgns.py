@@ -1,18 +1,25 @@
 """Unit tests for the SGNS trainer: math helpers, updates, convergence."""
 
+import collections
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
+import repro.core.sgns as sgns_module
 from repro.core.enrichment import build_enriched_corpus
 from repro.core.hogwild import ParallelSGNSTrainer
-from repro.core.sampling import PairGenerator
+from repro.core.sampling import AliasSampler, PairGenerator
 from repro.core.sgns import (
     OutputGradients,
     SGNSConfig,
     SGNSTrainer,
+    fit_prelude,
     lr_at,
+    pair_generator,
     scatter_update,
     sgns_gradients,
     sigmoid,
@@ -525,8 +532,62 @@ def reference_update_batch(self, centers, contexts, sampler, lr):
     return loss
 
 
+def reference_fit(self, sequences, counts, keep_probabilities=None):
+    """``SGNSTrainer.fit`` as it was: one loop on the calling thread,
+    each step's negatives drawn inside ``self._update_batch``."""
+    cfg = self.config
+    _, sampler, keep = fit_prelude(
+        cfg, self.vocab_size, counts, keep_probabilities
+    )
+    generator = pair_generator(sequences, cfg, keep, self._rng)
+    # Learning-rate schedule over the expected total number of pairs.
+    total_pairs = generator.count_pairs() * cfg.epochs
+    seen = 0
+
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        epoch_pairs = 0
+        for centers, contexts in generator.batches(cfg.batch_size):
+            lr = lr_at(cfg, seen, total_pairs)
+            loss = self._update_batch(centers, contexts, sampler, lr)
+            batch = len(centers)
+            seen += batch
+            self.pairs_trained += batch
+            epoch_loss += loss * batch
+            epoch_pairs += batch
+        mean_loss = epoch_loss / max(epoch_pairs, 1)
+        self.loss_history.append(mean_loss)
+    return self
+
+
+def loop_update_batch(self, centers, contexts, sampler, lr):
+    """``SGNSTrainer._update_batch`` as it was before steps were planned:
+    sampling, gathers, gradients and both scatters (grouping included)
+    in one call."""
+    cfg = self.config
+    negatives = sampler.sample((len(centers), cfg.negatives), self._rng)
+    grad_w, grad_out, loss = sgns_gradients(
+        np.take(self.w_in, centers, axis=0),
+        np.take(self.w_out, contexts, axis=0),
+        np.take(self.w_out, negatives, axis=0),
+    )
+    cfg.scatter(self.w_in, centers, grad_w, lr)
+    # Positive-context and negative rows hit the same matrix in the
+    # same step; one combined scatter sorts (and clips) them once.
+    cfg.scatter(
+        self.w_out, np.concatenate((contexts, negatives.ravel())), grad_out, lr
+    )
+    return loss
+
+
 class ReferenceTrainer(SGNSTrainer):
+    fit = reference_fit
     _update_batch = reference_update_batch
+
+
+class LoopTrainer(SGNSTrainer):
+    fit = reference_fit
+    _update_batch = loop_update_batch
 
 
 def bits(a):
@@ -635,11 +696,234 @@ class TestStepMatchesReference:
         previous = fitted_sisg.model
         cfg = SGNSConfig(dim=12, epochs=1, window=4, negatives=4, seed=2, batch_size=256)
         ours = incremental_update(previous, tiny_split[0], cfg)
-        monkeypatch.setattr(SGNSTrainer, "_update_batch", reference_update_batch)
+        monkeypatch.setattr(SGNSTrainer, "fit", reference_fit)
+        monkeypatch.setattr(
+            SGNSTrainer, "_update_batch", reference_update_batch, raising=False
+        )
         ref = incremental_update(previous, tiny_split[0], cfg)
         np.testing.assert_array_equal(bits(ours.w_in), bits(ref.w_in))
         np.testing.assert_array_equal(bits(ours.w_out), bits(ref.w_out))
         assert not np.array_equal(ours.w_in[: len(previous.w_in)], previous.w_in)
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def plan_path(request, monkeypatch):
+    """Fit with the planning thread, or inline as under a one-CPU mask."""
+    cpus = 2 if request.param == "threaded" else 1
+    monkeypatch.setattr(sgns_module, "available_cpus", lambda: cpus)
+    return request.param
+
+
+def same_fit(ours, ref):
+    """Equal trained bits, loss history and post-fit RNG state."""
+    return (
+        np.array_equal(bits(ours.w_in), bits(ref.w_in))
+        and np.array_equal(bits(ours.w_out), bits(ref.w_out))
+        and ours.loss_history == ref.loss_history
+        and ours._rng.bit_generator.state == ref._rng.bit_generator.state
+    )
+
+
+class NegativesBeforeEpoch(SGNSTrainer):
+    """Mutant: each epoch's first negatives are drawn before its pairs."""
+
+    def _plans(self, batches, sampler):
+        n = self.config.negatives
+        early = sampler.sample((self.config.batch_size, n), self._rng)
+        for i, (centers, contexts) in enumerate(batches):
+            negatives = (
+                early[: len(centers)] if i == 0
+                else sampler.sample((len(centers), n), self._rng)
+            )
+            yield self._plan(centers, contexts, negatives)
+
+
+class GatheringPlan(SGNSTrainer):
+    """Mutant: the plan also gathers the step's ``w_out`` rows."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gathered = collections.deque()
+
+    def _plan(self, centers, contexts, negatives):
+        self.gathered.append(
+            (np.take(self.w_out, contexts, axis=0), np.take(self.w_out, negatives, axis=0))
+        )
+        return super()._plan(centers, contexts, negatives)
+
+    def _update(self, plan, lr):
+        positives, negatives = self.gathered.popleft()
+        time.sleep(0.002)  # the update is the slow side, as at scale
+        cfg = self.config
+        grad_w, grad_out, loss = sgns_gradients(
+            np.take(self.w_in, plan.centers, axis=0), positives, negatives
+        )
+        cfg.scatter(self.w_in, plan.centers, grad_w, lr, plan.in_groups)
+        cfg.scatter(self.w_out, plan.out_tokens, grad_out, lr, plan.out_groups)
+        return loss
+
+
+class TestPlannedFitMatchesLoop:
+    """``fit`` plans each step apart from its update, on a producer thread
+    or inline; either way it trains what the one-loop fit trains
+    (``reference_fit`` + ``loop_update_batch``): the same bits, loss
+    history and RNG state afterwards."""
+
+    CASES = {
+        "float32": dict(dtype="float32"),
+        "directional-mean": dict(directional=True, duplicate_policy="mean"),
+        "streamed-pairs": dict(precompute_pairs=False),
+        "subsampled-noclip": dict(subsample_threshold=0.05, max_step_norm=None),
+    }
+
+    @staticmethod
+    def config(**overrides):
+        base = dict(
+            dim=8, epochs=3, window=2, batch_size=64, negatives=3, seed=7,
+            subsample_threshold=0,
+        )
+        return SGNSConfig(**{**base, **overrides})
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fit(self, plan_path, case):
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=5)
+        cfg = self.config(**self.CASES[case])
+        ours = SGNSTrainer(30, cfg).fit(seqs, counts)
+        ref = LoopTrainer(30, cfg).fit(seqs, counts)
+        assert ours.pairs_trained == ref.pairs_trained > 10 * cfg.batch_size
+        assert same_fit(ours, ref)
+
+    def test_fit_under_a_short_switch_interval(self, monkeypatch):
+        """Thread switches every microsecond: a draw made out of order,
+        or a plan handed over twice or lost, changes the bytes."""
+        monkeypatch.setattr(sgns_module, "available_cpus", lambda: 2)
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=5)
+        cfg = self.config(precompute_pairs=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ours = SGNSTrainer(30, cfg).fit(seqs, counts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_fit(ours, LoopTrainer(30, cfg).fit(seqs, counts))
+
+    def test_epochs_are_built_on_the_calling_thread(self, plan_path, monkeypatch):
+        caller = threading.get_ident()
+        plans_on_caller, epochs_on_caller = [], []
+        plan, materialize = SGNSTrainer._plan, PairGenerator.materialize_pairs
+
+        def plan_spy(self, *args):
+            plans_on_caller.append(threading.get_ident() == caller)
+            return plan(self, *args)
+
+        def materialize_spy(self):
+            epochs_on_caller.append(threading.get_ident() == caller)
+            return materialize(self)
+
+        monkeypatch.setattr(SGNSTrainer, "_plan", plan_spy)
+        monkeypatch.setattr(PairGenerator, "materialize_pairs", materialize_spy)
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=5)
+        cfg = self.config()
+        SGNSTrainer(30, cfg).fit(seqs, counts)
+        assert epochs_on_caller == [True] * cfg.epochs
+        if plan_path == "inline":
+            assert all(plans_on_caller)
+        else:  # each epoch's first plan builds the epoch; the rest run ahead
+            assert plans_on_caller[0] and plans_on_caller.count(True) == cfg.epochs
+
+    @pytest.mark.parametrize("mutant", [NegativesBeforeEpoch, GatheringPlan])
+    def test_the_oracle_catches_mutants(self, plan_path, mutant):
+        seqs, counts = forward_chain_corpus(n_seqs=300, seed=5)
+        cfg = self.config()
+        ref = LoopTrainer(30, cfg).fit(seqs, counts)
+        caught = not same_fit(mutant(30, cfg).fit(seqs, counts), ref)
+        # Made inline, a plan is built after the previous update, so a
+        # gathering plan reads current rows: only the threaded path can
+        # tell it apart, which is why the oracle runs on both.
+        assert caught == (mutant is NegativesBeforeEpoch or plan_path == "threaded")
+
+
+class TestPlanThreadLifecycle:
+    """The planning thread is joined before ``fit`` returns, whatever the
+    outcome, and every error surfaces from ``fit`` within a deadline."""
+
+    DEADLINE_S = 60.0
+
+    @pytest.fixture(autouse=True)
+    def threaded(self, monkeypatch):
+        monkeypatch.setattr(sgns_module, "available_cpus", lambda: 2)
+
+    def fit_within_deadline(self, cfg, seqs=None, counts=None):
+        """``(trainer or error, threads alive as fit returned - before)``."""
+        if seqs is None:
+            seqs, counts = forward_chain_corpus(n_seqs=300, seed=5)
+        before = threading.active_count()
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = SGNSTrainer(30, cfg).fit(seqs, counts)
+            except Exception as exc:
+                outcome["result"] = exc
+            outcome["extra_threads"] = threading.active_count() - before - 1
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(self.DEADLINE_S)
+        assert not caller.is_alive(), "fit did not return within the deadline"
+        assert threading.active_count() == before
+        return outcome["result"], outcome["extra_threads"]
+
+    CONFIG = dict(
+        dim=8, epochs=2, window=2, batch_size=64, negatives=3, seed=7,
+        subsample_threshold=0,
+    )
+
+    @pytest.mark.parametrize("precompute_pairs", [True, False])
+    def test_successful_fit(self, precompute_pairs):
+        cfg = SGNSConfig(**self.CONFIG, precompute_pairs=precompute_pairs)
+        trainer, extra = self.fit_within_deadline(cfg)
+        assert isinstance(trainer, SGNSTrainer) and trainer.pairs_trained > 0
+        assert extra == 0
+
+    def test_producer_error_reraises(self, monkeypatch):
+        sample, calls = AliasSampler.sample, []
+
+        def failing(self, *args):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise RuntimeError("sampler failed")
+            return sample(self, *args)
+
+        monkeypatch.setattr(AliasSampler, "sample", failing)
+        error, extra = self.fit_within_deadline(SGNSConfig(**self.CONFIG))
+        assert isinstance(error, RuntimeError) and str(error) == "sampler failed"
+        assert calls[2] != calls[0]  # raised on the producer
+        assert extra == 0
+
+    def test_update_error_stops_a_blocked_producer(self, monkeypatch):
+        gradients, steps = sgns_module.sgns_gradients, []
+
+        def failing(*args):
+            steps.append(None)
+            if len(steps) == 3:
+                time.sleep(0.2)  # the producer fills the queue and blocks
+                raise FloatingPointError("step 3 failed")
+            return gradients(*args)
+
+        monkeypatch.setattr(sgns_module, "sgns_gradients", failing)
+        error, extra = self.fit_within_deadline(SGNSConfig(**self.CONFIG))
+        assert isinstance(error, FloatingPointError) and str(error) == "step 3 failed"
+        assert extra == 0
+
+    def test_empty_corpus(self):
+        seqs = [np.array([3], dtype=np.int64), np.empty(0, dtype=np.int64)]
+        counts = np.bincount(np.concatenate(seqs), minlength=30)
+        cfg = SGNSConfig(**self.CONFIG)
+        trainer, extra = self.fit_within_deadline(cfg, seqs, counts)
+        assert trainer.pairs_trained == 0
+        assert trainer.loss_history == [0.0] * cfg.epochs
+        assert extra == 0
 
 
 class TestSeparateScattersSliceTheBlock:

@@ -1,13 +1,17 @@
 """Unit tests for the shared utilities."""
 
 import logging
+import os
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.utils import (
     Timer,
+    available_cpus,
     ensure_rng,
     get_logger,
     require,
@@ -157,3 +161,66 @@ class TestTimerLaps:
         time.sleep(0.005)
         t.start()  # restart: the pending lap interval is discarded
         assert t.lap() < 0.005
+
+
+@contextmanager
+def one_cpu_mask():
+    """Restrict this thread's affinity mask to one CPU for the block."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no affinity masks on this platform")
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+class TestAvailableCpus:
+    """Every "is there a spare core?" policy reads the affinity mask."""
+
+    def test_reads_the_mask(self):
+        expected = (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert available_cpus() == expected
+        with one_cpu_mask():
+            assert available_cpus() == 1
+
+    def test_policies_under_one_cpu(self):
+        from repro.core.hogwild import resolve_n_workers
+        from repro.core.pairfeed import resolve_feed_mode
+
+        with one_cpu_mask():
+            assert resolve_n_workers("auto") == 1
+            assert resolve_feed_mode("auto", 1, True) == "inline"
+
+    def test_hogwild_does_not_pin_two_workers_to_one_cpu(self):
+        from repro.core.hogwild import ParallelSGNSTrainer
+        from repro.core.sgns import SGNSConfig
+
+        seqs = [np.arange(i % 20, i % 20 + 6, dtype=np.int64) for i in range(200)]
+        counts = np.bincount(np.concatenate(seqs), minlength=30)
+        cfg = SGNSConfig(dim=4, epochs=1, window=2, seed=0)
+        with one_cpu_mask():
+            trainer = ParallelSGNSTrainer(30, cfg, n_workers=2).fit(seqs, counts)
+        assert trainer.n_workers == 2 and not trainer.pinned
+
+    def test_sgns_plans_inline_under_one_cpu(self, monkeypatch):
+        from repro.core.sgns import SGNSConfig, SGNSTrainer
+
+        caller, on_caller = threading.get_ident(), []
+        plan = SGNSTrainer._plan
+
+        def spy(self, *args):
+            on_caller.append(threading.get_ident() == caller)
+            return plan(self, *args)
+
+        monkeypatch.setattr(SGNSTrainer, "_plan", spy)
+        seqs = [np.arange(i % 20, i % 20 + 6, dtype=np.int64) for i in range(200)]
+        counts = np.bincount(np.concatenate(seqs), minlength=30)
+        cfg = SGNSConfig(dim=4, epochs=2, window=2, batch_size=64, seed=0)
+        with one_cpu_mask():
+            SGNSTrainer(30, cfg).fit(seqs, counts)
+        assert len(on_caller) > 2 * cfg.epochs and all(on_caller)
