@@ -33,6 +33,7 @@ from repro.core.sgns import SGNSConfig
 from repro.distributed.engine import train_distributed
 from repro.distributed.partition import build_token_partition
 from repro.graph.hbgp import HBGPConfig, hbgp_partition
+from repro.utils import available_cpus
 
 #: The paper's Fig. 7(a) x-axis (the 1/x-fit contract applies here).
 WORKER_COUNTS = (4, 8, 16, 32)
@@ -55,7 +56,7 @@ def host_context() -> dict:
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX
         load = None
     return {
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": available_cpus(),
         "loadavg": load,
         "start_method": multiprocessing.get_start_method(allow_none=True)
         or "default",
@@ -103,7 +104,7 @@ def cross_validate(real: dict, sim_times: dict) -> dict | None:
     workers = real["engines"]["parallel"]
     if "1" not in workers:
         return None
-    cores = (real.get("host") or {}).get("cpu_count") or (os.cpu_count() or 1)
+    cores = (real.get("host") or {}).get("cpu_count") or available_cpus()
     base_pps = workers["1"]["pairs_per_sec"]
     sim_counts = sorted(sim_times)
     points = {}

@@ -1,20 +1,13 @@
 """Extension bench — the quantized retrieval tier's memory contract.
 
 Not a paper figure: quantifies the memory-bounded tier this repo adds
-for catalogue-scale serving.  Three scenarios, one JSON report:
+for catalogue-scale serving.  Two scenarios, one JSON report:
 
 - ``recall_vs_bytes`` — one model, three IVF precisions (float32 /
   int8 / pq) over an ``n_probe`` sweep.  The contract: both quantized
   tiers keep resident index bytes at <= 40% of the float32 index while
   recall@10 stays >= 95% of the float path at every equal ``n_probe``
   (the exact re-rank of ``rerank*k`` survivors is what earns this).
-- ``residency`` — a 2-shard zero-copy store under a 2-process
-  :class:`~repro.serving.parallel.ShardWorkerPool`, then a second
-  generation swapped in.  Resident bytes are *measured* (Pss summed
-  over every process's ``/proc/<pid>/smaps`` rows for the bundle's
-  segments): two generations across three processes must cost ~1 mapped
-  copy each — not ``workers x generations`` copies — and releasing the
-  retired generation must give its pages back.
 - ``hitrate_parity`` — served HR@10 (table tier mostly disabled so ANN
   answers) of an int8 service vs the float32 service: within 2%.
 
@@ -24,10 +17,7 @@ Writes ``benchmarks/BENCH_memory.json``.  Runs under pytest
 """
 
 import argparse
-import gc
 import json
-import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -36,15 +26,11 @@ from repro.core.ann import IVFIndex
 from repro.core.similarity import SimilarityIndex
 from repro.core.sisg import SISG
 from repro.data.synthetic import SyntheticWorld, SyntheticWorldConfig
-from repro.graph.hbgp import HBGPConfig, hbgp_partition
 from repro.serving import (
     MatchingService,
     MatchingServiceConfig,
     ModelStore,
-    ShardWorkerPool,
-    ShardedModelStore,
     build_bundle,
-    build_shard_bundle,
     evaluate_service_hitrate,
 )
 
@@ -65,26 +51,19 @@ PRECISIONS = ("float32", "int8", "pq")
 BYTES_BUDGET = 0.40
 RECALL_FLOOR = 0.95
 HR_TOLERANCE = 0.02
-#: Pss per generation must stay near one copy of its segment bytes; the
-#: slack covers page-alignment rounding and interpreter noise.
-COPIES_BUDGET = 1.6
 
 
 def build_setup(seed: int = 0, smoke: bool = False):
-    """One world, an offline split, and two model generations."""
+    """One world, an offline split, and a model trained on the split."""
     world = SyntheticWorld(WORLD, seed=seed)
     dataset = world.generate_dataset(n_sessions=1200 if smoke else 3000)
     train, test = dataset.split_last_item()
-    epochs = 1 if smoke else 2
-
-    def fit(s):
-        return (
-            SISG.sisg_f(dim=32, epochs=epochs, window=2, negatives=5, seed=s)
-            .fit(train)
-            .model
-        )
-
-    return train, test, fit(seed), fit(seed + 1)
+    model = (
+        SISG.sisg_f(dim=32, epochs=1 if smoke else 2, window=2, negatives=5, seed=seed)
+        .fit(train)
+        .model
+    )
+    return train, test, model
 
 
 # ----------------------------------------------------------------------
@@ -131,138 +110,7 @@ def measure_recall_vs_bytes(model, seed: int, n_queries: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# scenario 2: zero-copy residency across workers and generations
-# ----------------------------------------------------------------------
-
-
-def _segment_pss_kb(pids, names) -> int:
-    """Sum Pss (kB) of every smaps mapping backed by one of ``names``.
-
-    Pss charges each shared page 1/N to each of the N mappers, so the
-    sum over all processes counts each physical page exactly once —
-    the honest "how many copies exist" number.
-    """
-    total = 0
-    for pid in pids:
-        try:
-            with open(f"/proc/{pid}/smaps") as handle:
-                lines = handle.read().splitlines()
-        except OSError:  # pragma: no cover - process raced away
-            continue
-        matched = False
-        for line in lines:
-            if line[:1].isdigit() or line[:1] in "abcdef":
-                matched = any(name in line for name in names)
-            elif matched and line.startswith("Pss:"):
-                total += int(line.split()[1])
-    return total
-
-
-def _generation_segments(bundles) -> tuple[dict, int]:
-    """Dedupe segment handles across one generation's shard bundles."""
-    segments = {}
-    for bundle in bundles:
-        for segment in bundle.segments:
-            segments[segment.name] = segment
-    nbytes = sum(s.nbytes for s in segments.values())
-    return segments, nbytes
-
-
-def _wait_pss_below(pids, names, limit_kb, timeout_s=5.0) -> int:
-    """Poll until the segments' summed Pss drops under ``limit_kb``.
-
-    Worker processes unmap a retired generation when the swap message's
-    rebind drops the last view; that races the parent's measurement by
-    a scheduler quantum, not by anything worth failing over.
-    """
-    deadline = time.monotonic() + timeout_s
-    while True:
-        pss = _segment_pss_kb(pids, names)
-        if pss <= limit_kb or time.monotonic() > deadline:
-            return pss
-        time.sleep(0.05)
-
-
-def measure_residency(model_a, model_b, dataset, seed: int = 0) -> dict:
-    """2 shards x 2 workers x 2 generations must cost ~2 copies, not 4."""
-    partition = hbgp_partition(dataset, HBGPConfig(n_partitions=2))
-    build_kwargs = dict(
-        n_cells=16,
-        table_coverage=0.5,
-        ann_precision="int8",
-        share_memory=True,
-    )
-    store = ShardedModelStore.build(
-        model_a, dataset, partition, seed=seed, **build_kwargs
-    )
-    gen1_bundles = [store.current(s) for s in range(store.n_shards)]
-    gen1_segments, gen1_bytes = _generation_segments(gen1_bundles)
-    # The bench keeps ``model_a`` itself alive, so its two segments stay
-    # mapped in the parent after retirement by design; the release-drop
-    # check watches the shard-owned arrays (candidates, codes, tables).
-    model_names = {h.name for h in model_a._shared.values()}
-    shard_segments = {
-        name: seg
-        for name, seg in gen1_segments.items()
-        if name not in model_names
-    }
-    shard_bytes = sum(s.nbytes for s in shard_segments.values())
-
-    with ShardWorkerPool(store) as pool:
-        pids = [os.getpid(), *pool.pids]
-        pss_gen1 = _segment_pss_kb(pids, gen1_segments) * 1024
-
-        # Second generation: a freshly trained model, exactly like a
-        # nightly refresh — new arrays, new segments.
-        assignment = store.item_partition
-        retired = []
-        for shard in range(store.n_shards):
-            bundle = build_shard_bundle(
-                model_b,
-                dataset,
-                np.flatnonzero(assignment == shard),
-                seed=seed + 1,
-                **build_kwargs,
-            )
-            retired.append(store.swap_shard(shard, bundle))
-            pool.swap(shard, store.current(shard))
-        gen2_bundles = [store.current(s) for s in range(store.n_shards)]
-        gen2_segments, gen2_bytes = _generation_segments(gen2_bundles)
-
-        all_names = {**gen1_segments, **gen2_segments}
-        pss_both = _segment_pss_kb(pids, all_names) * 1024
-
-        # Retire generation 1: release unlinks the names, dropping the
-        # refs lets every process's view finalizers unmap, and the
-        # kernel takes the pages back.
-        for bundle in retired:
-            bundle.release()
-        del retired, gen1_bundles
-        gc.collect()
-        pss_after = (
-            _wait_pss_below(
-                pids, shard_segments, limit_kb=shard_bytes // (4 * 1024)
-            )
-            * 1024
-        )
-
-    return {
-        "n_processes": len(pids),
-        "n_generations": 2,
-        "gen1_segment_bytes": gen1_bytes,
-        "gen1_shard_segment_bytes": shard_bytes,
-        "gen2_segment_bytes": gen2_bytes,
-        "gen1_pss_bytes": pss_gen1,
-        "both_generations_pss_bytes": pss_both,
-        "gen1_shard_pss_after_release_bytes": pss_after,
-        "gen1_copies": pss_gen1 / gen1_bytes,
-        "both_generations_copies": pss_both / (gen1_bytes + gen2_bytes),
-        "naive_copies": len(pids),
-    }
-
-
-# ----------------------------------------------------------------------
-# scenario 3: served HR@10, float32 vs int8
+# scenario 2: served HR@10, float32 vs int8
 # ----------------------------------------------------------------------
 
 
@@ -294,13 +142,12 @@ def measure_hitrate_parity(model, train, test, seed: int = 0) -> dict:
 
 
 def run(seed: int = 0, smoke: bool = False) -> dict:
-    train, test, model_a, model_b = build_setup(seed, smoke=smoke)
+    train, test, model = build_setup(seed, smoke=smoke)
     return {
         "recall_vs_bytes": measure_recall_vs_bytes(
-            model_a, seed, n_queries=60 if smoke else 200
+            model, seed, n_queries=60 if smoke else 200
         ),
-        "residency": measure_residency(model_a, model_b, train, seed),
-        "hitrate_parity": measure_hitrate_parity(model_a, train, test, seed),
+        "hitrate_parity": measure_hitrate_parity(model, train, test, seed),
     }
 
 
@@ -318,20 +165,6 @@ def check_report(report: dict) -> None:
                 f"{precision} recall@10 at n_probe={probe} is"
                 f" {ratio:.3f}x float32 (floor {RECALL_FLOOR})"
             )
-
-    res = report["residency"]
-    assert res["gen1_copies"] <= COPIES_BUDGET, (
-        f"one generation across {res['n_processes']} processes costs"
-        f" {res['gen1_copies']:.2f} copies (budget {COPIES_BUDGET})"
-    )
-    assert res["both_generations_copies"] <= COPIES_BUDGET, (
-        f"two generations cost {res['both_generations_copies']:.2f}"
-        f" copies each (budget {COPIES_BUDGET}); naive would be"
-        f" {res['naive_copies']}"
-    )
-    assert res["gen1_shard_pss_after_release_bytes"] <= max(
-        res["gen1_shard_segment_bytes"] // 4, 64 * 1024
-    ), "released generation kept its candidate pages"
 
     parity = report["hitrate_parity"]
     assert parity["hr_at_10"]["float32"] > 0.0, "float service never hits"

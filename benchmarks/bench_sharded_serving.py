@@ -50,6 +50,7 @@ from repro.serving import (
     evaluate_service_hitrate,
     synth_requests,
 )
+from repro.utils import available_cpus
 
 WORLD = SyntheticWorldConfig(
     n_items=600,
@@ -73,7 +74,7 @@ def host_context() -> dict:
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX
         load = None
     return {
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": available_cpus(),
         "loadavg": load,
         "machine": platform.machine(),
         "python": platform.python_version(),

@@ -328,7 +328,6 @@ def run_sharded_incremental(seed: int = 0, smoke: bool = False) -> dict:
     log.extend([ClickEvent(1, int(item)) for item in shard0])
     (touched,) = applier.run_pending()
     versions_after_touch = [int(v) for v in store.versions]
-    service.close()
 
     # Part B — hammer two shard-0 items; the rebalancer must re-route
     # them as individual moves and rebuild both endpoint shards.
@@ -349,7 +348,6 @@ def run_sharded_incremental(seed: int = 0, smoke: bool = False) -> dict:
     (moved,) = applier.run_pending()
     final_versions = [int(v) for v in store.versions]
     moves_counter = int(service.metrics.counter("stream_moves"))
-    service.close()
     return {
         "touched_window_applied": bool(touched.applied),
         "versions_after_touched_window": versions_after_touch,

@@ -61,6 +61,7 @@ from repro.core.sgns import SGNSConfig, SGNSTrainer
 from repro.core.sisg import SISG
 from repro.data.synthetic import SyntheticWorld, SyntheticWorldConfig
 from repro.eval.hitrate import evaluate_hitrate
+from repro.utils import available_cpus
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_training.json"
 
@@ -88,7 +89,7 @@ WORKER_COUNTS = (1, 2, 4, 8)
 #: Timed runs per configuration in a full run (smoke modes run once).
 TIMED_REPEATS = 3
 #: Workers of the parity models: at most one per core.
-PARITY_WORKERS = min(4, os.cpu_count() or 1)
+PARITY_WORKERS = min(4, available_cpus())
 ENGINES = {"parallel": "lock", "tns": "server"}
 
 
@@ -100,7 +101,7 @@ def host_context() -> dict:
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX
         load = None
     return {
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": available_cpus(),
         "loadavg": load,
         "start_method": multiprocessing.get_start_method(allow_none=True)
         or "default",

@@ -11,8 +11,8 @@ Walks the sharded deployment story at laptop scale:
    single ``ModelStore`` (the one-shard case);
 3. refresh ONE shard while a background thread keeps querying: the
    other shards' generations (and cached answers) survive untouched;
-4. run the same traffic through a process pool — one worker per shard —
-   and print per-shard gather metrics and the serving-side HR@10.
+4. run synthetic traffic through the same service and print its
+   per-shard gather metrics and the serving-side HR@10.
 
     python examples/sharded_serving.py
 """
@@ -31,7 +31,6 @@ from repro.serving import (
     MatchRequest,
     ModelStore,
     ShardedModelStore,
-    ShardWorkerPool,
     build_bundle,
     evaluate_service_hitrate,
     synth_requests,
@@ -111,20 +110,20 @@ def main() -> None:
     print(f"\n— shard 0 refreshed under load: versions {store.versions},"
           f" {len(failures)} failed requests —")
 
-    # ----------------------------- process pool + serving-side HR@K
-    with ShardWorkerPool(store) as pool:
-        pooled = MatchingService(store, pool=pool)
-        for request in synth_requests(dataset, 300, seed=3):
-            pooled.recommend(request, K)
-        hr = evaluate_service_hitrate(pooled, test, ks=(10,), name="sharded")
-        print(f"\n— process pool ({pool.n_shards} workers),"
-              f" serving HR@10 = {hr.hit_rates[10]:.3f} —")
-        for shard, metrics in enumerate(pooled.shard_metrics):
-            snap = metrics.snapshot()
-            gathers = snap["counters"].get("gathers", 0)
-            table_hits = snap["counters"].get("table_hits", 0)
-            print(f"  shard {shard}: gathers={gathers:5d}"
-                  f" local table hits={table_hits:5d}")
+    # ------------------------- per-shard gather metrics + serving-side HR@K
+    for request in synth_requests(dataset, 300, seed=3):
+        service.recommend(request, K)
+    hr = evaluate_service_hitrate(service, test, ks=(10,), name="sharded")
+    print(f"\n— {N_SHARDS} shards in one process,"
+          f" serving HR@10 = {hr.hit_rates[10]:.3f} —")
+    for shard, metrics in enumerate(service.shard_metrics):
+        snap = metrics.snapshot()
+        gathers = snap["counters"].get("gathers", 0)
+        table_hits = snap["counters"].get("table_hits", 0)
+        gather_p50_us = snap["tiers"].get("gather", {}).get("p50", 0.0) * 1e6
+        print(f"  shard {shard}: gathers={gathers:5d}"
+              f" gather p50={gather_p50_us:7.1f} us"
+              f" local table hits={table_hits:5d}")
 
 
 if __name__ == "__main__":

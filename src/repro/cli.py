@@ -30,7 +30,7 @@ Commands mirror the production workflow:
 ``serve-demo``, ``loadgen``, ``refresh-daemon``, ``serve`` and ``stream``
 stand the serving stack up from one set of flags; ``--shards N`` serves
 from HBGP-sharded per-partition stores behind the scatter-gather
-dispatcher (``--shard-executor process``: one worker process per shard).
+dispatcher.
 
 Datasets are stored as ``.npz`` bundles via :mod:`repro.data.io_utils`.
 """
@@ -154,12 +154,6 @@ def _stack_parent() -> argparse.ArgumentParser:
         " dispatcher (0/1 = one unpartitioned store)",
     )
     p.add_argument(
-        "--shard-executor",
-        default="serial",
-        choices=["serial", "process"],
-        help="gather execution: in-process, or one worker process per shard",
-    )
-    p.add_argument(
         "--ann-precision",
         default="float32",
         choices=["float32", "int8", "pq"],
@@ -172,12 +166,6 @@ def _stack_parent() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="exact re-rank depth multiplier for quantized precisions",
-    )
-    p.add_argument(
-        "--zero-copy",
-        action="store_true",
-        help="back bundle arrays with shared-memory segments so worker"
-        " processes and hot-swap generations share one physical copy",
     )
     return p
 
@@ -508,7 +496,6 @@ def _bundle_kwargs(args: argparse.Namespace, seed: int) -> dict:
         "seed": seed,
         "ann_precision": args.ann_precision,
         "ann_rerank": args.ann_rerank,
-        "share_memory": args.zero_copy,
     }
 
 
@@ -517,8 +504,7 @@ def _build_service(args: argparse.Namespace) -> _Stack:
 
     One service class either way: ``--shards N`` (N >= 2) partitions the
     item space with HBGP and hands it per-shard stores, otherwise it
-    gets a single ``ModelStore`` (the one-shard case);
-    ``--shard-executor process`` adds one worker process per shard.
+    gets a single ``ModelStore`` (the one-shard case).
     """
     from repro.core.model import EmbeddingModel
     from repro.data.io_utils import load_dataset
@@ -527,18 +513,15 @@ def _build_service(args: argparse.Namespace) -> _Stack:
     dataset = load_dataset(args.dataset)
     model = EmbeddingModel.load(args.model)
     build_kwargs = _bundle_kwargs(args, seed=0)
-    pool = None
     if args.shards >= 2:
         from repro.graph.hbgp import HBGPConfig, hbgp_partition
-        from repro.serving import ShardedModelStore, ShardWorkerPool
+        from repro.serving import ShardedModelStore
 
         partition = hbgp_partition(dataset, HBGPConfig(n_partitions=args.shards))
         store = ShardedModelStore.build(model, dataset, partition, **build_kwargs)
-        if args.shard_executor == "process":
-            pool = ShardWorkerPool(store)
     else:
         store = ModelStore(build_bundle(model, dataset, **build_kwargs))
-    return _Stack(args, dataset, model, MatchingService(store, pool=pool))
+    return _Stack(args, dataset, model, MatchingService(store))
 
 
 def _hot_swap(stack: _Stack, seed: int) -> None:
@@ -695,7 +678,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         show("new listing (streamed)", stream.new_item_ids[0])
     print("— metrics —")
     _emit_json(service.snapshot())
-    service.close()
     return 0
 
 
@@ -726,17 +708,14 @@ def _cmd_refresh_daemon(args: argparse.Namespace) -> int:
         drift_threshold=args.drift_threshold,
         lr_decay=args.lr_decay,
     )
-    try:
-        if args.interval > 0:
-            with daemon:
-                if not daemon.wait_for_cycles(args.cycles, timeout=600.0):
-                    print("refresh cycles timed out", file=sys.stderr)
-                    return 1
-        else:
-            for _ in range(args.cycles):
-                daemon.run_once()
-    finally:
-        service.close()
+    if args.interval > 0:
+        with daemon:
+            if not daemon.wait_for_cycles(args.cycles, timeout=600.0):
+                print("refresh cycles timed out", file=sys.stderr)
+                return 1
+    else:
+        for _ in range(args.cycles):
+            daemon.run_once()
     status = daemon.status()
     status["metrics"] = service.snapshot()
     _emit_json(status, args.output)
@@ -810,7 +789,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if daemon is not None:
             daemon.stop()
         gateway.stop()
-        service.close()
     _emit_json(gateway.gateway.metrics_snapshot())
     return 0
 
@@ -824,7 +802,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return 2
     mix = LoadMix(*weights)
     stack = _build_service(args)
-    service = stack.service
     requests = synth_requests(stack.dataset, args.requests, mix=mix, seed=args.seed)
 
     swap = None
@@ -833,12 +810,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         def swap() -> None:
             _hot_swap(stack, seed=args.seed + 1)
 
-    try:
-        report = run_load(
-            service, requests, k=args.k, batch_size=args.batch_size, swap=swap
-        )
-    finally:
-        service.close()
+    report = run_load(
+        stack.service, requests, k=args.k, batch_size=args.batch_size, swap=swap
+    )
     _emit_json(report, args.output)
     return 0
 
@@ -943,7 +917,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     finally:
         applier.stop()
         gateway.stop()
-        service.close()
 
     reports = applier.history
     applied = [r for r in reports if r.applied]

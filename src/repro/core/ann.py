@@ -33,7 +33,6 @@ from repro.core.similarity import (
     _tiebreak_order,
 )
 from repro.utils import (
-    ZeroCopyPickle,
     ensure_rng,
     get_logger,
     require,
@@ -151,7 +150,7 @@ def kmeans(
     return centroids, assignments
 
 
-class IVFIndex(ZeroCopyPickle):
+class IVFIndex:
     """Inverted-file ANN index over an existing similarity index.
 
     Parameters

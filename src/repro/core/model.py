@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.vocab import TokenKind, Vocabulary
-from repro.utils import ZeroCopyPickle, require
+from repro.utils import require
 
 #: How item pairs are scored (see :mod:`repro.core.similarity`).
 SIMILARITIES = ("cosine", "directional")
 
 
-class EmbeddingModel(ZeroCopyPickle):
+class EmbeddingModel:
     """Vocabulary + input/output embeddings in one joint semantic space.
 
     Parameters

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.model import SIMILARITIES, EmbeddingModel
 from repro.core.vocab import TokenKind
-from repro.utils import ZeroCopyPickle, require, require_positive
+from repro.utils import require, require_positive
 
 
 def _tiebreak_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-class SimilarityIndex(ZeroCopyPickle):
+class SimilarityIndex:
     """Top-K retrieval over the item tokens of an embedding model.
 
     Parameters

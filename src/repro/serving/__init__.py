@@ -22,8 +22,6 @@ request-serving system:
   result cache, micro-batched scatter-gather) over one store or over
   per-HBGP-partition stores that swap independently, plus the one flip
   protocol refresh and streaming promote through;
-- :mod:`repro.serving.parallel` — one worker process per shard (fork-
-  shared read-only arrays) so QPS scales past the GIL;
 - :mod:`repro.serving.eval` — serving-side HR@K (the evaluator routed
   through a live service instead of the exact index);
 - :mod:`repro.serving.refresh` — the nightly refresh daemon: warm-start
@@ -61,7 +59,6 @@ from repro.serving.store import (
     build_bundle,
     build_shard_bundle,
     popularity_ranking,
-    share_bundle,
 )
 from repro.serving.sharding import (
     MatchingService,
@@ -70,7 +67,6 @@ from repro.serving.sharding import (
     build_shard_bundles,
     merge_topk,
 )
-from repro.serving.parallel import ShardWorkerPool
 from repro.serving.eval import ServiceRecommender, evaluate_service_hitrate
 from repro.serving.refresh import (
     RefreshConfig,
@@ -104,13 +100,11 @@ __all__ = [
     "ModelStore",
     "build_bundle",
     "popularity_ranking",
-    "share_bundle",
     "LoadMix",
     "run_load",
     "synth_requests",
     "ShardedMatchingService",
     "ShardedModelStore",
-    "ShardWorkerPool",
     "build_shard_bundle",
     "build_shard_bundles",
     "merge_topk",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.similarity import SimilarityIndex
-from repro.utils import ZeroCopyPickle, get_logger, require, require_positive
+from repro.utils import get_logger, require, require_positive
 
 logger = get_logger("serving.candidates")
 
@@ -31,7 +31,7 @@ logger = get_logger("serving.candidates")
 _BLOCK_BYTES = 1 << 20
 
 
-class CandidateTable(ZeroCopyPickle):
+class CandidateTable:
     """Immutable ranked candidate lists, one per item.
 
     Construct via :func:`build_candidate_table` or :meth:`load`.

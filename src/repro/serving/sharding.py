@@ -371,8 +371,8 @@ class MatchingService:
 
     - ``MatchingService(ModelStore(bundle), config)`` serves an
       unpartitioned catalogue as the one-shard case;
-    - ``ShardedMatchingService(ShardedModelStore, config, pool=...)``
-      (the same class) serves N HBGP shards.
+    - ``ShardedMatchingService(ShardedModelStore, config)`` (the same
+      class) serves N HBGP shards, all in this process.
 
     Routing: a warm item goes to its owning shard, and a candidate-table
     hit is answered there; everything that needs retrieval over the full
@@ -394,11 +394,6 @@ class MatchingService:
     cache, metrics:
         Injectable for tests; sensible defaults otherwise.  Pass
         ``config.cache_size = 0`` to disable caching entirely.
-    pool:
-        Optional :class:`~repro.serving.parallel.ShardWorkerPool`; when
-        given, gather work runs one-process-per-shard so throughput
-        scales past the GIL.  Swap shards through :meth:`swap_shard` so
-        the worker processes stay in sync with the store.
     """
 
     def __init__(
@@ -407,7 +402,6 @@ class MatchingService:
         config: MatchingServiceConfig | None = None,
         cache: LRUTTLCache | None = None,
         metrics: ServingMetrics | None = None,
-        pool=None,
     ) -> None:
         self._config = config or MatchingServiceConfig()
         self._config.validate()
@@ -419,7 +413,6 @@ class MatchingService:
         self._cache = cache
         self._metrics = metrics or ServingMetrics()
         self._shard_metrics = [ServingMetrics() for _ in store.snapshot()]
-        self._pool = pool
 
     @property
     def store(self) -> "ModelStore | ShardedModelStore":
@@ -439,23 +432,15 @@ class MatchingService:
         return self._shard_metrics
 
     def close(self) -> None:
-        """Shut down the worker pool, if any."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """No-op: the service holds no process, thread or file.
 
-    def __enter__(self) -> "MatchingService":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        Kept because the benchmark harness calls it when a run ends.
+        """
 
     def swap_shard(self, shard_id: int, bundle: ModelBundle) -> ModelBundle:
-        """Swap one shard in the store *and* its worker process."""
+        """Swap one shard in the store and count the swap."""
         old = self._store.swap_shard(shard_id, bundle)
         self._metrics.incr("swaps")
-        if self._pool is not None:
-            self._pool.swap(shard_id, self._store.snapshot()[shard_id])
         return old
 
     # ------------------------------------------------------------------
@@ -697,31 +682,23 @@ class MatchingService:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Query every shard with the same vector block; collect partials.
 
-        With a worker pool, shards compute in their own processes in
-        parallel; otherwise they are queried in-process, one after the
-        other (numpy releases the GIL inside the matrix products, so
-        threads calling ``recommend`` concurrently still overlap).
+        Shards are queried in-process, one after the other (numpy releases
+        the GIL inside the matrix products, so threads calling
+        ``recommend`` concurrently still overlap).
         """
-        if self._pool is not None:
-            parts, timings = self._pool.scatter(
-                vectors, k, self._config.n_probe, exclude_items
-            )
-        else:
-            parts, timings = [], []
-            for bundle in bundles:
-                start = time.perf_counter()
-                parts.append(
-                    bundle.ann.topk_by_vector_batch(
-                        vectors,
-                        k,
-                        n_probe=self._config.n_probe,
-                        exclude_items=exclude_items,
-                    )
+        parts = []
+        for bundle, metrics in zip(bundles, self._shard_metrics):
+            start = time.perf_counter()
+            parts.append(
+                bundle.ann.topk_by_vector_batch(
+                    vectors,
+                    k,
+                    n_probe=self._config.n_probe,
+                    exclude_items=exclude_items,
                 )
-                timings.append(time.perf_counter() - start)
-        for metrics, elapsed in zip(self._shard_metrics, timings):
+            )
             metrics.incr("gathers")
-            metrics.observe("gather", elapsed)
+            metrics.observe("gather", time.perf_counter() - start)
         return parts
 
     @staticmethod
@@ -763,9 +740,9 @@ def serving_target(
 
     ``target`` is a store or a service wrapping one.  Passing the
     *service* is preferred: swaps then go through
-    :meth:`MatchingService.swap_shard` so an attached worker pool stays
-    in sync, and the caller's metrics default to the service's own (one
-    ``snapshot()`` shows serving and refresh).
+    :meth:`MatchingService.swap_shard`, which counts them, and the
+    caller's metrics default to the service's own (one ``snapshot()``
+    shows serving and refresh).
     """
     service = target if hasattr(target, "recommend") else None
     if metrics is None:
@@ -787,16 +764,12 @@ def promote(
     build failure can never tear one.  In order:
 
     1. swap every rebuilt shard, through the service when ``target`` is
-       one so a worker pool follows;
+       one;
     2. install the new ``partition`` map (sharded stores; ``None`` keeps
        the current one) — *after* the swaps, so a reader sees (old map,
        old bundles) or (new map, new bundles), never a moved item's new
        owner without its bundle — and the ``catalogue`` the generation
-       was built from (``None`` keeps the current one);
-    3. release the retired generation only after the last flip: its
-       zero-copy segments may be shared across shard bundles (the model
-       matrices), and release is unlink-only — readers still holding a
-       snapshot keep valid pages until their references drop.
+       was built from (``None`` keeps the current one).
 
     It runs under the store's ``writer_lock`` and, with a ``gate`` (the
     network gateway's swap gate), inside one ``gate(flip)`` call, i.e.
@@ -806,15 +779,12 @@ def promote(
     store, _ = serving_target(target)
 
     def flip() -> "list[int] | int":
-        retired = [
-            target.swap_shard(shard, bundle) for shard, bundle in bundles.items()
-        ]
+        for shard, bundle in bundles.items():
+            target.swap_shard(shard, bundle)
         if partition is not None:
             store.update_partition(partition, allow_moves=allow_moves)
         if catalogue is not None:
             store.catalogue = catalogue
-        for bundle in retired:
-            bundle.release()
         return store.version
 
     with store.writer_lock:

@@ -25,7 +25,7 @@ from repro.core.model import EmbeddingModel
 from repro.core.similarity import SimilarityIndex
 from repro.data.schema import BehaviorDataset
 from repro.serving.candidates import CandidateTable, build_candidate_table
-from repro.utils import get_logger, require, share_object
+from repro.utils import get_logger, require
 
 logger = get_logger("serving.store")
 
@@ -50,11 +50,6 @@ class ModelBundle:
     popular_items, popular_scores:
         Click-ranked items for the popularity fallback tier; scores are
         normalized click shares.
-    segments:
-        Zero-copy segment handles backing the bundle's big arrays (empty
-        unless built via :func:`share_bundle`).  Worker processes and
-        later generations attach to these instead of copying; the
-        creator calls :meth:`release` when the generation retires.
     generation:
         Store-wide swap number, stamped by a sharded store on every
         shard swap; it orders generations across shards, which the
@@ -68,60 +63,7 @@ class ModelBundle:
     table: CandidateTable
     popular_items: np.ndarray
     popular_scores: np.ndarray
-    segments: tuple = ()
     generation: int = 0
-
-    def release(self) -> None:
-        """Release this generation's zero-copy segments (idempotent).
-
-        Unlinks segments in the creating process only; attached readers
-        (workers, in-flight requests) keep valid pages until their own
-        mappings drop.  A bundle with no segments is a no-op.
-        """
-        for segment in self.segments:
-            segment.release()
-
-    @property
-    def segment_names(self) -> tuple:
-        """Backing segment names (for residency accounting/tests)."""
-        return tuple(segment.name for segment in self.segments)
-
-
-#: Array attributes moved into zero-copy segments by :func:`share_bundle`.
-#: The registry de-duplicates aliases (cosine-mode ``_queries is
-#: _candidates``; the ANN index references the similarity index's matrix),
-#: so each distinct array costs exactly one segment.
-_SHARED_ATTRS = (
-    ("model", ("w_in", "w_out")),
-    ("index", ("_queries", "_candidates")),
-    ("ann", ("_candidates", "_codes")),
-    ("table", ("_candidates", "_scores")),
-)
-
-
-def share_bundle(bundle: ModelBundle) -> ModelBundle:
-    """Move the bundle's big arrays into shared-memory segments.
-
-    After this, pickling the bundle (worker-pool swaps, spawn-start
-    workers) ships segment *names*; every process maps the same physical
-    pages, so N workers x 2 hot-swap generations cost ~1 copy of the
-    candidate matrix instead of 2N.  Returns the bundle with its
-    ``segments`` recorded; the artifacts themselves are mutated in place
-    (their arrays become read-only views).
-    """
-    registry: dict = {}
-    handles: list = []
-    for field_name, attrs in _SHARED_ATTRS:
-        obj = getattr(bundle, field_name)
-        if obj is None:
-            continue
-        handles.extend(share_object(obj, attrs, registry=registry))
-    logger.info(
-        "shared bundle: %d segments, %.1f MiB",
-        len(handles),
-        sum(h.nbytes for h in handles) / 2**20,
-    )
-    return replace(bundle, segments=tuple(handles))
 
 
 #: Items kept in a shard's popularity-fallback list.
@@ -168,7 +110,6 @@ def build_shard_bundle(
     popularity: "tuple[np.ndarray, np.ndarray] | None" = None,
     ann_precision: str = "float32",
     ann_rerank: int = 4,
-    share_memory: bool = False,
 ) -> ModelBundle:
     """Materialize the serving artifacts of the items one shard owns.
 
@@ -193,9 +134,7 @@ def build_shard_bundle(
 
     ``ann_precision`` selects the retrieval tier's memory mode (int8 /
     product quantization with exact re-rank of ``ann_rerank * k``);
-    ``n_cells`` is clamped to the shard's size; ``share_memory`` moves
-    the bundle's big arrays into zero-copy segments (see
-    :func:`share_bundle`) so worker processes attach instead of copying.
+    ``n_cells`` is clamped to the shard's size.
     """
     require(0.0 < table_coverage <= 1.0, "table_coverage must be in (0, 1]")
     full = index if index is not None else SimilarityIndex(model)
@@ -238,7 +177,7 @@ def build_shard_bundle(
     popular_items = popular_items[mask][:_POPULAR_LIST_SIZE]
     popular_scores = popular_scores[mask][:_POPULAR_LIST_SIZE]
 
-    bundle = ModelBundle(
+    return ModelBundle(
         version=0,
         model=model,
         index=shard_index,
@@ -247,9 +186,6 @@ def build_shard_bundle(
         popular_items=popular_items,
         popular_scores=popular_scores,
     )
-    if share_memory:
-        bundle = share_bundle(bundle)
-    return bundle
 
 
 def build_bundle(

@@ -17,11 +17,6 @@ from repro.utils.validation import (
     require_in_range,
     require_type,
 )
-from repro.utils.shm import (
-    SharedArray,
-    ZeroCopyPickle,
-    share_object,
-)
 
 __all__ = [
     "available_cpus",
@@ -33,7 +28,4 @@ __all__ = [
     "require_positive",
     "require_in_range",
     "require_type",
-    "SharedArray",
-    "ZeroCopyPickle",
-    "share_object",
 ]

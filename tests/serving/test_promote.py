@@ -2,14 +2,12 @@
 
 :func:`repro.serving.sharding.promote` is the only place a refresh cycle
 or a stream window touches a live store, so its ordering rules are
-checked here rather than once per caller: swap every shard, install the
-map, release the retired generation last, all of it inside one gate
-call.  The build half is the store's ``build_generation``; what is
-checked of it here is the consequence — a build that fails never reaches
-``promote``.
+checked here rather than once per caller: swap every shard, then
+install the map, all of it inside one gate call.  The build half is the
+store's ``build_generation``; what is checked of it here is the
+consequence — a build that fails never reaches ``promote``.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from repro.serving import (
     RefreshConfig,
     RefreshDaemon,
     ShardedModelStore,
-    ShardWorkerPool,
     bootstrap_day_source,
     build_bundle,
     build_shard_bundle,
@@ -67,36 +64,12 @@ def next_generation(store) -> dict:
     return dict(enumerate(store.snapshot()))
 
 
-class Segment:
-    """A stand-in zero-copy segment that logs the store state at release."""
-
-    def __init__(self, store, log: list) -> None:
-        self._store, self._log = store, log
-
-    def release(self) -> None:
-        self._log.append(("release", self._store.version))
-
-
 class TestPromote:
     def test_returns_the_stores_version(self, target):
         store, _ = serving_target(target)
         versions = promote(target, next_generation(store))
         assert versions == store.version
         assert versions in (1, [1, 1])
-
-    def test_retired_generation_released_after_the_last_flip(self, target):
-        store, _ = serving_target(target)
-        log: list = []
-        for shard, bundle in enumerate(store.snapshot()):
-            # Install a generation whose retirement is observable.
-            store.swap_shard(
-                shard, replace(bundle, segments=(Segment(store, log),))
-            )
-        promote(target, next_generation(store))
-        flipped = store.version
-        assert flipped in (2, [2, 2])
-        # One release per retired bundle, each seeing every shard flipped.
-        assert log == [("release", flipped)] * len(store.snapshot())
 
     def test_flip_runs_inside_the_gate_exactly_once(self, target):
         store, _ = serving_target(target)
@@ -139,15 +112,6 @@ class TestPromote:
         service = MatchingService(store)
         promote(service, next_generation(store))
         assert service.metrics.counter("swaps") == len(store.snapshot())
-
-    def test_worker_pool_sees_the_swap(self, shard_bundles):
-        store = ShardedModelStore(*shard_bundles)
-        with ShardWorkerPool(store) as pool:
-            service = MatchingService(store, pool=pool)
-            promote(service, {1: store.current(1)})
-            assert pool.ping() == store.versions == [0, 1]
-            promote(service, next_generation(store))
-            assert pool.ping() == store.versions == [1, 2]
 
 
 class TestBuildFailureNeverReachesTheFlip:

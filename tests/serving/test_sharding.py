@@ -1,4 +1,4 @@
-"""Tests for HBGP-sharded serving: bundles, dispatcher, worker pool.
+"""Tests for HBGP-sharded serving: bundles, dispatcher, per-shard metrics.
 
 There is one service class, so "sharded vs unsharded" cannot be the
 oracle any more.  Equivalence is anchored twice instead: every shard
@@ -26,7 +26,6 @@ from repro.serving import (
     ModelStore,
     ShardedMatchingService,
     ShardedModelStore,
-    ShardWorkerPool,
     build_bundle,
     build_candidate_table,
     build_shard_bundle,
@@ -656,51 +655,6 @@ class TestShardSwaps:
         assert store.versions[1:] == [0, 0]
 
 
-class TestWorkerPool:
-    def test_pool_matches_serial(
-        self, tiny_split, exact_flat_bundle, exact_shard_store
-    ):
-        train, _ = tiny_split
-        config = MatchingServiceConfig(default_k=K, cache_size=0)
-        serial = ShardedMatchingService(exact_shard_store, config)
-        with ShardWorkerPool(exact_shard_store) as pool:
-            pooled = ShardedMatchingService(exact_shard_store, config, pool=pool)
-            for request in request_mix(train):
-                want = serial.recommend(request, K)
-                got = pooled.recommend(request, K)
-                assert got.tier == want.tier
-                np.testing.assert_array_equal(got.items, want.items)
-                np.testing.assert_allclose(got.scores, want.scores)
-
-    def test_swap_reaches_worker(self, fitted_sisg, tiny_split, partition):
-        train, _ = tiny_split
-        store = ShardedModelStore.build(
-            fitted_sisg.model, train, partition, n_cells=1, seed=0
-        )
-        with ShardWorkerPool(store) as pool:
-            service = ShardedMatchingService(store, pool=pool)
-            assert pool.ping() == [0, 0, 0]
-            service.swap_shard(1, store.current(1))
-            assert pool.ping() == store.versions == [0, 1, 0]
-            # The swapped worker still answers.
-            item = int(store.current(1).table.item_ids[0])
-            assert len(service.recommend(item, K).items)
-
-    def test_close_is_idempotent(self, exact_shard_store):
-        pool = ShardWorkerPool(exact_shard_store)
-        pool.close()
-        pool.close()
-        with pytest.raises(ValueError):
-            pool.ping()
-
-    def test_service_close_shuts_pool(self, exact_shard_store):
-        pool = ShardWorkerPool(exact_shard_store)
-        with ShardedMatchingService(exact_shard_store, pool=pool):
-            pass
-        with pytest.raises(ValueError):
-            pool.ping()
-
-
 class TestObservability:
     def test_snapshot_shape(self, tiny_split, exact_flat_bundle, exact_shard_store):
         train, _ = tiny_split
@@ -720,3 +674,28 @@ class TestObservability:
             shard["counters"].get("gathers", 0) for shard in snap["shards"]
         )
         assert gathers == 3 * N_SHARDS  # cold item + 2 cold users scatter
+
+    def test_batch_of_table_misses_gathers_once_per_shard(
+        self, fitted_sisg, tiny_split
+    ):
+        """One micro-batched scatter: each shard gathers once, timed once."""
+        train, _ = tiny_split
+        partition = hbgp_partition(train, HBGPConfig(n_partitions=2))
+        store = ShardedModelStore.build(
+            fitted_sisg.model, train, partition, n_cells=4, table_coverage=0.5, seed=0
+        )
+        covered = {
+            int(i) for bundle in store.snapshot() for i in bundle.table.item_ids
+        }
+        misses = [
+            int(i)
+            for i in store.current(0).model.vocab.item_ids()
+            if int(i) not in covered
+        ][:8]
+        assert len(misses) == 8
+        service = ShardedMatchingService(store, NO_CACHE)
+        results = service.recommend_batch(misses, K)
+        assert [r.tier for r in results] == ["ann"] * len(misses)
+        for metrics in service.shard_metrics:
+            assert metrics.counter("gathers") == 1
+            assert metrics.snapshot()["tiers"]["gather"]["count"] == 1

@@ -5,9 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.model import EmbeddingModel
 from repro.core.similarity import SimilarityIndex
 from repro.serving import (
+    MatchingService,
+    MatchingServiceConfig,
+    MatchRequest,
     ModelStore,
     build_bundle,
     build_candidate_table,
@@ -212,83 +214,62 @@ class TestModelStore:
         assert store.generation_age_s == pytest.approx(2.0)
 
 
-@pytest.fixture()
-def shared_bundle(fitted_sisg, tiny_split):
-    """A zero-copy bundle over a *copy* of the shared model.
-
-    ``share_object`` swaps the model's arrays for read-only segment
-    views in place, so the session-scoped fitted model must not be the
-    one shared.
-    """
-    train, _ = tiny_split
-    source = fitted_sisg.model
-    model = EmbeddingModel(
-        source.vocab, source.w_in.copy(), source.w_out.copy(), source.similarity
-    )
-    bundle = build_bundle(
-        model,
-        train,
-        n_cells=8,
-        seed=0,
-        ann_precision="int8",
-        share_memory=True,
-    )
-    yield bundle
-    bundle.release()
+def assert_same_state(clone, original) -> None:
+    """Same class, same attribute names, byte-identical arrays."""
+    assert type(clone) is type(original)
+    assert vars(clone).keys() == vars(original).keys()
+    for name, value in vars(original).items():
+        if isinstance(value, np.ndarray):
+            got = vars(clone)[name]
+            assert got.dtype == value.dtype and got.shape == value.shape
+            assert got.tobytes() == value.tobytes(), name
 
 
-class TestSharedBundle:
-    def test_segments_recorded_and_deduped(self, shared_bundle):
-        assert shared_bundle.segments
-        names = shared_bundle.segment_names
-        assert len(names) == len(set(names))
-        # The ANN index rides on the similarity index's matrix; sharing
-        # must keep that aliasing (one segment, one physical copy).
-        assert shared_bundle.ann._candidates is shared_bundle.index._candidates
+class TestPickle:
+    """Spawn-start processes (the benchmark's child) receive the model and
+    its bundle by pickle; the plain ``__dict__`` state must carry them."""
 
-    def test_pickle_ships_handles_not_bytes(self, shared_bundle):
-        blob = pickle.dumps(shared_bundle)
-        payload = sum(h.nbytes for h in shared_bundle.segments)
-        assert len(blob) < payload
-        clone = pickle.loads(blob)
-        item = int(shared_bundle.index.item_ids[0])
-        want_ids, want_scores = shared_bundle.ann.topk(item, 10)
-        got_ids, got_scores = clone.ann.topk(item, 10)
-        np.testing.assert_array_equal(got_ids, want_ids)
-        np.testing.assert_array_equal(got_scores, want_scores)
-        assert clone.ann._candidates is clone.index._candidates
-
-    def test_swap_preserves_segments(self, fresh_store, shared_bundle):
-        fresh_store.swap(shared_bundle)
-        assert fresh_store.current().segment_names == shared_bundle.segment_names
-
-    def test_release_keeps_live_views_readable(self, shared_bundle):
-        """Retiring a generation must not dangle in-flight readers."""
-        item = int(shared_bundle.index.item_ids[0])
-        want_ids, want_scores = shared_bundle.ann.topk(item, 10)
-        shared_bundle.release()
-        shared_bundle.release()  # idempotent
-        assert all(h.released for h in shared_bundle.segments)
-        got_ids, got_scores = shared_bundle.ann.topk(item, 10)
-        np.testing.assert_array_equal(got_ids, want_ids)
-        np.testing.assert_array_equal(got_scores, want_scores)
-
-    def test_release_unlinks_for_late_attachers(self, shared_bundle):
-        stale = pickle.loads(pickle.dumps(shared_bundle.segments[0]))
-        shared_bundle.release()
-        with pytest.raises(FileNotFoundError):
-            _ = stale.array
-
-    def test_reshare_roundtrip_matches_plain_bundle(
-        self, fitted_sisg, tiny_split, shared_bundle
-    ):
+    @pytest.fixture(params=["float32", "int8", "pq"])
+    def bundle(self, request, fitted_sisg, tiny_split):
         train, _ = tiny_split
-        plain = build_bundle(
-            fitted_sisg.model, train, n_cells=8, seed=0, ann_precision="int8"
+        return build_bundle(
+            fitted_sisg.model,
+            train,
+            n_cells=8,
+            table_coverage=0.8,
+            seed=0,
+            ann_precision=request.param,
         )
-        clone = pickle.loads(pickle.dumps(shared_bundle))
-        for item in plain.index.item_ids[:5]:
-            want_ids, want_scores = plain.ann.topk(int(item), 10)
-            got_ids, got_scores = clone.ann.topk(int(item), 10)
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_scores, want_scores)
+
+    def test_artifacts_round_trip(self, bundle):
+        clone = pickle.loads(pickle.dumps(bundle))
+        assert isinstance(clone, ModelBundle)
+        for field in ("model", "index", "ann", "table"):
+            assert_same_state(getattr(clone, field), getattr(bundle, field))
+        np.testing.assert_array_equal(clone.popular_items, bundle.popular_items)
+        np.testing.assert_array_equal(clone.popular_scores, bundle.popular_scores)
+        assert clone.model.vocab.to_dict() == bundle.model.vocab.to_dict()
+        # Arrays one artifact shares with another stay shared.
+        assert (clone.ann._candidates is clone.index._candidates) == (
+            bundle.ann._candidates is bundle.index._candidates
+        )
+
+    def test_round_tripped_bundle_serves_the_same_bytes(self, bundle, tiny_split):
+        train, _ = tiny_split
+        config = MatchingServiceConfig(default_k=10, cache_size=0)
+        want_service = MatchingService(ModelStore(bundle), config)
+        got_service = MatchingService(
+            ModelStore(pickle.loads(pickle.dumps(bundle))), config
+        )
+        requests = [MatchRequest(item_id=i) for i in range(train.n_items)] + [
+            MatchRequest(si_values=dict(train.items[3].si_values)),
+            MatchRequest(gender="F", age_bucket="25-30"),
+            MatchRequest(item_id=10**9),
+        ]
+        want = want_service.recommend_batch(requests)
+        got = got_service.recommend_batch(requests)
+        assert {r.tier for r in want} >= {"table", "ann", "cold_item", "popularity"}
+        for g, w in zip(got, want):
+            assert g.tier == w.tier
+            assert g.items.tobytes() == w.items.tobytes()
+            assert g.scores.tobytes() == w.scores.tobytes()

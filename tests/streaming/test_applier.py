@@ -255,7 +255,6 @@ class TestSharded:
             expected = {int(assignment[item]) for item in clicked}
             expected.update(int(shard) for shard in assignment[len(live):])
             assert applier._touched_shards(clicked, assignment, []) == expected
-        service.close()
 
     def test_new_items_land_on_lightest_shard(self, sharded_live, make_applier):
         train, store, service = sharded_live
@@ -274,7 +273,6 @@ class TestSharded:
         assert int(partition[stream.new_item_ids[0]]) == lightest
         for item_id in stream.new_item_ids:
             assert service.recommend(item_id, 5).tier != "popularity"
-        service.close()
 
     def test_hot_items_move_incrementally(self, sharded_live, make_applier):
         train, store, service = sharded_live

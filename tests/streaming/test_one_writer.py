@@ -79,7 +79,6 @@ class TestNightlyKeepsTheStream:
         assert reports and all(r.applied for r in reports)
         assert len(stream.new_item_ids) > len(listed)
         assert_served(service, stream.new_item_ids)
-        service.close()
 
 
 class TestBothWritersAtOnce:
@@ -134,7 +133,6 @@ class TestBothWritersAtOnce:
         assert_served(service, stream.new_item_ids)
         versions = np.array(seen + [store.versions])
         assert (np.diff(versions, axis=0) >= 0).all()
-        service.close()
 
 
 class TestNightlyPlacement:
@@ -171,4 +169,3 @@ class TestNightlyPlacement:
         partition = service.store.item_partition
         assert partition[listed].tolist() == expected == [1, 1, 1]
         assert_served(service, listed)
-        service.close()

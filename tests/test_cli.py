@@ -200,7 +200,6 @@ class TestWorkflow:
         assert not swap.is_alive() and not other.is_alive()
         assert store.version in (1, [1, 0])
         assert store.catalogue is stack.dataset
-        stack.service.close()
 
     @pytest.mark.parametrize(
         "stack_flags",
@@ -210,9 +209,7 @@ class TestWorkflow:
             # the unsharded build and work with --shards 2.
             pytest.param(["--cells", "5000"], id="cells-clamped"),
             pytest.param(
-                ["--shards", "2", "--shard-executor", "process",
-                 "--ann-precision", "int8", "--zero-copy"],
-                id="two-shards-process-int8-zero-copy",
+                ["--shards", "2", "--ann-precision", "int8"], id="two-shards-int8"
             ),
         ],
     )

@@ -215,4 +215,3 @@ class TestOneWriterProperties:
             for item_id in stream.new_item_ids:
                 assert service.knows_item(item_id)
                 assert service.recommend(item_id, 5).tier != "popularity"
-        service.close()

@@ -1,11 +1,12 @@
 """Reach recorder: which ``src/`` functions does the product ever call?
 
-Runs the nine examples, ``python3 -m bench run --smoke --trace 1`` and
-every ``sisg`` sub-command on a tiny generated world, each under a
-profile hook, then prints the functions under ``src/`` that none of them
-called, with their line counts.  A function on that list has callers
-only in ``tests/`` (or none at all): surface that costs upkeep and earns
-nothing in production.
+Runs the nine examples, ``python3 -m bench run --smoke --trace 1``,
+every ``sisg`` sub-command on a tiny generated world, and the paper
+suite (``pytest benchmarks`` plus the standalone ``benchmarks/`` scripts
+CI runs), each under a profile hook, then prints the functions under
+``src/`` that none of them called, with their line counts.  A function
+on that list has callers only in ``tests/`` (or none at all): surface
+that costs upkeep and earns nothing in production.
 
 Standard library only.  The hook is a generated ``sitecustomize`` put
 first on ``PYTHONPATH``, so every Python process a run starts loads it:
@@ -19,12 +20,16 @@ nothing.
 
 Usage, from the repository root::
 
-    python3 tools/reach.py                      # all three groups of runs
+    python3 tools/reach.py                      # all four groups of runs
     python3 tools/reach.py --only examples cli  # a subset
     python3 tools/reach.py --output reach.txt   # also write the report
 
-A full run takes about three minutes on 2 vCPUs.  It is not part of the
-test suite or CI.
+The ``examples``, ``bench`` and ``cli`` groups take about three minutes
+on 2 vCPUs; ``paper`` takes longer, since the hook slows every run.  A
+run that exits non-zero, such as a paper test that fails, is named on
+the report's ``FAILED`` line; its calls still count.  The paper group
+runs a temporary copy of ``benchmarks/``, so the reports its scripts
+write are thrown away with it.  It is not part of the test suite or CI.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -86,6 +92,7 @@ sys.setprofile(_hook)
 '''
 
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+GROUPS = ["examples", "bench", "cli", "paper"]
 
 
 def cli_runs(world: Path) -> list[list[str]]:
@@ -106,8 +113,6 @@ def cli_runs(world: Path) -> list[list[str]]:
         [*sisg, "recommend", model, "3"],
         [*sisg, "partition", data, "--workers", "2"],
         [*sisg, "serve-demo", data, model, "--table-coverage", "0.8"],
-        [*sisg, "serve-demo", data, model, "--shards", "2",
-         "--shard-executor", "process"],
         [*sisg, "loadgen", data, model, "--requests", "200", "--swap-mid"],
         [*sisg, "refresh-daemon", data, model, "--cycles", "1",
          "--train-epochs", "1"],
@@ -116,13 +121,46 @@ def cli_runs(world: Path) -> list[list[str]]:
     ]
 
 
-def runs(only: list[str], world: Path) -> list[list[str]]:
+#: The standalone ``benchmarks/`` scripts the CI workflow runs.
+PAPER_SCRIPTS = [
+    ["bench_serving_latency.py"],
+    ["bench_sharded_serving.py"],
+    ["bench_refresh.py"],
+    ["bench_streaming.py", "--smoke"],
+    ["bench_training_throughput.py", "--smoke"],
+    ["bench_training_throughput.py", "--scaling-smoke"],
+    ["bench_memory.py", "--smoke"],
+]
+
+
+def runs(only: list[str], world: Path, paper: Path) -> list[list[str]]:
+    """The commands of the ``only`` groups; ``paper`` is the copy of
+    ``benchmarks/`` the paper group runs."""
     groups = {
         "examples": [[sys.executable, str(path)] for path in EXAMPLES],
         "bench": [[sys.executable, "-m", "bench", "run", "--smoke", "--trace", "1"]],
         "cli": cli_runs(world),
+        "paper": [
+            [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+             "-p", "no:cacheprovider", str(paper), "-q"],
+            *(
+                [sys.executable, str(paper / script), *flags]
+                for script, *flags in PAPER_SCRIPTS
+            ),
+        ],
     }
     return [cmd for name in only for cmd in groups[name]]
+
+
+def failed_tests(stdout: str) -> list[str]:
+    """``file::test`` of each ``FAILED <path>::<test> - <why>`` line that
+    pytest prints in its summary."""
+    tests = []
+    for line in stdout.splitlines():
+        if line.startswith("FAILED "):
+            path, _, test = line[7:].split(" - ")[0].partition("::")
+            tests.append(f"{Path(path).name}::{test}")
+    return tests
 
 
 def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
@@ -151,8 +189,7 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--only", nargs="+", choices=["examples", "bench", "cli"],
-        default=["examples", "bench", "cli"],
+        "--only", nargs="+", choices=GROUPS, default=GROUPS,
     )
     parser.add_argument("--output", help="also write the report here")
     args = parser.parse_args(argv)
@@ -162,6 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         hook, out, world = tmp / "hook", tmp / "out", tmp / "world"
         for directory in (hook, out, world):
             directory.mkdir()
+        paper = tmp / "benchmarks"
+        if "paper" in args.only:
+            shutil.copytree(
+                ROOT / "benchmarks", paper,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
         (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
         env = {
             **os.environ,
@@ -170,15 +213,16 @@ def main(argv: list[str] | None = None) -> int:
             "REACH_OUT": str(out),
         }
         failed = []
-        for cmd in runs(args.only, world):
+        for cmd in runs(args.only, world, paper):
             label = " ".join(Path(c).name if c.startswith("/") else c for c in cmd)
             print(f"reach: {label}", file=sys.stderr, flush=True)
             result = subprocess.run(
-                cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True,
             )
             if result.returncode != 0:
-                failed.append(label)
+                tests = failed_tests(result.stdout)
+                failed.append(f"{label} ({', '.join(tests)})" if tests else label)
                 print(result.stderr[-2000:], file=sys.stderr)
         called = set()
         for dump in out.iterdir():
